@@ -34,8 +34,9 @@ from .isolation import (
     IsolateConfig,
     IsolationError,
     PrecisionError,
-    SignCondition,
+    ValidationError,
     certificate_from_json,
+    condition_from_record,
     isolate,
     merge_components,
 )
@@ -54,7 +55,6 @@ from .radicals import (
     ExprError,
     ExprSyntaxError,
     parse,
-    polynomial_from_text,
 )
 from .verify import VerifyReport, audit_degrees, verify_certificate, verify_defining
 
@@ -196,16 +196,32 @@ def _report_to_stderr(name: str, report: VerifyReport) -> None:
     print(f"{name}: {report.to_json()}", file=sys.stderr)
 
 
+class InputFileError(Exception):
+    """An input file that does not have the documented form (exit 3)."""
+
+
 def _load_domain(path: str, registry: VarRegistry) -> DomainSpec:
-    obj = json.loads(Path(path).read_text())
-    conditions = tuple(
-        SignCondition(polynomial_from_text(c["poly"], registry), c["rel"])
-        for c in obj["conditions"]
-    )
-    point = {
-        registry.id_of(name): Fraction(str(value))
-        for name, value in obj["interior_point"].items()
-    }
+    text = Path(path).read_text()
+    try:
+        obj = json.loads(text)
+        conditions = tuple(
+            condition_from_record(c, registry) for c in obj["conditions"]
+        )
+        point = {
+            registry.id_of(name): Fraction(str(value))
+            for name, value in obj["interior_point"].items()
+        }
+    except (
+        ValueError,
+        KeyError,
+        TypeError,
+        AttributeError,
+        ZeroDivisionError,
+        PolyError,
+        ExprError,
+        ValidationError,
+    ) as exc:
+        raise InputFileError(f"bad domain file {path}: {exc!r}") from None
     return DomainSpec(conditions=conditions, interior_point=point)
 
 
@@ -387,7 +403,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _echo_settings(args)
     try:
         return args.func(args, parser)
-    except ExprSyntaxError as exc:
+    except (ExprSyntaxError, InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ResourceError, PrecisionError) as exc:

@@ -156,22 +156,31 @@ def _component_record(c: ComponentDescription, registry: VarRegistry) -> dict:
     }
 
 
+def condition_from_record(rec: dict, registry: VarRegistry) -> SignCondition:
+    """The condition a ``{"poly": ..., "rel": ...}`` record describes.
+
+    Raises ValidationError for a relation outside the known set.
+    """
+    if rec["rel"] not in _FLIP:
+        raise ValidationError(f"unknown relation {rec['rel']!r}")
+    return SignCondition(
+        radicals.polynomial_from_text(rec["poly"], registry), rec["rel"]
+    )
+
+
 def certificate_from_json(text: str) -> IsolationCertificate:
     obj = json.loads(text)
     registry = VarRegistry(obj["variables"])
     z = registry.id_of(obj["z"])
-
-    def cond(rec: dict) -> SignCondition:
-        return SignCondition(
-            radicals.polynomial_from_text(rec["poly"], registry), rec["rel"]
-        )
 
     def sample(rec: dict) -> dict[VarId, Fraction]:
         return {registry.id_of(n): Fraction(v) for n, v in rec.items()}
 
     def component(rec: dict, conds_key: str) -> ComponentDescription:
         return ComponentDescription(
-            conditions=tuple(cond(r) for r in rec[conds_key]),
+            conditions=tuple(
+                condition_from_record(r, registry) for r in rec[conds_key]
+            ),
             sample=sample(rec["sample"]),
             label=rec.get("label", ""),
         )
@@ -179,7 +188,9 @@ def certificate_from_json(text: str) -> IsolationCertificate:
     entries = tuple(
         CertEntry(
             component=component(e, "component_conditions"),
-            root_conditions=tuple(cond(r) for r in e["root_conditions"]),
+            root_conditions=tuple(
+                condition_from_record(r, registry) for r in e["root_conditions"]
+            ),
             sign_vector=tuple(e["sign_vector"]),
         )
         for e in obj["entries"]

@@ -9,13 +9,18 @@ Everything here is exact -- no floats anywhere.  The canonical text form
 sorts terms by graded-lexicographic order (total degree first, ties broken so
 that later-registered variables weigh more), which makes printed polynomials
 stable across runs and platforms.
+
+Before a gcd runs the subresultant PRS, one image of both operands modulo a
+prime, at a fixed point for the other variables, is tried: when the image gcd
+has degree 0 the true gcd is 1 (Brown's degree bound), and the PRS is skipped.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 VarId = int
 
@@ -484,6 +489,96 @@ def subresultant_prs(p: MultiPoly, q: MultiPoly, v: VarId) -> list[MultiPoly]:
     return seq
 
 
+#: the prime of the modular images that prove coprimality
+IMAGE_PRIME = 2**61 - 1
+
+
+def gcd_degree_mod(a: Sequence[int], b: Sequence[int]) -> int:
+    """Degree of gcd(a, b) in GF(IMAGE_PRIME)[x], -1 when both vanish.
+
+    `a` and `b` are integer coefficient lists, index = power.
+    """
+    a, b = _trim_mod(a), _trim_mod(b)
+    while b:
+        a, b = b, _rem_mod(a, b)
+    return len(a) - 1
+
+
+def _trim_mod(c: Sequence[int]) -> list[int]:
+    out = [x % IMAGE_PRIME for x in c]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _rem_mod(a: list[int], b: list[int]) -> list[int]:
+    # Remainder of a by b over GF(IMAGE_PRIME); b is trimmed and nonzero.
+    rem = list(a)
+    inv = pow(b[-1], -1, IMAGE_PRIME)
+    while len(rem) >= len(b):
+        factor = rem[-1] * inv % IMAGE_PRIME
+        shift = len(rem) - len(b)
+        for i, coeff in enumerate(b):
+            rem[shift + i] = (rem[shift + i] - factor * coeff) % IMAGE_PRIME
+        rem.pop()
+        while rem and not rem[-1]:
+            rem.pop()
+    return rem
+
+
+_MASK64 = 2**64 - 1
+
+
+@functools.lru_cache(maxsize=64)
+def _image_value(w: VarId) -> int:
+    # A fixed residue per variable, the splitmix64 hash of its id, so that no
+    # small polynomial relates the values of different variables; no RNG, so
+    # every run takes the same path.
+    x = (w + 1) * 0x9E3779B97F4A7C15 & _MASK64
+    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    x = (x ^ x >> 27) * 0x94D049BB133111EB & _MASK64
+    return (x ^ x >> 31) % IMAGE_PRIME
+
+
+def _image_in(p: MultiPoly, v: VarId) -> list[int] | None:
+    # p mod IMAGE_PRIME as univariate in v, every other variable at its
+    # image value; None when a denominator vanishes mod the prime.
+    out = [0] * (p.degree_in(v) + 1)
+    for m, c in p.terms.items():
+        x = c.numerator
+        if c.denominator != 1:
+            if not c.denominator % IMAGE_PRIME:
+                return None
+            x *= pow(c.denominator, -1, IMAGE_PRIME)
+        e = 0
+        for w, k in m:
+            if w == v:
+                e = k
+            else:
+                x = x * pow(_image_value(w), k, IMAGE_PRIME) % IMAGE_PRIME
+        out[e] = (out[e] + x) % IMAGE_PRIME
+    return out
+
+
+def _coprime_by_image(p: MultiPoly, q: MultiPoly, v: VarId) -> bool:
+    """True when one modular image proves gcd(p, q) in v to be 1.
+
+    φ maps coefficients to GF(IMAGE_PRIME) and the variables other than v to
+    fixed values.  Let G be the gcd of p and q over the other variables'
+    fraction field, primitive with integer coefficients, so it divides both in
+    the polynomial ring.  φ(lc G) divides φ(lc p) ≠ 0, so deg φ(G) = deg G;
+    and φ(G) divides both images, hence their gcd.  An image gcd of degree 0
+    therefore gives deg G = 0.  False means nothing: the caller runs the PRS.
+    """
+    images = []
+    for f in (p, q):
+        image = _image_in(f, v)
+        if image is None or not image[-1]:
+            return False
+        images.append(image)
+    return gcd_degree_mod(*images) == 0
+
+
 def content_in(p: MultiPoly, v: VarId) -> MultiPoly:
     """Gcd of the coefficients of `p` viewed as a polynomial in `v`."""
     coeffs = list(p.coeffs_in(v).values())
@@ -522,6 +617,8 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     pp, qq = divexact(p, cp), divexact(q, cq)
     if pp.degree_in(v) == 0 or qq.degree_in(v) == 0:
         return integer_normalize(c)
+    if _coprime_by_image(pp, qq, v):
+        return integer_normalize(c)
     seq = subresultant_prs(pp, qq, v)
     last = seq[-1]
     if last.degree_in(v) == 0:
@@ -543,6 +640,8 @@ def gcd_in_main_var(p: MultiPoly, q: MultiPoly, v: VarId) -> MultiPoly:
     if q.is_zero():
         return primitive_part_in(p, v)
     if p.degree_in(v) == 0 or q.degree_in(v) == 0:
+        return MultiPoly.const(p.registry, 1)
+    if _coprime_by_image(p, q, v):
         return MultiPoly.const(p.registry, 1)
     seq = subresultant_prs(p, q, v)
     last = seq[-1]

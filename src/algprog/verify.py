@@ -14,7 +14,10 @@ p isolated in (lo, hi) is decided in this order: integer interval Horner on
 the interval, then a few bisection steps of the interval with the same test,
 and only if q's sign is still undecided gcd(p, q) with a Sturm count, which
 settles zero exactly; refinement then continues until the interval test
-certifies the sign, which terminates because the root is simple.
+certifies the sign, which terminates because the root is simple.  Square-free
+parts are taken in integers as well: a degree-0 gcd of c and c' modulo
+`polycore.IMAGE_PRIME` usually proves c square-free, and otherwise a primitive
+integer remainder sequence gives the gcd.
 """
 
 from __future__ import annotations
@@ -34,12 +37,12 @@ from .defpoly import (
     sample_real_point,
 )
 from .polycore import (
+    IMAGE_PRIME,
     MultiPoly,
     PolyError,
     VarId,
     VarRegistry,
-    integer_normalize,
-    square_free_part,
+    gcd_degree_mod,
 )
 from .radicals import NOT_REAL, EvalDomainError, Expr, Interval, eval_numeric
 
@@ -110,12 +113,13 @@ def _primitive(c: list[int]) -> list[int]:
 
 
 def uni_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Uni, Uni]:
+    """Quotient and remainder of a by b; zero top coefficients are ignored."""
+    rem, b = _uni_trim(list(a)), _uni_trim(list(b))
     if not b:
         raise PolyError("univariate division by zero")
-    rem = list(a)
-    quo: Uni = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    quo: Uni = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
     lead = b[-1]
-    while len(rem) >= len(b) and _uni_trim(rem):
+    while len(rem) >= len(b):
         shift = len(rem) - len(b)
         factor = rem[-1] / lead
         quo[shift] = factor
@@ -123,7 +127,7 @@ def uni_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Uni, Uni]:
             rem[shift + i] -= factor * coeff
         rem.pop()
         _uni_trim(rem)
-    return _uni_trim(quo), _uni_trim(rem)
+    return _uni_trim(quo), rem
 
 
 def uni_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Uni:
@@ -301,8 +305,13 @@ def isolate_real_roots(p: MultiPoly, v: VarId | None = None) -> RootIsolation:
         raise PolyError("cannot isolate roots of the zero polynomial")
     if v is None:
         v = _sole_variable(p)
-    sf = square_free_part(p, v) if p.degree_in(v) >= 1 else integer_normalize(p)
-    return RootIsolation(sf, tuple(_isolate_square_free(uni_from_poly(sf, v))))
+    sf = _square_free_uni(uni_from_poly(p, v))
+    if sf[-1] < 0:  # positive leading coefficient, as integer_normalize gives
+        sf = [-coeff for coeff in sf]
+    poly = MultiPoly(
+        p.registry, {((v, e),) if e else (): coeff for e, coeff in enumerate(sf)}
+    )
+    return RootIsolation(poly, tuple(_isolate_square_free(sf)))
 
 
 def refine_root(
@@ -589,18 +598,21 @@ def _isolate_square_free(sf: Uni) -> list[tuple[Fraction, Fraction]]:
     chain = _sturm_chain(sf)
     bound = cauchy_root_bound(sf)
     out: list[tuple[Fraction, Fraction]] = []
-    work = [(-bound, bound)]
+    # Each work item carries the sign variations at both of its ends, so a
+    # split point's count is computed once and serves both halves.
+    work = [(-bound, _variations(chain, -bound), bound, _variations(chain, bound))]
     while work:
-        lo, hi = work.pop()
-        n = _variations(chain, lo) - _variations(chain, hi)
+        lo, var_lo, hi, var_hi = work.pop()
+        n = var_lo - var_hi
         if n == 0:
             continue
         if n == 1:
             out.append((lo, hi))
             continue
         m = _split_point(chain[0], lo, hi)
-        work.append((lo, m))
-        work.append((m, hi))
+        var_m = _variations(chain, m)
+        work.append((lo, var_lo, m, var_m))
+        work.append((m, var_m, hi, var_hi))
     out.sort()
     return out
 
@@ -619,10 +631,18 @@ def _substituted_uni(
 
 def _square_free_uni(c: Sequence[Fraction]) -> Uni:
     c = _uni_trim(list(c))
-    g = uni_gcd(c, uni_derivative(c))
-    sf = uni_divmod(c, g)[0] if len(g) > 1 else list(c)
+    ci = _integral(c)
+    dci = uni_derivative(ci)
+    # When lc(ci) survives mod the prime, so does the leading coefficient of
+    # any integer divisor of ci, and a degree-0 image gcd of ci and ci'
+    # proves ci square-free without a gcd over the integers.
+    if not (ci and ci[-1] % IMAGE_PRIME and gcd_degree_mod(ci, dci) == 0):
+        g = _int_gcd(ci, dci)
+        if len(g) > 1:
+            # lc(g) > 0 keeps the sign of c's leading coefficient
+            ci = _integral(uni_divmod(c, g if g[-1] > 0 else [-n for n in g])[0])
     # Scaled by a positive rational to coprime integers.
-    return [Fraction(n) for n in _primitive(_integral(sf))]
+    return [Fraction(n) for n in _primitive(ci)]
 
 
 def selection_matches_f(
@@ -643,6 +663,10 @@ def selection_matches_f(
     return lo <= value.hi and value.lo <= hi
 
 
+#: times sample_in_component divides its radius by 16 after max_tries misses
+_SAMPLE_SHRINKS = 4
+
+
 def sample_in_component(
     component,
     rng: random.Random,
@@ -650,17 +674,26 @@ def sample_in_component(
     max_tries: int = 500,
 ) -> dict[VarId, Fraction]:
     """A random rational point near the component's sample where all its
-    conditions hold exactly (rejection sampling in the anchor box)."""
+    conditions hold exactly (rejection sampling in the anchor box).
+
+    A component much narrower than the radius (between two close roots of
+    the resultants) is hit only by the anchor itself, 1 draw in 81; after
+    `max_tries` misses the box shrinks by 16 and sampling goes on, up to
+    _SAMPLE_SHRINKS times.
+    """
     anchor = dict(component.sample)
-    for _ in range(max_tries):
-        point = {
-            v: a + radius * Fraction(rng.randint(-40, 40), 40)
-            for v, a in anchor.items()
-        }
-        if all(
-            relation_holds(c.poly.eval(point), c.rel) for c in component.conditions
-        ):
-            return point
+    for shrink in range(_SAMPLE_SHRINKS + 1):
+        box = radius / 16**shrink
+        for _ in range(max_tries):
+            point = {
+                v: a + box * Fraction(rng.randint(-40, 40), 40)
+                for v, a in anchor.items()
+            }
+            if all(
+                relation_holds(c.poly.eval(point), c.rel)
+                for c in component.conditions
+            ):
+                return point
     raise SamplingError(
         f"rejection sampling exhausted near {component.label or 'component'}"
     )

@@ -172,6 +172,24 @@ def test_reformulate_human_format(capsys, tmp_path):
     assert "subject to" in out_file.read_text()
 
 
+def test_domain_file_invalid_json_is_exit_3(capsys, tmp_path):
+    domain = tmp_path / "domain.json"
+    domain.write_text('{"conditions": [')
+    code, _, err = run(capsys, *reformulate_args(RB, str(domain), tmp_path / "rb.json"))
+    assert code == 3
+    assert "bad domain file" in err
+
+
+def test_domain_file_without_interior_point_is_exit_3(capsys, tmp_path):
+    domain = tmp_path / "domain.json"
+    obj = json.loads(Path(RB_DOMAIN).read_text())
+    del obj["interior_point"]
+    domain.write_text(json.dumps(obj))
+    code, _, err = run(capsys, *reformulate_args(RB, str(domain), tmp_path / "rb.json"))
+    assert code == 3
+    assert "bad domain file" in err
+
+
 def test_reformulate_missing_file_is_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, "reformulate", str(tmp_path / "absent.json"))
     assert code == 3
@@ -220,6 +238,33 @@ def test_verify_rejects_tampered_certificate(capsys, tmp_path):
     cert_file.write_text(json.dumps(obj))
     code, out, _ = run(capsys, "verify", str(cert_file))
     assert code == 4
+
+
+def tampered_relation(capsys, tmp_path, edit):
+    cert_file = tmp_path / "cert.json"
+    assert run(capsys, "isolate", "sqrt(x)", "--out", str(cert_file))[0] == 0
+    obj = json.loads(cert_file.read_text())
+    edit(obj)
+    cert_file.write_text(json.dumps(obj))
+    return run(capsys, "verify", str(cert_file))
+
+
+def test_verify_unknown_root_relation_is_exit_4(capsys, tmp_path):
+    def edit(obj):
+        obj["entries"][0]["root_conditions"][1]["rel"] = "~"
+
+    code, _, err = tampered_relation(capsys, tmp_path, edit)
+    assert code == 4
+    assert "unknown relation '~'" in err
+
+
+def test_verify_unknown_skipped_relation_is_exit_4(capsys, tmp_path):
+    def edit(obj):
+        obj["skipped"][0]["conditions"][0]["rel"] = "~"
+
+    code, _, err = tampered_relation(capsys, tmp_path, edit)
+    assert code == 4
+    assert "unknown relation '~'" in err
 
 
 def test_verify_garbage_file_is_exit_3(capsys, tmp_path):

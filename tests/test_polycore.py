@@ -1,12 +1,15 @@
 """Ring laws, canonical text, and exact division for sparse polynomials."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from algprog import polycore
 from algprog.polycore import (
+    IMAGE_PRIME,
     InexactDivision,
     MultiPoly,
     PolyError,
@@ -19,6 +22,7 @@ from algprog.polycore import (
     poly_gcd,
     primitive_part_in,
     square_free_part,
+    subresultant_prs,
     try_divexact,
 )
 
@@ -204,6 +208,91 @@ def test_primitive_part_in_main_var():
     from conftest import proportional
 
     assert proportional(primitive_part_in(p, v), Z**2 - X)
+
+
+# -- the coprimality pre-test against the PRS ---------------------------------
+
+
+def prs_only():
+    """Every gcd on the subresultant PRS: the pre-test never proves anything."""
+    return mock.patch.object(polycore, "_coprime_by_image", lambda p, q, v: False)
+
+
+def prs_gcd_in_main_var(p, q, v):
+    with prs_only():
+        last = subresultant_prs(p, q, v)[-1]
+        if last.degree_in(v) == 0:
+            return MultiPoly.const(REG, 1)
+        return primitive_part_in(last, v)
+
+
+def prs_poly_gcd(p, q):
+    with prs_only():
+        return poly_gcd(p, q)
+
+
+@st.composite
+def gcd_problems(draw):
+    """Bivariate or trivariate operands, some with a planted common factor;
+    coefficients have denominators up to 4."""
+    nvars = draw(st.sampled_from([2, 3]))
+    small = (
+        polys(max_terms=3, max_exp=2)
+        .map(
+            lambda p: MultiPoly(
+                REG, {m: c for m, c in p.terms.items() if all(v < nvars for v, _ in m)}
+            )
+        )
+        .filter(bool)
+    )
+    p, q = draw(small), draw(small)
+    if draw(st.booleans()):
+        common = draw(small)
+        p, q = p * common, q * common
+    return p, q, draw(st.integers(0, nvars - 1))
+
+
+@given(gcd_problems())
+def test_gcds_match_prs_oracle(problem):
+    p, q, v = problem
+    assert gcd_in_main_var(p, q, v) == prs_gcd_in_main_var(p, q, v)
+    assert poly_gcd(p, q) == prs_poly_gcd(p, q)
+
+
+def image_value(name):
+    return polycore._image_value(REG.id_of(name))
+
+
+def check_pretest(p, q, v, proves, gcd):
+    assert polycore._coprime_by_image(p, q, v) is proves
+    assert gcd_in_main_var(p, q, v) == prs_gcd_in_main_var(p, q, v) == gcd
+    assert poly_gcd(p, q) == prs_poly_gcd(p, q)
+
+
+def test_pretest_proves_coprime():
+    check_pretest(X**2 - Y, X * Z + 1, REG.id_of("x"), True, MultiPoly.const(REG, 1))
+
+
+def test_pretest_falls_back_when_leading_coefficient_vanishes():
+    # lc in x is y - a, and y maps to a
+    p = (Y - image_value("y")) * X**2 + 1
+    check_pretest(p, X - 2, REG.id_of("x"), False, MultiPoly.const(REG, 1))
+
+
+def test_pretest_falls_back_on_denominator_divisible_by_prime():
+    p = X**2 + Y + Fraction(1, IMAGE_PRIME)
+    check_pretest(p, X + 1, REG.id_of("x"), False, MultiPoly.const(REG, 1))
+
+
+def test_pretest_falls_back_on_unlucky_image():
+    # coprime, but both images are x - a
+    p, q = X - Y, X - image_value("y")
+    check_pretest(p, q, REG.id_of("x"), False, MultiPoly.const(REG, 1))
+
+
+def test_pretest_falls_back_on_nontrivial_gcd():
+    p, q = (X - Y) * (X + 1), (X - Y) * (X - Z)
+    check_pretest(p, q, REG.id_of("x"), False, integer_normalize(X - Y))
 
 
 # -- homogenization in the quotient variable ----------------------------------

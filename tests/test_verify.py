@@ -5,17 +5,34 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from algprog.defpoly import defining_polynomial
-from algprog.isolation import IsolateConfig, SignCondition, isolate
-from algprog.polycore import MultiPoly, VarRegistry
+from algprog.isolation import (
+    ComponentDescription,
+    IsolateConfig,
+    SignCondition,
+    isolate,
+)
+from algprog.polycore import (
+    MultiPoly,
+    PolyError,
+    VarRegistry,
+    integer_normalize,
+    square_free_part,
+)
 from algprog.radicals import normalize, parse, polynomial_from_text
 from algprog.verify import (
     _integral,
+    _primitive,
     _sign,
     _sign_at,
+    _split_point,
+    _square_free_uni,
+    _sturm_chain,
+    _variations,
     audit_degrees,
     cauchy_root_bound,
     isolate_real_roots,
@@ -33,6 +50,7 @@ from algprog.verify import (
     uni_eval,
     uni_from_poly,
     uni_gcd,
+    uni_to_poly,
     verify_certificate,
     verify_defining,
 )
@@ -64,6 +82,19 @@ def test_uni_gcd():
     g = uni_gcd(a, b)
     assert len(g) == 2
     assert uni_eval(g, Fraction(1)) == 0
+
+
+def test_uni_divmod_ignores_zero_top_coefficients():
+    # x = 0 * (x^2 - 2) + x; the untrimmed [0, 1, 0] once gave quotient 1
+    assert uni_divmod(uni(0, 1, 0), uni(-2, 0, 1)) == ([], uni(0, 1))
+    assert uni_divmod(uni(-2, 0, 1), uni(0, 1, 0)) == (uni(0, 1), uni(-2))
+    assert uni_divmod(uni(1, 0), uni(0, 1)) == ([], uni(1))
+    with pytest.raises(PolyError):
+        uni_divmod(uni(1, 2), uni(0, 0))
+    # the case that made the bisection oracle below disagree with sign_at_root
+    p, q = uni(-2, 0, 1), uni(0, 1, 0)
+    lo, hi = Fraction(-3), Fraction(0)
+    assert sign_at_root(q, p, lo, hi) == oracle_sign(q, p, lo, hi) == -1
 
 
 def test_sturm_sequence_golden():
@@ -240,6 +271,47 @@ def test_sign_at_root_matches_bisection_oracle(problem):
         assert sign_at_root(q, p, lo, hi) == oracle_sign(q, minimal, lo, hi)
 
 
+def reference_isolation(sf):
+    """Sturm bisection that counts sign variations at both ends of every
+    interval, split points included twice."""
+    chain = _sturm_chain(sf)
+    bound = cauchy_root_bound(sf)
+    out, work = [], [(-bound, bound)]
+    while work:
+        lo, hi = work.pop()
+        n = _variations(chain, lo) - _variations(chain, hi)
+        if n == 1:
+            out.append((lo, hi))
+        elif n > 1:
+            m = _split_point(chain[0], lo, hi)
+            work += [(lo, m), (m, hi)]
+    return sorted(out)
+
+
+@given(
+    st.lists(small_fractions, max_size=5),
+    st.lists(small_fractions.filter(bool), max_size=3),
+)
+def test_square_free_and_isolation_match_references(c, roots):
+    # repeated roots exercise the gcd path, square-free inputs the image test
+    for r in roots:
+        c = uni_mul(c or [Fraction(1)], uni_mul([-r, Fraction(1)], [-r, Fraction(1)]))
+    trimmed = list(c)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    g = uni_gcd(trimmed, uni_derivative(trimmed))
+    sf = uni_divmod(trimmed, g)[0] if len(g) > 1 else trimmed
+    assert _square_free_uni(c) == [Fraction(n) for n in _primitive(_integral(sf))]
+    if not trimmed:
+        return
+    p = uni_to_poly(trimmed, XID, REG)
+    iso = isolate_real_roots(p)
+    assert iso.poly == (
+        square_free_part(p, XID) if len(trimmed) > 1 else integer_normalize(p)
+    )
+    assert list(iso.intervals) == reference_isolation(uni_from_poly(iso.poly, XID))
+
+
 def test_relation_holds():
     assert relation_holds(Fraction(1), ">")
     assert not relation_holds(Fraction(0), ">")
@@ -342,3 +414,15 @@ def test_sample_in_component():
         pt = sample_in_component(comp, rng)
         for cond in comp.conditions:
             assert relation_holds(cond.poly.eval(pt), cond.rel)
+
+
+def test_sample_in_component_narrow_component():
+    # only the anchor itself lies inside at the default radius; one miss per
+    # box size forces the shrinking boxes
+    comp = ComponentDescription(
+        conditions=(SignCondition(X, ">"), SignCondition(100 * X - 1, "<")),
+        sample={XID: Fraction(1, 200)},
+    )
+    for seed in range(20):
+        pt = sample_in_component(comp, random.Random(seed), max_tries=1)
+        assert 0 < pt[XID] < Fraction(1, 100)
