@@ -367,7 +367,8 @@ def cmd_reformulate(
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         cert = certificate_from_json(Path(args.certificate).read_text())
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, KeyError, TypeError) as exc:
+        # ValueError covers invalid JSON and sample values Fraction rejects
         print(f"error: unreadable certificate: {exc!r}", file=sys.stderr)
         return 3
     dp = DefiningPolynomial(

@@ -56,6 +56,7 @@ from .radicals import (
     eval_numeric,
     normalize,
     parse,
+    poly_enclosure,
     to_polynomial,
     variables_of,
 )
@@ -138,21 +139,6 @@ def sample_real_point(
     )
 
 
-def poly_on_interval(
-    q: MultiPoly, z: VarId, point: Mapping[VarId, Fraction], ziv: Interval
-) -> Interval:
-    """Enclose q(z*, a) where z* ranges over `ziv` and a is exact."""
-    coeffs = q.coeffs_in(z)
-    if not coeffs:
-        return Interval.point(Fraction(0))
-    acc = Interval.point(Fraction(0))
-    for e in range(max(coeffs), -1, -1):
-        acc = acc * ziv
-        if e in coeffs:
-            acc = acc + Interval.point(coeffs[e].eval(point))
-    return acc
-
-
 def _point_by_id(registry: VarRegistry, point: Mapping[str, Fraction]):
     return {registry.id_of(n): v for n, v in point.items()}
 
@@ -174,7 +160,7 @@ def _certified_zero_at(
     for _ in range(24):
         value = eval_numeric(f, point, work)
         assert isinstance(value, Interval)
-        enclosure = poly_on_interval(q, z, by_id, value)
+        enclosure = poly_enclosure(q, by_id, {z: value})
         if not enclosure.contains_zero():
             return False
         if enclosure.width() <= target:
@@ -182,7 +168,7 @@ def _certified_zero_at(
                 work *= 2
                 value = eval_numeric(f, point, work)
                 assert isinstance(value, Interval)
-                enclosure = poly_on_interval(q, z, by_id, value)
+                enclosure = poly_enclosure(q, by_id, {z: value})
                 if not enclosure.contains_zero():
                     return False
             return True

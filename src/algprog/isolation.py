@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import radicals
-from .defpoly import DefiningPolynomial, SamplingError, poly_on_interval
+from .defpoly import DefiningPolynomial, SamplingError
 from .polycore import (
     MultiPoly,
     PolyError,
@@ -29,7 +29,7 @@ from .polycore import (
     integer_normalize,
     try_divexact,
 )
-from .radicals import NOT_REAL, EvalDomainError, Expr, eval_numeric
+from .radicals import NOT_REAL, EvalDomainError, Expr, eval_numeric, poly_enclosure
 from .resultants import resultant, resultant_with_constant
 from . import verify as _verify
 
@@ -588,7 +588,7 @@ def _certified_tower_signs(
         bits = cfg.precision
         for _ in range(cfg.max_sign_doublings):
             value = eval_numeric(f, named, bits)
-            enclosure = poly_on_interval(q, z, comp.sample, value)
+            enclosure = poly_enclosure(q, comp.sample, {z: value})
             if not enclosure.contains_zero():
                 signs.append(1 if enclosure.lo > 0 else -1)
                 break

@@ -291,18 +291,37 @@ class MultiPoly:
         return MultiPoly(self.registry, out)
 
     def eval(self, point: Mapping[VarId, Fraction]) -> Fraction:
-        """Evaluate at a full rational point (every present var must be given)."""
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            acc = c
+        """Evaluate at a full rational point (every present var must be given).
+
+        The sum is taken in integers over one common denominator: the lcm of
+        the coefficient denominators times d^D for each variable v = n/d of
+        degree D, so that v^e contributes n^e * d^(D - e).  One `Fraction` is
+        built at the end.
+        """
+        degrees: dict[VarId, int] = {}
+        for m in self.terms:
             for v, e in m:
-                if v not in point:
-                    raise PolyError(
-                        f"no value for variable {self.registry.name_of(v)!r}"
-                    )
-                acc *= Fraction(point[v]) ** e
+                if e > degrees.get(v, 0):
+                    degrees[v] = e
+        scale = math.lcm(*(c.denominator for c in self.terms.values()))
+        den = scale
+        powers: dict[tuple[VarId, int], int] = {}
+        for v, top in degrees.items():
+            if v not in point:
+                raise PolyError(f"no value for variable {self.registry.name_of(v)!r}")
+            a = Fraction(point[v])
+            n, d = a.numerator, a.denominator
+            den *= d**top
+            for e in range(top + 1):
+                powers[v, e] = n**e * d ** (top - e)
+        total = 0
+        for m, c in self.terms.items():
+            acc = c.numerator * (scale // c.denominator)
+            exps = dict(m)
+            for v in degrees:
+                acc *= powers[v, exps.get(v, 0)]
             total += acc
-        return total
+        return Fraction(total, den)
 
     def coeffs_in(self, v: VarId) -> dict[int, MultiPoly]:
         """Coefficients of powers of `v`, each a polynomial free of `v`."""

@@ -924,6 +924,7 @@ def check_substitution(
     for ci, child in enumerate(result.children):
         combo = child.entry_choice
         registry = result.parts[0].certificate.defining.registry
+        child_vars = child.variables
         failure: str | None = None
         used = 0
         tries = 0
@@ -943,7 +944,7 @@ def check_substitution(
             for p, idx in zip(result.parts, combo):
                 comp = p.certificate.entries[idx].component
                 for cond in comp.conditions:
-                    if not _holds(cond.poly.eval(point), cond.rel):
+                    if not _verify.relation_holds(cond.poly.eval(point), cond.rel):
                         ok = False
                         break
                 if not ok:
@@ -951,7 +952,7 @@ def check_substitution(
             if not ok:
                 continue
 
-            values: dict[str, Interval] = dict()
+            box: dict[VarId, Interval] = {}
             for p in result.parts:
                 try:
                     enclosure = eval_numeric(p.expr, named, precision)
@@ -960,7 +961,7 @@ def check_substitution(
                 if enclosure is None or enclosure is NOT_REAL:
                     ok = False
                     break
-                values[p.z_name] = enclosure
+                box[child_vars.id_of(p.z_name)] = enclosure
             if not ok:
                 if tries == 1:
                     failure = f"a part is not real at the anchor {named}"
@@ -968,11 +969,11 @@ def check_substitution(
                 continue
             used += 1
 
-            box = dict(values)
-            for name, val in named.items():
-                box[name] = Interval(val, val)
+            exact = {
+                child_vars.id_of(n): val for n, val in named.items() if n in child_vars
+            }
             for p, rel in child.constraints:
-                enclosure = _interval_poly(p, box, child.variables)
+                enclosure = radicals.poly_enclosure(p, exact, box)
                 if not _interval_compatible(enclosure, rel):
                     failure = (
                         f"child {ci + 1}: constraint "
@@ -982,7 +983,7 @@ def check_substitution(
             if failure:
                 break
             target = eval_numeric(objective_expr, named, precision)
-            got = _interval_poly(child.objective[1], box, child.variables)
+            got = radicals.poly_enclosure(child.objective[1], exact, box)
             if target is NOT_REAL or not _intervals_overlap(got, target):
                 failure = f"child {ci + 1}: objective mismatch at {named}"
                 break
@@ -997,32 +998,6 @@ def check_substitution(
         if failure:
             break
     return report
-
-
-def _holds(value: Fraction, rel: str) -> bool:
-    return {
-        ">": value > 0,
-        ">=": value >= 0,
-        "<": value < 0,
-        "<=": value <= 0,
-        "=": value == 0,
-        "!=": value != 0,
-    }[rel]
-
-
-def _interval_poly(p: MultiPoly, box, registry: VarRegistry):
-    """Interval evaluation of a MultiPoly over a box keyed by variable name."""
-    from .radicals import Interval
-
-    total = Interval(Fraction(0), Fraction(0))
-    for m, c in p.terms.items():
-        term = Interval(c, c)
-        for v, e in m:
-            iv = box[registry.name_of(v)]
-            for _ in range(e):
-                term = term * iv
-        total = total + term
-    return total
 
 
 def _interval_compatible(iv, rel: str) -> bool:

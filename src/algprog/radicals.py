@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .polycore import MultiPoly, VarRegistry
+from .polycore import MultiPoly, VarId, VarRegistry
 
 # ---------------------------------------------------------------------------
 # syntax trees
@@ -98,10 +98,16 @@ class EvalDomainError(ExprError):
 _REJECTED_FUNCTIONS = {"sin", "cos", "tan", "exp", "log", "ln", "abs", "min", "max"}
 
 
+#: deepest nesting of parentheses, function calls and unary minus `parse`
+#: accepts; deeper input would exhaust the interpreter's recursion limit
+MAX_NESTING = 100
+
+
 class _Scanner:
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -196,6 +202,15 @@ def _parse_exponent(sc: _Scanner) -> Fraction:
 
 
 def _parse_atom(sc: _Scanner) -> Expr:
+    if sc.depth > MAX_NESTING:
+        raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", sc.pos)
+    sc.depth += 1
+    e = _parse_primary(sc)
+    sc.depth -= 1
+    return e
+
+
+def _parse_primary(sc: _Scanner) -> Expr:
     ch = sc.peek()
     if ch == "-":
         sc.take("-")
@@ -500,6 +515,14 @@ class Interval:
         return Interval(self.lo - other.hi, self.hi - other.lo)
 
     def __mul__(self, other: Interval) -> Interval:
+        a, b = (other, self) if other.lo == other.hi else (self, other)
+        if a.lo == a.hi:
+            # a point scales the other operand: two products ordered by its
+            # sign give the same endpoints as all four
+            c = a.lo
+            if c >= 0:
+                return Interval(b.lo * c, b.hi * c)
+            return Interval(b.hi * c, b.lo * c)
         products = (
             self.lo * other.lo,
             self.lo * other.hi,
@@ -514,6 +537,32 @@ class Interval:
     @classmethod
     def point(cls, c: Fraction) -> Interval:
         return cls(c, c)
+
+
+def poly_enclosure(
+    p: MultiPoly, point: Mapping[VarId, Fraction], box: Mapping[VarId, Interval]
+) -> Interval:
+    """Enclose p over `box` with every other variable fixed by `point`.
+
+    Horner in each box variable, in ascending id order, with the
+    coefficients enclosed recursively; a coefficient free of every box
+    variable is evaluated exactly at `point` and enters as a point interval.
+    By subdistributivity the enclosure is never wider than term-by-term
+    interval evaluation, and exact quantities stay exact.
+    """
+    present = p.vars_present()
+    inner = sorted(v for v in box if v in present)
+    if not inner:
+        return Interval.point(p.eval(point))
+    iv = box[inner[0]]
+    coeffs = p.coeffs_in(inner[0])
+    top = max(coeffs)
+    acc = poly_enclosure(coeffs[top], point, box)
+    for e in range(top - 1, -1, -1):
+        acc = acc * iv
+        if e in coeffs:
+            acc = acc + poly_enclosure(coeffs[e], point, box)
+    return acc
 
 
 class _NotReal:

@@ -4,8 +4,6 @@ The resultant of two polynomials in a chosen variable is the determinant of
 their Sylvester matrix, whose entries live in the remaining variables.  The
 determinant is computed by Bareiss' fraction-free elimination: every division
 along the way is exact, so no rational-function arithmetic is ever needed.
-A plain cofactor expansion is kept around as an independent cross-check for
-small matrices.
 """
 
 from __future__ import annotations
@@ -91,28 +89,6 @@ def det_bareiss(m: PolyMatrix) -> MultiPoly:
             a[i][k] = MultiPoly.zero(reg)
         prev = pivot
     return a[n - 1][n - 1] * sign
-
-
-def det_cofactor(m: PolyMatrix) -> MultiPoly:
-    """Cofactor-expansion determinant; only sensible for small matrices."""
-    if m.rows != m.cols:
-        raise PolyError("determinant of a non-square matrix")
-
-    def rec(rows: list[list[MultiPoly]]) -> MultiPoly:
-        n = len(rows)
-        if n == 1:
-            return rows[0][0]
-        reg = rows[0][0].registry
-        total = MultiPoly.zero(reg)
-        for j, head in enumerate(rows[0]):
-            if head.is_zero():
-                continue
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            sub = rec(minor)
-            total = total + head * sub if j % 2 == 0 else total - head * sub
-        return total
-
-    return rec([row[:] for row in m.entries])
 
 
 def resultant(p: MultiPoly, q: MultiPoly, v: VarId) -> MultiPoly:

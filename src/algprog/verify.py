@@ -130,17 +130,6 @@ def uni_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Uni, Uni]:
     return _uni_trim(quo), rem
 
 
-def uni_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Uni:
-    """Monic greatest common divisor (constant 1 for coprime inputs)."""
-    x, y = _uni_trim(list(a)), _uni_trim(list(b))
-    while y:
-        x, y = y, uni_divmod(x, y)[1]
-    if not x:
-        return []
-    lead = x[-1]
-    return [coeff / lead for coeff in x]
-
-
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
@@ -336,13 +325,6 @@ def refine_root(
     return lo, hi
 
 
-def _interval_eval(c: Sequence[Fraction], iv: Interval) -> Interval:
-    acc = Interval.point(Fraction(0))
-    for coeff in reversed(list(c)):
-        acc = acc * iv + Interval.point(coeff)
-    return acc
-
-
 #: bisection steps sign_at_root tries before it pays for gcd(p, q)
 _BISECTIONS_BEFORE_GCD = 4
 
@@ -455,17 +437,13 @@ def _zero_enclosure_at(
     """Enclose p(f(a), a) with width below 2^-precision, or None if not real."""
     registry = dp.poly.registry
     by_id = {registry.id_of(n): v for n, v in point.items()}
-    coeffs = {e: q.eval(by_id) for e, q in dp.poly.coeffs_in(dp.z).items()}
-    c = [Fraction(0)] * (max(coeffs) + 1)
-    for e, val in coeffs.items():
-        c[e] = val
     target = Fraction(1, 2 ** precision)
     bits = precision + 1
     for _ in range(radicals.MAX_PRECISION_DOUBLINGS):
         value = eval_numeric(dp.source, point, bits)
         if value is NOT_REAL:
             return None
-        enclosure = _interval_eval(c, value)
+        enclosure = radicals.poly_enclosure(dp.poly, by_id, {dp.z: value})
         if enclosure.width() <= target:
             return enclosure
         bits *= 2

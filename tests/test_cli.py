@@ -59,6 +59,13 @@ def test_defpoly_collision_is_exit_4(capsys):
     assert code == 4
 
 
+def test_defpoly_deep_nesting_is_exit_3(capsys):
+    code, _, err = run(capsys, "defpoly", "(" * 3000 + "x" + ")" * 3000)
+    assert code == 3
+    assert "nesting deeper than" in err
+    assert "at position 101" in err
+
+
 # -- isolate ----------------------------------------------------------------------
 
 
@@ -267,6 +274,16 @@ def test_verify_unknown_skipped_relation_is_exit_4(capsys, tmp_path):
     assert "unknown relation '~'" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+def test_verify_unreadable_sample_is_exit_3(capsys, tmp_path, value):
+    def edit(obj):
+        obj["entries"][0]["sample"]["x"] = value
+
+    code, _, err = tampered_relation(capsys, tmp_path, edit)
+    assert code == 3
+    assert "unreadable certificate" in err
+
+
 def test_verify_garbage_file_is_exit_3(capsys, tmp_path):
     bad = tmp_path / "cert.json"
     bad.write_text("not json at all")
@@ -285,3 +302,13 @@ def test_verbose_echoes_settings(capsys):
 
 def test_no_subcommand_is_usage_error():
     assert run_usage_error() == 2
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    import runpy
+
+    monkeypatch.setattr("sys.argv", ["algprog", "defpoly", "sqrt(x)"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("algprog", run_name="__main__")
+    assert exc.value.code == 0
+    assert "z^2 - x" in capsys.readouterr().out

@@ -81,6 +81,38 @@ def test_eval_is_ring_homomorphism(p, q, a):
     assert (p - q).eval(a) == p.eval(a) - q.eval(a)
 
 
+def term_by_term(p, point):
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        acc = c
+        for v, e in m:
+            acc *= Fraction(point[v]) ** e
+        total += acc
+    return total
+
+
+coordinates = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+
+
+@given(polys(max_exp=4), st.lists(coordinates, min_size=3, max_size=3))
+def test_eval_matches_term_by_term_oracle(p, coords):
+    point = dict(enumerate(coords))
+    got = p.eval(point)
+    assert isinstance(got, Fraction)
+    assert got == term_by_term(p, point)
+
+
+def test_eval_rejects_a_missing_variable():
+    p = X * Y + Fraction(1, 3)
+    with pytest.raises(PolyError, match="no value for variable 'y'"):
+        p.eval({REG.id_of("x"): Fraction(2)})
+    # a variable the polynomial does not mention needs no value
+    assert (X + 1).eval({REG.id_of("x"): 2}) == 3
+
+
 @given(polys(), st.integers(0, 3))
 def test_power_matches_repeated_product(p, k):
     expected = MultiPoly.const(REG, 1)

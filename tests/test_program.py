@@ -391,3 +391,34 @@ def test_check_substitution_flags_tampered_child():
     bad_child = dataclasses.replace(child, objective=tampered_obj)
     bad = dataclasses.replace(res, children=(bad_child,))
     assert not check_substitution(bad, prog, samples=8).passed
+
+
+def test_check_substitution_with_two_parts_flags_tampered_constraint():
+    import dataclasses
+
+    prog = mini(
+        "sqrt(x + 1)*x + sqrt(x + y)",
+        [("sqrt(x + 1) - sqrt(x + y) + x*y - 4", "<=")],
+        groups=["sqrt(x + 1)", "sqrt(x + y)"],
+    )
+    dom = DomainSpec(
+        tuple(
+            SignCondition.normalized(polynomial_from_text(t, prog.variables), ">")
+            for t in ("x + 1", "x + y")
+        ),
+        {prog.variables.id_of(n): Fraction(1) for n in ("x", "y")},
+    )
+    res = reformulate(prog, strategy="domain", cfg=MERGE_CFG, domain=dom)
+    (child,) = res.children
+    assert "x*y - z2 + z - 4 <= 0" in constraint_texts(child)
+    assert check_substitution(res, prog, samples=8).passed
+    # shift the defining equation of z2 off its root
+    constraints = [
+        (p + 1, rel) if rel == "=" and "z2" in p.to_text() else (p, rel)
+        for p, rel in child.constraints
+    ]
+    bad_child = dataclasses.replace(child, constraints=tuple(constraints))
+    bad = dataclasses.replace(res, children=(bad_child,))
+    report = check_substitution(bad, prog, samples=8)
+    assert not report.passed
+    assert "constraint" in report.checks[0].witness

@@ -1,19 +1,21 @@
 """Parsing, normal form, and certified interval evaluation of radical
 expressions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algprog.polycore import VarRegistry
+from algprog.polycore import MultiPoly, VarRegistry
 from algprog.radicals import (
     NOT_REAL,
     Add,
     EvalDomainError,
     ExprSyntaxError,
     Interval,
+    MAX_NESTING,
     Mul,
     NotPolynomial,
     Root,
@@ -23,6 +25,7 @@ from algprog.radicals import (
     is_polynomial,
     normalize,
     parse,
+    poly_enclosure,
     polynomial_from_text,
     rat_root_enclosure,
     structural_key,
@@ -76,6 +79,18 @@ def test_negative_exponent_rejected():
 def test_syntax_errors(bad):
     with pytest.raises(ExprSyntaxError):
         parse(bad)
+
+
+def test_nesting_limit():
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse(deep) == Var("x")
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse("(" + deep + ")")
+    assert exc.value.position == MAX_NESTING + 1
+    with pytest.raises(ExprSyntaxError):
+        parse("-" * 3000 + "x")
+    with pytest.raises(ExprSyntaxError):
+        parse("sqrt(" * 3000 + "x" + ")" * 3000)
 
 
 @pytest.mark.parametrize(
@@ -205,3 +220,86 @@ def test_eval_matches_rational_identity(x):
     e = normalize(parse("sqrt(x^2 + 1)*sqrt(x^2 + 1)"))
     v = eval_numeric(e, {"x": x})
     assert v.lo <= x**2 + 1 <= v.hi
+
+
+# -- interval kernel ---------------------------------------------------------------
+
+KREG = VarRegistry(["x", "y", "z"])
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def kernel_polys(draw, nvars):
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        mono = tuple(
+            (v, e) for v in range(nvars) if (e := draw(st.integers(0, 3)))
+        )
+        terms[mono] = draw(small_fractions.filter(lambda c: c != 0))
+    return MultiPoly(KREG, terms)
+
+
+@st.composite
+def intervals(draw):
+    a, b = draw(small_fractions), draw(small_fractions)
+    return Interval(min(a, b), max(a, b))
+
+
+def mul4(a, b):
+    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return Interval(min(products), max(products))
+
+
+def reference_horner(q, z, point, ziv):
+    """Interval Horner in one variable with four-product multiplication."""
+    coeffs = q.coeffs_in(z)
+    acc = Interval.point(Fraction(0))
+    for e in range(max(coeffs, default=0), -1, -1):
+        acc = mul4(acc, ziv)
+        if e in coeffs:
+            acc = acc + Interval.point(coeffs[e].eval(point))
+    return acc
+
+
+@given(st.data(), st.integers(2, 3))
+def test_poly_enclosure_contains_exact_values(data, nvars):
+    p = data.draw(kernel_polys(nvars))
+    nbox = data.draw(st.integers(1, min(2, nvars)))
+    box_vars = data.draw(st.permutations(range(nvars)))[:nbox]
+    box = {v: data.draw(intervals()) for v in box_vars}
+    point = {
+        v: data.draw(small_fractions) for v in range(nvars) if v not in box
+    }
+    enclosure = poly_enclosure(p, point, box)
+    for corner in itertools.product(*((iv.lo, iv.hi) for iv in box.values())):
+        full = {**point, **dict(zip(box, corner))}
+        assert enclosure.lo <= p.eval(full) <= enclosure.hi
+    inside = dict(point)
+    for v, iv in box.items():
+        t = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=6))
+        inside[v] = iv.lo + t * iv.width()
+    assert enclosure.lo <= p.eval(inside) <= enclosure.hi
+
+
+@given(st.data(), st.integers(2, 3))
+def test_poly_enclosure_in_one_variable_is_horner(data, nvars):
+    p = data.draw(kernel_polys(nvars))
+    z = data.draw(st.integers(0, nvars - 1))
+    ziv = data.draw(intervals())
+    point = {v: data.draw(small_fractions) for v in range(nvars) if v != z}
+    got = poly_enclosure(p, point, {z: ziv})
+    want = reference_horner(p, z, point, ziv)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+point_intervals = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(-2), Fraction(1, 3)]), small_fractions
+).map(Interval.point)
+
+
+@given(point_intervals, st.one_of(intervals(), point_intervals))
+def test_point_product_matches_four_products(pt, other):
+    want = mul4(pt, other)
+    for got in (pt * other, other * pt):
+        assert (got.lo, got.hi) == (want.lo, want.hi)

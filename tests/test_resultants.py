@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from algprog.polycore import MultiPoly, PolyError, VarRegistry, poly_gcd
 from algprog.resultants import (
     det_bareiss,
-    det_cofactor,
     resultant,
     resultant_degree_bound,
     resultant_with_constant,
@@ -70,12 +69,23 @@ def test_resultant_with_constant():
         resultant(p, MultiPoly.const(REG, 5), ZID)
 
 
+def det_cofactor(rows):
+    """Cofactor-expansion determinant: the reference for Bareiss."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = MultiPoly.zero(REG)
+    for j, head in enumerate(rows[0]):
+        term = head * det_cofactor([r[:j] + r[j + 1 :] for r in rows[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
 def test_sylvester_shape_and_determinants_agree():
     p = 2 * Z**3 + X * Z - 1
     q = Z**2 - Y
     m = sylvester_matrix(p, q, ZID)
     assert m.rows == m.cols == 5
-    assert det_bareiss(m) == det_cofactor(m)
+    assert det_bareiss(m) == det_cofactor(m.entries)
 
 
 # -- the vanishing law ----------------------------------------------------------

@@ -32,6 +32,7 @@ from algprog.verify import (
     _split_point,
     _square_free_uni,
     _sturm_chain,
+    _uni_trim,
     _variations,
     audit_degrees,
     cauchy_root_bound,
@@ -49,7 +50,6 @@ from algprog.verify import (
     uni_divmod,
     uni_eval,
     uni_from_poly,
-    uni_gcd,
     uni_to_poly,
     verify_certificate,
     verify_defining,
@@ -65,6 +65,15 @@ def uni(*coeffs):
 
 
 # -- univariate scaffolding -----------------------------------------------------
+
+
+def uni_gcd(a, b):
+    """Monic Euclidean gcd over the rationals: the reference for the integer
+    gcds (constant 1 for coprime inputs)."""
+    x, y = _uni_trim(list(a)), _uni_trim(list(b))
+    while y:
+        x, y = y, uni_divmod(x, y)[1]
+    return [coeff / x[-1] for coeff in x] if x else []
 
 
 def test_uni_round_trip_and_eval():
