@@ -35,7 +35,6 @@ from .radicals import Expr, parse, to_text
 from .resultants import resultant
 from .verify import (
     isolate_real_roots,
-    sturm_sequence,
     verify_certificate,
     verify_defining,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "reformulate",
     "resultant",
     "result_from_json",
-    "sturm_sequence",
     "to_text",
     "verify_certificate",
     "verify_defining",

@@ -16,7 +16,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
 
 from . import radicals
 from .defpoly import DefiningPolynomial, SamplingError
@@ -54,11 +54,6 @@ class PrecisionError(IsolationError):
 # Conditions and certificates.
 # ---------------------------------------------------------------------------
 
-_FLIP = {">": "<", "<": ">", ">=": "<=", "<=": ">=", "=": "=", "!=": "!="}
-
-RELATIONS = tuple(_FLIP)
-
-
 @dataclass(frozen=True)
 class SignCondition:
     """`poly rel 0` with poly in canonical integer-normalized form."""
@@ -68,12 +63,12 @@ class SignCondition:
 
     @staticmethod
     def normalized(poly: MultiPoly, rel: str) -> SignCondition:
-        if rel not in _FLIP:
+        if rel not in _verify.RELATIONS:
             raise IsolationError(f"unknown relation {rel!r}")
         if poly.is_zero():
             return SignCondition(poly, rel)
         if poly.terms[grlex_leading(poly.terms)] < 0:
-            rel = _FLIP[rel]
+            rel = _verify.RELATIONS[rel].flip
         return SignCondition(integer_normalize(poly), rel)
 
     def key(self) -> tuple:
@@ -161,7 +156,7 @@ def condition_from_record(rec: dict, registry: VarRegistry) -> SignCondition:
 
     Raises ValidationError for a relation outside the known set.
     """
-    if rec["rel"] not in _FLIP:
+    if rec["rel"] not in _verify.RELATIONS:
         raise ValidationError(f"unknown relation {rec['rel']!r}")
     return SignCondition(
         radicals.polynomial_from_text(rec["poly"], registry), rec["rel"]
@@ -347,13 +342,11 @@ def _univariate_components(
     for i, s in enumerate(points):
         sample = {w: Fraction(0) for w in xvars}
         sample[v] = s
-        conditions = []
-        for r in nonconstant:
-            value = r.eval({v: s})
-            conditions.append(
-                SignCondition.normalized(r, ">" if value > 0 else "<")
-            )
-        conditions = _dedupe(conditions)
+        conditions = [
+            SignCondition.normalized(r, ">" if r.eval({v: s}) > 0 else "<")
+            for r in nonconstant
+        ]
+        conditions = dedupe(conditions, SignCondition.key)
         if not intervals:
             label = "all of the line"
         elif i == 0:
@@ -479,13 +472,13 @@ def _grid_components(
     for k, members in enumerate(sorted(groups.values(), key=min)):
         anchor = min(members)
         signs = cells[anchor]
-        conditions = _dedupe(
+        conditions = [
             SignCondition.normalized(r, ">" if s > 0 else "<")
             for r, s in zip(nonconstant, signs)
-        )
+        ]
         comps.append(
             ComponentDescription(
-                tuple(conditions),
+                tuple(dedupe(conditions, SignCondition.key)),
                 cell_point(anchor),
                 f"grid group {k + 1} of {len(groups)}",
             )
@@ -500,13 +493,15 @@ def _grid_components(
     return comps
 
 
-def _dedupe(conditions: Iterable[SignCondition]) -> list[SignCondition]:
-    out: list[SignCondition] = []
+def dedupe(items: Iterable, key: Callable[..., Hashable]) -> list:
+    """The items in order, each dropped whose key an earlier one had."""
+    out = []
     seen = set()
-    for c in conditions:
-        if c.key() not in seen:
-            seen.add(c.key())
-            out.append(c)
+    for item in items:
+        k = key(item)
+        if k not in seen:
+            seen.add(k)
+            out.append(item)
     return out
 
 
@@ -523,9 +518,14 @@ def isolate(
     domain: DomainSpec | None = None,
 ) -> IsolationCertificate:
     """Certificate of sign conditions that pin f down among the roots of its
-    defining polynomial, one entry per connected component where f is real."""
+    defining polynomial, one entry per connected component where f is real.
+
+    An expression f becomes the certificate's `source` as given (a string
+    is parsed and normalized); f is evaluated in normal form, so it may still
+    hold Pow nodes."""
     if isinstance(f, str):
         f = radicals.normalize(radicals.parse(f))
+    source, f = f, radicals.normalize(f)
     p = dp.poly
     z = dp.z
     registry = p.registry
@@ -555,13 +555,12 @@ def isolate(
             if q.is_constant():
                 continue
             conditions.append(SignCondition.normalized(q, ">" if s > 0 else "<"))
-        entries.append(
-            CertEntry(comp, tuple(_dedupe(conditions)), tuple(signs))
-        )
+        conditions = dedupe(conditions, SignCondition.key)
+        entries.append(CertEntry(comp, tuple(conditions), tuple(signs)))
     return IsolationCertificate(
         z=z,
         defining=p,
-        source=f,
+        source=source,
         entries=tuple(entries),
         strategy_used=strategy,
         skipped=tuple(skipped),
@@ -705,7 +704,7 @@ def _simplify_relaxed(
                 out.append(SignCondition.normalized(q, ">="))
                 continue
         out.append(c)
-    out = _dedupe(out)
+    out = dedupe(out, SignCondition.key)
     kept: list[SignCondition] = []
     for i, c in enumerate(out):
         implied = False
@@ -713,7 +712,7 @@ def _simplify_relaxed(
             if i == j or c.rel != ">=" or d.rel != ">=":
                 continue
             gap = c.poly - d.poly
-            if not gap.is_zero() and _is_even_nonneg_sum(gap):
+            if not gap.is_zero() and provably_nonneg(gap):
                 implied = True  # d >= 0 forces c >= 0
                 break
             if gap.is_zero() and j < i:
@@ -724,12 +723,13 @@ def _simplify_relaxed(
     return kept
 
 
-def _is_even_nonneg_sum(p: MultiPoly) -> bool:
-    """True when p is a sum of monomials with positive coefficients and all
-    exponents even — hence nonnegative on all of space."""
+def provably_nonneg(p: MultiPoly, nonneg: Collection[VarId] = ()) -> bool:
+    """Sound, syntactic: every term has a positive coefficient and each
+    variable occurs to an even power unless it is in `nonneg`, the variables
+    known nonnegative; then p >= 0 wherever those are."""
     return all(
-        coeff > 0 and all(e % 2 == 0 for _, e in mono)
-        for mono, coeff in p.terms.items()
+        c > 0 and all(e % 2 == 0 or v in nonneg for v, e in m)
+        for m, c in p.terms.items()
     )
 
 
@@ -738,6 +738,7 @@ def _validate_merge(
 ) -> str | None:
     """Check unique root selection against f at sampled points of every merged
     entry; returns a failure description or None."""
+    f = radicals.normalize(cert.source)
     registry = cert.defining.registry
     rng = random.Random(cfg.seed)
     for entry in cert.entries:
@@ -762,7 +763,7 @@ def _validate_merge(
             named = {
                 registry.name_of(v): val for v, val in point.items()
             }
-            value = eval_numeric(cert.source, named, cfg.precision)
+            value = eval_numeric(f, named, cfg.precision)
             if value is NOT_REAL:
                 if tries == 1:
                     return f"f is not real at {named} inside {comp.label!r}"
@@ -776,8 +777,6 @@ def _validate_merge(
                     f"{len(selection.passing)} roots pass the merged "
                     f"conditions at {named}"
                 )
-            if not _verify.selection_matches_f(
-                cert.source, selection, named, cfg.precision
-            ):
+            if not _verify.selection_matches_f(f, selection, named, cfg.precision):
                 return f"merged conditions select the wrong root at {named}"
     return None

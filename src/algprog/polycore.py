@@ -115,15 +115,16 @@ def _mono_div(b: Monomial, a: Monomial) -> Monomial:
     return tuple(sorted((v, e) for v, e in out.items() if e))
 
 
-def _grlex_key(m: Monomial) -> tuple:
-    # Total degree first; ties broken lexicographically with later-registered
-    # variables taking precedence (so a defining variable z added after the
-    # problem variables sorts in front, matching the documented text form).
+def grlex_key(m: Monomial) -> tuple:
+    """Sort key of the graded order of the text form: total degree first;
+    ties broken lexicographically with later-registered variables taking
+    precedence (so a defining variable z added after the problem variables
+    sorts in front)."""
     return (_mono_degree(m), tuple(sorted(m, reverse=True)))
 
 
 def grlex_leading(terms: Mapping[Monomial, Fraction]) -> Monomial:
-    return max(terms, key=_grlex_key)
+    return max(terms, key=grlex_key)
 
 
 class MultiPoly:
@@ -377,7 +378,7 @@ class MultiPoly:
         if not self.terms:
             return "0"
         pieces: list[str] = []
-        for m in sorted(self.terms, key=_grlex_key, reverse=True):
+        for m in sorted(self.terms, key=grlex_key, reverse=True):
             c = self.terms[m]
             mono = "*".join(
                 self.registry.name_of(v) + (f"^{e}" if e > 1 else "")

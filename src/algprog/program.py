@@ -29,34 +29,42 @@ variables, every program expression must be polynomial; leftover structure
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import radicals
+from . import verify as _verify
 from .defpoly import DefiningPolynomial, ReduceConfig, defining_polynomial
 from .isolation import (
     DomainSpec,
     IsolateConfig,
     IsolationCertificate,
     SignCondition,
+    dedupe,
     isolate,
     merge_components,
+    provably_nonneg,
 )
-from .polycore import MultiPoly, VarId, VarRegistry
+from .polycore import MultiPoly, VarId, VarRegistry, grlex_key
 from .radicals import (
+    NOT_REAL,
     Add,
     Const,
     Div,
+    EvalDomainError,
     Expr,
+    Interval,
     Mul,
     Root,
     Sub,
     Var,
+    eval_numeric,
     is_polynomial,
     normalize,
     parse,
@@ -82,8 +90,6 @@ class ResourceError(ProgramError):
 
 #: relations allowed on input constraints (`expr rel 0`)
 PROGRAM_RELATIONS = ("=", ">", ">=", "<", "<=")
-
-_FLIP = {">": "<", "<": ">", ">=": "<=", "<=": ">=", "=": "=", "!=": "!="}
 
 _SENSES = ("min", "max")
 
@@ -285,16 +291,16 @@ def extract_algebraic_parts(
     return [(p, tuple(occ)) for p, occ in zip(parts, occurrences)]
 
 
-def _distinct_radical_count(prog: AlgebraicProgram) -> int:
-    """Distinct Root subtrees across all program expressions (the number of
-    auxiliary variables the straightforward reformulation introduces)."""
-    seen: list[Root] = []
-    exprs = [prog.objective[1]] + [e for e, _ in prog.constraints]
-    for e in exprs:
+def _program_radicals(prog: AlgebraicProgram) -> list[Root]:
+    """Distinct Root subtrees across all program expressions, outermost first
+    and objective before constraints: one auxiliary variable each in the
+    straightforward reformulation."""
+    rads: list[Root] = []
+    for e in [prog.objective[1]] + [e for e, _ in prog.constraints]:
         for rad in radicals.distinct_radicals(e):
-            if rad not in seen:
-                seen.append(rad)
-    return len(seen)
+            if rad not in rads:
+                rads.append(rad)
+    return rads
 
 
 # ---------------------------------------------------------------------------
@@ -340,20 +346,12 @@ def _rebind_domain(domain: DomainSpec, registry: VarRegistry) -> DomainSpec:
     )
 
 
-def _dedupe_conditions(
-    conds: Sequence[SignCondition], kinds: Sequence[str]
-) -> tuple[tuple[SignCondition, ...], tuple[str, ...]]:
-    seen: set = set()
-    out_c: list[SignCondition] = []
-    out_k: list[str] = []
-    for c, k in zip(conds, kinds):
-        key = c.key()
-        if key in seen:
-            continue
-        seen.add(key)
-        out_c.append(c)
-        out_k.append(k)
-    return tuple(out_c), tuple(out_k)
+#: a child constraint with its kind, the entry `constraint_kinds` shows
+Row = tuple[SignCondition, str]
+
+
+def _row_key(row: Row) -> tuple:
+    return row[0].key()
 
 
 def reformulate(
@@ -381,7 +379,7 @@ def reformulate(
             "resultant zeros; pass a domain or inspect the resultants"
         )
     sense, objective_expr = prog.objective
-    baseline_count = _distinct_radical_count(prog)
+    baseline_count = len(_program_radicals(prog))
 
     if not found:
         registry = VarRegistry(prog.variables.names())
@@ -392,15 +390,14 @@ def reformulate(
             )
             for e, rel in prog.constraints
         ]
-        kinds = ["original constraint"] * len(conds)
-        conds, kinds = _dedupe_conditions(conds, kinds)
+        rows = dedupe([(c, "original constraint") for c in conds], _row_key)
         child = PolynomialProgram(
             variables=registry,
             objective=(sense, objective),
-            constraints=tuple((c.poly, c.rel) for c in conds),
+            constraints=tuple((c.poly, c.rel) for c, _ in rows),
             provenance={},
             component_label="already polynomial",
-            constraint_kinds=kinds,
+            constraint_kinds=tuple(kind for _, kind in rows),
         )
         return ReformulationResult(
             children=(child,),
@@ -467,25 +464,24 @@ def reformulate(
 
     children: list[PolynomialProgram] = []
     for combo in itertools.product(*(range(n) for n in sizes)):
-        conds: list[SignCondition] = []
-        kinds: list[str] = []
+        rows: list[Row] = []
         for p, idx in zip(parts, combo):
             entry = p.certificate.entries[idx]
             for i, rc in enumerate(entry.root_conditions):
-                conds.append(_rebind_condition(rc, registry))
-                kinds.append(
+                kind = (
                     f"defining polynomial of {p.z_name}"
                     if i == 0 and rc.rel == "="
                     else f"isolating root {p.z_name}"
                 )
+                rows.append((_rebind_condition(rc, registry), kind))
         for p, idx in zip(parts, combo):
             entry = p.certificate.entries[idx]
-            for cc in entry.component.conditions:
-                conds.append(_rebind_condition(cc, registry))
-                kinds.append("component")
-        conds.extend(original_conds)
-        kinds.extend(["original constraint"] * len(original_conds))
-        conds_t, kinds_t = _dedupe_conditions(conds, kinds)
+            rows += [
+                (_rebind_condition(cc, registry), "component")
+                for cc in entry.component.conditions
+            ]
+        rows += [(c, "original constraint") for c in original_conds]
+        rows = dedupe(rows, _row_key)
         labels = [
             p.certificate.entries[idx].component.label or f"component {idx + 1}"
             for p, idx in zip(parts, combo)
@@ -494,12 +490,12 @@ def reformulate(
             PolynomialProgram(
                 variables=registry,
                 objective=(sense, objective),
-                constraints=tuple((c.poly, c.rel) for c in conds_t),
+                constraints=tuple((c.poly, c.rel) for c, _ in rows),
                 provenance={
                     registry.id_of(p.z_name): p.expr for p in parts
                 },
                 component_label="; ".join(labels),
-                constraint_kinds=kinds_t,
+                constraint_kinds=tuple(kind for _, kind in rows),
                 entry_choice=combo,
             )
         )
@@ -553,18 +549,9 @@ def _rational_form(
     raise StructuralError(f"unexpected node in rational form: {e!r}")
 
 
-def _provably_nonneg(p: MultiPoly, nonneg: set[VarId]) -> bool:
-    """Sound, syntactic: every term has a positive coefficient and each
-    variable occurs to an even power unless it is itself known nonnegative."""
-    return all(
-        c > 0 and all(e % 2 == 0 or v in nonneg for v, e in m)
-        for m, c in p.terms.items()
-    )
-
-
 def _provably_nonzero(p: MultiPoly, nonneg: set[VarId]) -> bool:
     constant = p.terms.get((), Fraction(0))
-    return _provably_nonneg(p, nonneg) and constant > 0
+    return provably_nonneg(p, nonneg) and constant > 0
 
 
 def baseline_reformulate(prog: AlgebraicProgram) -> PolynomialProgram:
@@ -579,13 +566,7 @@ def baseline_reformulate(prog: AlgebraicProgram) -> PolynomialProgram:
     """
     registry = VarRegistry(prog.variables.names())
     sense, objective_expr = prog.objective
-    exprs = [objective_expr] + [e for e, _ in prog.constraints]
-    rads: list[Root] = []
-    for e in exprs:
-        for rad in radicals.distinct_radicals(e):
-            if rad not in rads:
-                rads.append(rad)
-
+    rads = _program_radicals(prog)
     aux_names = []
     for k, _ in enumerate(rads):
         name = _aux_name(k, registry)
@@ -600,8 +581,7 @@ def baseline_reformulate(prog: AlgebraicProgram) -> PolynomialProgram:
         if rad.index % 2 == 0
     }
 
-    conds: list[SignCondition] = []
-    kinds: list[str] = []
+    rows: list[Row] = []
 
     def quotient_conditions(
         num: MultiPoly, den: MultiPoly, rel: str, kind: str
@@ -611,19 +591,17 @@ def baseline_reformulate(prog: AlgebraicProgram) -> PolynomialProgram:
             c = den.constant_value()
             if c == 0:
                 raise StructuralError("constraint divides by the zero constant")
-            conds.append(SignCondition.normalized(num, rel if c > 0 else _FLIP[rel]))
-            kinds.append(kind)
+            if c < 0:
+                rel = _verify.RELATIONS[rel].flip
+            rows.append((SignCondition.normalized(num, rel), kind))
             return
-        if rel == "=":
-            conds.append(SignCondition.normalized(num, "="))
-        else:
-            # Multiplying through by den^2 keeps the sign: num/den rel 0
-            # becomes num*den rel 0 away from the zeros of den.
-            conds.append(SignCondition.normalized(num * den, rel))
-        kinds.append(kind)
+        # An equality needs num = 0; otherwise multiplying through by den^2
+        # keeps the sign: num/den rel 0 becomes num*den rel 0 away from the
+        # zeros of den.
+        cleared = num if rel == "=" else num * den
+        rows.append((SignCondition.normalized(cleared, rel), kind))
         if not _provably_nonzero(den, nonneg):
-            conds.append(SignCondition.normalized(den, "!="))
-            kinds.append("denominator nonzero")
+            rows.append((SignCondition.normalized(den, "!="), "denominator nonzero"))
 
     radicand_parts: list[tuple[MultiPoly, MultiPoly]] = []
     for rad, name in zip(rads, aux_names):
@@ -633,11 +611,11 @@ def baseline_reformulate(prog: AlgebraicProgram) -> PolynomialProgram:
         )
         radicand_parts.append((num, den))
         # w^r = num/den, cross-multiplied.
-        conds.append(SignCondition.normalized(w**rad.index * den - num, "="))
-        kinds.append(f"defines {name}")
+        rows.append(
+            (SignCondition.normalized(w**rad.index * den - num, "="), f"defines {name}")
+        )
         if not den.is_constant() and not _provably_nonzero(den, nonneg):
-            conds.append(SignCondition.normalized(den, "!="))
-            kinds.append("denominator nonzero")
+            rows.append((SignCondition.normalized(den, "!="), "denominator nonzero"))
 
     for e, rel in prog.constraints:
         num, den = _rational_form(substitute_expr(e, substitution), registry)
@@ -647,15 +625,15 @@ def baseline_reformulate(prog: AlgebraicProgram) -> PolynomialProgram:
         if rad.index % 2:
             continue
         w = MultiPoly.var(registry, registry.id_of(name))
-        conds.append(SignCondition.normalized(w, ">="))
-        kinds.append(f"{name} is the nonnegative root")
+        rows.append(
+            (SignCondition.normalized(w, ">="), f"{name} is the nonnegative root")
+        )
         cleared = num if den.is_constant() else num * den
         if den.is_constant() and den.constant_value() < 0:
             cleared = -cleared
-        if not _provably_nonneg(cleared, nonneg):
+        if not provably_nonneg(cleared, nonneg):
             quotient_conditions(num, den, ">=", "radicand nonnegative")
-
-    conds_t, kinds_t = _dedupe_conditions(conds, kinds)
+    rows = dedupe(rows, _row_key)
 
     num, den = _rational_form(
         substitute_expr(objective_expr, substitution), registry
@@ -670,12 +648,12 @@ def baseline_reformulate(prog: AlgebraicProgram) -> PolynomialProgram:
     return PolynomialProgram(
         variables=registry,
         objective=(sense, objective),
-        constraints=tuple((c.poly, c.rel) for c in conds_t),
+        constraints=tuple((c.poly, c.rel) for c, _ in rows),
         provenance={
             registry.id_of(name): rad for rad, name in zip(rads, aux_names)
         },
         component_label="straightforward",
-        constraint_kinds=kinds_t,
+        constraint_kinds=tuple(kind for _, kind in rows),
     )
 
 
@@ -724,12 +702,10 @@ def _smt_poly(p: MultiPoly) -> str:
     in the same graded order as the text form, powers expanded to products."""
     if p.is_zero():
         return "0"
-    from .polycore import _grlex_key  # same ordering as to_text
-
     positive: list[str] = []
     negative: list[str] = []
 
-    for m in sorted(p.terms, key=_grlex_key, reverse=True):
+    for m in sorted(p.terms, key=grlex_key, reverse=True):
         c = p.terms[m]
         factors = []
         for v, e in m:
@@ -749,14 +725,11 @@ def _smt_poly(p: MultiPoly) -> str:
     return f"(- {fold(positive)} {fold(negative)})"
 
 
-_SMT_RELS = {">": ">", ">=": ">=", "<": "<", "<=": "<=", "=": "="}
-
-
 def _smt_assertion(p: MultiPoly, rel: str) -> str:
     body = _smt_poly(p)
     if rel == "!=":
         return f"(assert (not (= {body} 0)))"
-    return f"(assert ({_SMT_RELS[rel]} {body} 0))"
+    return f"(assert ({rel} {body} 0))"
 
 
 def _used_variables(pp: PolynomialProgram) -> list[str]:
@@ -852,7 +825,7 @@ def _child_from_record(rec: dict) -> PolynomialProgram:
     registry = VarRegistry(rec["variables"])
     constraints = []
     for c in rec["constraints"]:
-        if c["rel"] not in _FLIP:
+        if c["rel"] not in _verify.RELATIONS:
             raise StructuralError(f"unknown relation {c['rel']!r}")
         constraints.append((polynomial_from_text(c["poly"], registry), c["rel"]))
     sense = rec["objective"]["sense"]
@@ -905,9 +878,6 @@ def check_substitution(
     that every child constraint holds and the child objective encloses the
     original objective value.  Returns a VerifyReport.
     """
-    from . import verify as _verify
-    from .radicals import NOT_REAL, EvalDomainError, Interval, eval_numeric
-
     report = _verify.VerifyReport()
     if not result.parts:
         report.add(
@@ -922,36 +892,40 @@ def check_substitution(
     _, objective_expr = prog.objective
     rng = random.Random(seed)
     for ci, child in enumerate(result.children):
-        combo = child.entry_choice
         registry = result.parts[0].certificate.defining.registry
         child_vars = child.variables
+        comps = [
+            p.certificate.entries[idx].component
+            for p, idx in zip(result.parts, child.entry_choice)
+        ]
+        # Sample inside the first part's component, around its sample with
+        # the variables it lacks taken from the other parts' samples; other
+        # parts' entries must cover the same point for the child to be
+        # meaningful, which the condition checks below enforce.
+        anchor = dict(comps[0].sample)
+        for comp in comps[1:]:
+            for v, val in comp.sample.items():
+                anchor.setdefault(v, val)
+        region = dataclasses.replace(comps[0], sample=anchor)
         failure: str | None = None
         used = 0
         tries = 0
         while used < samples and tries < 4 * samples:
-            # Sample inside the first part's component; other parts' entries
-            # must cover the same point for the child to be meaningful, which
-            # the condition checks below enforce.
-            entry = result.parts[0].certificate.entries[combo[0]]
             point = (
-                dict(entry.component.sample)
+                dict(anchor)
                 if tries == 0
-                else _verify.sample_in_component(entry.component, rng)
+                else _verify.sample_in_component(region, rng)
             )
             tries += 1
             named = {registry.name_of(v): val for v, val in point.items()}
-            ok = True
-            for p, idx in zip(result.parts, combo):
-                comp = p.certificate.entries[idx].component
-                for cond in comp.conditions:
-                    if not _verify.relation_holds(cond.poly.eval(point), cond.rel):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+            if not all(
+                _verify.relation_holds(cond.poly.eval(point), cond.rel)
+                for comp in comps
+                for cond in comp.conditions
+            ):
                 continue
 
+            ok = True
             box: dict[VarId, Interval] = {}
             for p in result.parts:
                 try:
@@ -974,7 +948,7 @@ def check_substitution(
             }
             for p, rel in child.constraints:
                 enclosure = radicals.poly_enclosure(p, exact, box)
-                if not _interval_compatible(enclosure, rel):
+                if not _verify.relation_possible(enclosure, rel):
                     failure = (
                         f"child {ci + 1}: constraint "
                         f"{p.to_text()} {rel} 0 fails near {named}"
@@ -998,19 +972,6 @@ def check_substitution(
         if failure:
             break
     return report
-
-
-def _interval_compatible(iv, rel: str) -> bool:
-    """Whether the enclosure does not refute `rel 0` (equalities and weak
-    inequalities only need overlap; strict ones need the closure)."""
-    return {
-        ">": iv.hi > 0,
-        ">=": iv.hi >= 0,
-        "<": iv.lo < 0,
-        "<=": iv.lo <= 0,
-        "=": iv.lo <= 0 <= iv.hi,
-        "!=": not (iv.lo == 0 == iv.hi),
-    }[rel]
 
 
 def _intervals_overlap(a, b) -> bool:

@@ -17,7 +17,7 @@ settles zero exactly; refinement then continues until the interval test
 certifies the sign, which terminates because the root is simple.  Square-free
 parts are taken in integers as well: a degree-0 gcd of c and c' modulo
 `polycore.IMAGE_PRIME` usually proves c square-free, and otherwise a primitive
-integer remainder sequence gives the gcd.
+integer remainder sequence gives the gcd, by which c is divided exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import radicals
 from .defpoly import (
@@ -41,7 +41,6 @@ from .polycore import (
     MultiPoly,
     PolyError,
     VarId,
-    VarRegistry,
     gcd_degree_mod,
 )
 from .radicals import NOT_REAL, EvalDomainError, Expr, Interval, eval_numeric
@@ -76,15 +75,6 @@ def uni_from_poly(p: MultiPoly, v: VarId) -> Uni:
     return _uni_trim(out)
 
 
-def uni_to_poly(c: Sequence[Fraction], v: VarId, registry: VarRegistry) -> MultiPoly:
-    acc = MultiPoly.zero(registry)
-    x = MultiPoly.var(registry, v)
-    for e, coeff in enumerate(c):
-        if coeff:
-            acc = acc + x ** e * MultiPoly.const(registry, coeff)
-    return acc
-
-
 def uni_eval(c: Sequence[Fraction], x: Fraction) -> Fraction:
     acc = Fraction(0)
     for coeff in reversed(c):
@@ -110,24 +100,6 @@ def _primitive(c: list[int]) -> list[int]:
     # numerators and changes no sign.
     g = gcd(*c)
     return [n // g for n in c] if g > 1 else c
-
-
-def uni_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Uni, Uni]:
-    """Quotient and remainder of a by b; zero top coefficients are ignored."""
-    rem, b = _uni_trim(list(a)), _uni_trim(list(b))
-    if not b:
-        raise PolyError("univariate division by zero")
-    quo: Uni = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(rem) >= len(b):
-        shift = len(rem) - len(b)
-        factor = rem[-1] / lead
-        quo[shift] = factor
-        for i, coeff in enumerate(b):
-            rem[shift + i] -= factor * coeff
-        rem.pop()
-        _uni_trim(rem)
-    return _uni_trim(quo), rem
 
 
 def _sign(x: Fraction) -> int:
@@ -204,28 +176,6 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     while b:
         a, b = b, _negated_remainder(a, b)
     return a
-
-
-def sturm_sequence(p: MultiPoly, v: VarId | None = None) -> list[MultiPoly]:
-    """Canonical Sturm chain p, p', then negated remainders.
-
-    The input must be univariate and nonzero; callers wanting root counts for
-    non-square-free polynomials should take the square-free part first.  (The
-    bisection routines below use a scaled variant of this chain internally;
-    positive scaling never changes sign variations.)
-    """
-    if p.is_zero():
-        raise PolyError("Sturm sequence of the zero polynomial")
-    if v is None:
-        v = _sole_variable(p)
-    c = uni_from_poly(p, v)
-    chain = [list(c), uni_derivative(c)]
-    while chain[-1]:
-        rem = uni_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append([-x for x in rem])
-    return [uni_to_poly(cc, v, p.registry) for cc in chain if cc]
 
 
 def _sole_variable(p: MultiPoly) -> VarId:
@@ -503,21 +453,34 @@ def _point_text(point: Mapping[str, Fraction]) -> str:
 # Certificate verification.
 # ---------------------------------------------------------------------------
 
-_REL_TESTS = {
-    ">": lambda s: s > 0,
-    "<": lambda s: s < 0,
-    "=": lambda s: s == 0,
-    ">=": lambda s: s >= 0,
-    "<=": lambda s: s <= 0,
-    "!=": lambda s: s != 0,
+class Relation(NamedTuple):
+    test: Callable[[int], bool]  # whether `p rel 0` holds where p has sign s
+    flip: str  # the relation that says the same of -p
+
+
+#: the sign conditions `p rel 0` this package reads and writes
+RELATIONS = {
+    ">": Relation(lambda s: s > 0, "<"),
+    "<": Relation(lambda s: s < 0, ">"),
+    ">=": Relation(lambda s: s >= 0, "<="),
+    "<=": Relation(lambda s: s <= 0, ">="),
+    "=": Relation(lambda s: s == 0, "="),
+    "!=": Relation(lambda s: s != 0, "!="),
 }
 
 
 def relation_holds(value: Fraction, rel: str) -> bool:
     try:
-        return _REL_TESTS[rel](_sign(value))
+        return RELATIONS[rel].test(_sign(value))
     except KeyError:
         raise PolyError(f"unknown relation {rel!r}") from None
+
+
+def relation_possible(iv: Interval, rel: str) -> bool:
+    """Whether `rel 0` holds for some value in the interval, that is, the
+    enclosure does not refute it."""
+    test = RELATIONS[rel].test
+    return any(test(s) for s in range(_sign(iv.lo), _sign(iv.hi) + 1))
 
 
 @dataclass(frozen=True)
@@ -557,17 +520,12 @@ def root_selection(
         ok = True
         for rel, cq in strict:
             s = sign_at_root(cq, sf, lo, hi)
-            if not _REL_TESTS[rel](s):
+            if not RELATIONS[rel].test(s):
                 ok = False
                 break
         if ok:
             passing.append(idx)
     return RootSelection(tuple(sf), tuple(isolation), tuple(passing))
-
-
-def isolate_real_roots_uni(c: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]:
-    """isolate_real_roots for a bare coefficient list, square-freeing first."""
-    return _isolate_square_free(_square_free_uni(c))
 
 
 def _isolate_square_free(sf: Uni) -> list[tuple[Fraction, Fraction]]:
@@ -615,12 +573,26 @@ def _square_free_uni(c: Sequence[Fraction]) -> Uni:
     # any integer divisor of ci, and a degree-0 image gcd of ci and ci'
     # proves ci square-free without a gcd over the integers.
     if not (ci and ci[-1] % IMAGE_PRIME and gcd_degree_mod(ci, dci) == 0):
-        g = _int_gcd(ci, dci)
+        # The gcd can be ci' itself, which need not be primitive.
+        g = _primitive(_int_gcd(ci, dci))
         if len(g) > 1:
             # lc(g) > 0 keeps the sign of c's leading coefficient
-            ci = _integral(uni_divmod(c, g if g[-1] > 0 else [-n for n in g])[0])
+            ci = _exact_quotient(ci, g if g[-1] > 0 else [-n for n in g])
     # Scaled by a positive rational to coprime integers.
     return [Fraction(n) for n in _primitive(ci)]
+
+
+def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    # a / b for a primitive divisor b of the integer polynomial a; by Gauss's
+    # lemma the quotient has integer coefficients.
+    rem = list(a)
+    quo = [0] * (len(a) - len(b) + 1)
+    for shift in reversed(range(len(quo))):
+        factor = rem[shift + len(b) - 1] // b[-1]
+        quo[shift] = factor
+        for i, coeff in enumerate(b):
+            rem[shift + i] -= factor * coeff
+    return quo
 
 
 def selection_matches_f(

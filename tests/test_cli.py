@@ -90,6 +90,20 @@ def test_isolate_verify_round_trip(capsys, tmp_path):
     assert code == 0
 
 
+def test_isolate_merge_verify_with_powers(capsys, tmp_path):
+    # the expression is evaluated in normal form; the certificate keeps "^"
+    out_file = tmp_path / "cert.json"
+    code, _, err = run(
+        capsys, "isolate", "root(3, x^2) - x", "--merge", "--verify",
+        "--samples", "16", "--out", str(out_file),
+    )
+    assert code == 0, err
+    assert json.loads(out_file.read_text())["source"] == "root(3, x^2) - x"
+    code, out, _ = run(capsys, "verify", str(out_file), "--samples", "16")
+    assert code == 0
+    assert '"passed": true' in out
+
+
 def test_isolate_domain_needs_file():
     assert run_usage_error("isolate", "sqrt(x)", "--strategy", "domain") == 2
 

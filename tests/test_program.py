@@ -393,6 +393,18 @@ def test_check_substitution_flags_tampered_child():
     assert not check_substitution(bad, prog, samples=8).passed
 
 
+def test_check_substitution_anchor_covers_every_part():
+    # on the grid the first part's sample holds x only; y comes from the
+    # second part's sample
+    prog = mini("sqrt(x + 1)*x + sqrt(x + y)")
+    res = reformulate(prog, strategy="grid")
+    first, second = (p.certificate.entries[0].component for p in res.parts)
+    assert len(first.sample) == 1 and len(second.sample) == 2
+    report = check_substitution(res, prog, samples=8)
+    assert report.passed
+    assert [line.samples_used for line in report.checks] == [8] * len(res.children)
+
+
 def test_check_substitution_with_two_parts_flags_tampered_constraint():
     import dataclasses
 

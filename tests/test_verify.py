@@ -23,9 +23,11 @@ from algprog.polycore import (
     integer_normalize,
     square_free_part,
 )
-from algprog.radicals import normalize, parse, polynomial_from_text
+from algprog.radicals import Interval, normalize, parse, polynomial_from_text
 from algprog.verify import (
+    RELATIONS,
     _integral,
+    _isolate_square_free,
     _primitive,
     _sign,
     _sign_at,
@@ -37,20 +39,17 @@ from algprog.verify import (
     audit_degrees,
     cauchy_root_bound,
     isolate_real_roots,
-    isolate_real_roots_uni,
     refine_root,
     relation_holds,
+    relation_possible,
     root_selection,
     sample_in_component,
     selection_matches_f,
     sign_at_root,
     sturm_count,
-    sturm_sequence,
     uni_derivative,
-    uni_divmod,
     uni_eval,
     uni_from_poly,
-    uni_to_poly,
     verify_certificate,
     verify_defining,
 )
@@ -65,6 +64,34 @@ def uni(*coeffs):
 
 
 # -- univariate scaffolding -----------------------------------------------------
+
+
+def uni_divmod(a, b):
+    """Quotient and remainder of a by b over the rationals; zero top
+    coefficients are ignored.  The reference for the integer kernel."""
+    rem, b = _uni_trim(list(a)), _uni_trim(list(b))
+    if not b:
+        raise PolyError("univariate division by zero")
+    quo = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        factor = rem[-1] / b[-1]
+        quo[shift] = factor
+        for i, coeff in enumerate(b):
+            rem[shift + i] -= factor * coeff
+        rem.pop()
+        _uni_trim(rem)
+    return _uni_trim(quo), rem
+
+
+def uni_to_poly(c, v, registry):
+    """The MultiPoly in `v` with coefficient list c."""
+    x = MultiPoly.var(registry, v)
+    acc = MultiPoly.zero(registry)
+    for e, coeff in enumerate(c):
+        if coeff:
+            acc = acc + x**e * MultiPoly.const(registry, coeff)
+    return acc
 
 
 def uni_gcd(a, b):
@@ -106,19 +133,19 @@ def test_uni_divmod_ignores_zero_top_coefficients():
     assert sign_at_root(q, p, lo, hi) == oracle_sign(q, p, lo, hi) == -1
 
 
-def test_sturm_sequence_golden():
-    p = X**2 - 2
-    chain = sturm_sequence(p)
-    assert len(chain) == 3
-    assert chain[0] == p
-    from conftest import proportional
-
-    assert proportional(chain[1], 2 * X)
-    assert chain[2].is_constant() and chain[2].constant_value() > 0
+def test_sturm_chain_golden():
+    # p, p', then negated remainders, each scaled to primitive integers
+    assert _sturm_chain(uni(-2, 0, 1)) == [[-2, 0, 1], [0, 1], [1]]
+    assert _sturm_chain(uni(0, -1, 0, 1)) == [[0, -1, 0, 1], [-1, 0, 3], [0, 1], [1]]
+    assert _sturm_chain(uni(Fraction(-1, 2), 0, Fraction(3, 2))) == [
+        [-1, 0, 3],
+        [0, 1],
+        [1],
+    ]
 
 
 def test_sturm_count_on_intervals():
-    chain = [uni_from_poly(q, XID) for q in sturm_sequence(X**3 - X)]
+    chain = _sturm_chain(uni(0, -1, 0, 1))
     assert sturm_count(chain, Fraction(-2), Fraction(2)) == 3
     assert sturm_count(chain, Fraction(1, 2), Fraction(2)) == 1
     assert sturm_count(chain, Fraction(5), Fraction(9)) == 0
@@ -167,11 +194,6 @@ def test_isolate_handles_multiplicity():
 def test_isolate_clustered_roots():
     p = (X - 1) * (X - Fraction(1001, 1000))
     check_isolation(p, [Fraction(1), Fraction(1001, 1000)])
-
-
-def test_isolate_real_roots_uni_agrees():
-    got = isolate_real_roots_uni(uni(-2, 0, 1))
-    assert len(got) == 2
 
 
 def test_refine_root():
@@ -271,7 +293,7 @@ def root_problems(draw):
 @given(root_problems())
 def test_sign_at_root_matches_bisection_oracle(problem):
     p, factors, roots, q = problem
-    intervals = isolate_real_roots_uni(p)
+    intervals = _isolate_square_free(_square_free_uni(p))
     assert len(intervals) == len(roots) + 2 * (len(factors) > len(roots))
     for lo, hi in intervals + [(r - H, r + H) for r in roots]:
         (minimal,) = [
@@ -319,6 +341,46 @@ def test_square_free_and_isolation_match_references(c, roots):
         square_free_part(p, XID) if len(trimmed) > 1 else integer_normalize(p)
     )
     assert list(iso.intervals) == reference_isolation(uni_from_poly(iso.poly, XID))
+
+
+@pytest.mark.parametrize(
+    "c, sf",
+    [
+        (uni(1, -2, 1), uni(-1, 1)),  # (x - 1)^2
+        (uni(0, 0, 0, 1), uni(0, 1)),  # x^3
+        (uni(1, -4, 4), uni(-1, 2)),  # (2x - 1)^2
+        (uni(-1, 4, -4), uni(1, -2)),  # -(2x - 1)^2 keeps its negative lead
+    ],
+)
+def test_square_free_when_the_gcd_is_the_derivative(c, sf):
+    # c' divides c, so the integer remainder sequence ends at c' itself, whose
+    # content must go before the exact division
+    assert _square_free_uni(c) == sf
+
+
+def interval_compatible(iv, rel):
+    """The per-relation enclosure test relation_possible replaced."""
+    return {
+        ">": iv.hi > 0,
+        ">=": iv.hi >= 0,
+        "<": iv.lo < 0,
+        "<=": iv.lo <= 0,
+        "=": iv.lo <= 0 <= iv.hi,
+        "!=": not (iv.lo == 0 == iv.hi),
+    }[rel]
+
+
+endpoints = st.one_of(
+    st.sampled_from([Fraction(-2), Fraction(-1, 3), Fraction(0), Fraction(1, 2)]),
+    small_fractions,
+)
+
+
+@given(endpoints, endpoints, st.booleans(), st.sampled_from(sorted(RELATIONS)))
+def test_relation_possible_matches_the_old_table(a, b, point, rel):
+    lo, hi = (a, a) if point else sorted((a, b))
+    iv = Interval(lo, hi)
+    assert relation_possible(iv, rel) == interval_compatible(iv, rel)
 
 
 def test_relation_holds():
