@@ -74,10 +74,8 @@ class SamplingError(Exception):
 class ReduceConfig:
     """Knobs for the probabilistic factor filtering inside `reduce_defining`."""
 
-    trials: int = 8
     precision: int = 64
     seed: int = 0
-    max_point_tries: int = 400
 
 
 @dataclass(frozen=True)
@@ -106,6 +104,12 @@ class DegreeBounds:
 SAMPLE_NUMERATOR_RANGE = 20
 SAMPLE_DENOMINATOR_MAX = 8
 
+#: draws sample_real_point makes before giving up
+_SAMPLE_TRIES = 400
+
+#: real-valued points at which a candidate factor must vanish
+_ZERO_TEST_TRIALS = 8
+
 
 def sample_point(var_names: list[str], rng: random.Random) -> dict[str, Fraction]:
     return {
@@ -121,11 +125,10 @@ def sample_real_point(
     f: Expr,
     rng: random.Random,
     precision: int,
-    max_tries: int,
 ) -> dict[str, Fraction]:
     """A random rational point where `f` evaluates to a real interval."""
     names = sorted(variables_of(f))
-    for _ in range(max_tries):
+    for _ in range(_SAMPLE_TRIES):
         point = sample_point(names, rng)
         try:
             value = eval_numeric(f, point, precision)
@@ -135,7 +138,7 @@ def sample_real_point(
             return point
     raise SamplingError(
         f"no real-valued sample point found for {radicals.to_text(f)!r} "
-        f"after {max_tries} tries"
+        f"after {_SAMPLE_TRIES} tries"
     )
 
 
@@ -181,16 +184,14 @@ def probabilistic_zero_test(
     f: Expr,
     registry: VarRegistry,
     z: VarId,
-    trials: int = 8,
     precision: int = 64,
     seed: int = 0,
-    max_point_tries: int = 400,
 ) -> bool:
     """Does q(f(x), x) vanish identically?  False answers are certain;
     True answers hold with high probability over the random samples."""
     rng = random.Random(seed)
-    for _ in range(trials):
-        point = sample_real_point(f, rng, precision, max_point_tries)
+    for _ in range(_ZERO_TEST_TRIALS):
+        point = sample_real_point(f, rng, precision)
         if not _certified_zero_at(q, f, registry, z, point, precision):
             return False
     return True
@@ -254,10 +255,7 @@ def reduce_defining(
         passing = [
             q
             for q in factors
-            if probabilistic_zero_test(
-                q, f, registry, z, cfg.trials, cfg.precision, cfg.seed,
-                cfg.max_point_tries,
-            )
+            if probabilistic_zero_test(q, f, registry, z, cfg.precision, cfg.seed)
         ]
     except SamplingError:
         return note(integer_normalize(sf), "square-free only; sampling failed")

@@ -209,11 +209,9 @@ class IsolateConfig:
     precision: int = 64
     seed: int = 0
     allow_boundary: bool = False
-    sample_radius: Fraction = Fraction(1)
     grid_min: Fraction = Fraction(-4)
     grid_max: Fraction = Fraction(4)
     grid_resolution: int = 8
-    max_sign_doublings: int = 64
 
 
 @dataclass(frozen=True)
@@ -393,7 +391,7 @@ def _domain_component(
     max_tries = max(4 * cfg.samples, 16)
     while checked < cfg.samples and tries < max_tries:
         tries += 1
-        sample = _verify.sample_in_component(comp, rng, cfg.sample_radius)
+        sample = _verify.sample_in_component(comp, rng)
         if any(r.eval(sample) == 0 for r in nonconstant):
             zero_hits += 1
             continue
@@ -585,7 +583,7 @@ def _certified_tower_signs(
     signs = []
     for q in tower:
         bits = cfg.precision
-        for _ in range(cfg.max_sign_doublings):
+        for _ in range(radicals.MAX_PRECISION_DOUBLINGS):
             value = eval_numeric(f, named, bits)
             enclosure = poly_enclosure(q, comp.sample, {z: value})
             if not enclosure.contains_zero():
@@ -620,8 +618,9 @@ def merge_components(
     to non-strict ones — covering resultant zeros the way the worked examples
     do — and the relaxed conditions are simplified by cancelling a z factor
     against `z >= 0` and dropping conditions implied by a stronger one.  The
-    merged certificate is validated by sampling; on any failure the original
-    certificate is returned with a warning.
+    merged certificate is re-checked with `verify.verify_certificate` at
+    max(cfg.samples, 1) points per entry; on any failure the original
+    certificate is returned with a warning naming the failing check's witness.
     """
     if not cert.entries:
         return cert
@@ -676,7 +675,17 @@ def merge_components(
         skipped=cert.skipped,
         warnings=cert.warnings,
     )
-    failure = _validate_merge(merged, cfg)
+    try:
+        report = _verify.verify_certificate(
+            cert.source, merged, max(cfg.samples, 1), cfg.precision, cfg.seed
+        )
+    except SamplingError as exc:
+        failure = str(exc)
+    else:
+        failure = next(
+            (line.witness for line in report.checks if line.status == "fail"),
+            None,
+        )
     if failure is not None:
         return replace(
             cert,
@@ -731,52 +740,3 @@ def provably_nonneg(p: MultiPoly, nonneg: Collection[VarId] = ()) -> bool:
         c > 0 and all(e % 2 == 0 or v in nonneg for v, e in m)
         for m, c in p.terms.items()
     )
-
-
-def _validate_merge(
-    cert: IsolationCertificate, cfg: IsolateConfig
-) -> str | None:
-    """Check unique root selection against f at sampled points of every merged
-    entry; returns a failure description or None."""
-    f = radicals.normalize(cert.source)
-    registry = cert.defining.registry
-    rng = random.Random(cfg.seed)
-    for entry in cert.entries:
-        comp = entry.component
-        checked = 0
-        tries = 0
-        # Merged sign conditions can hold outside the components they came
-        # from (resultants of squares, say), so a drawn point where f is not
-        # real lies outside every certified component and is simply redrawn.
-        while checked < max(cfg.samples, 1) and tries < 4 * max(cfg.samples, 1):
-            try:
-                point = (
-                    dict(comp.sample)
-                    if tries == 0
-                    else _verify.sample_in_component(
-                        comp, rng, cfg.sample_radius
-                    )
-                )
-            except SamplingError as exc:
-                return str(exc)
-            tries += 1
-            named = {
-                registry.name_of(v): val for v, val in point.items()
-            }
-            value = eval_numeric(f, named, cfg.precision)
-            if value is NOT_REAL:
-                if tries == 1:
-                    return f"f is not real at {named} inside {comp.label!r}"
-                continue
-            checked += 1
-            selection = _verify.root_selection(
-                cert.defining, cert.z, entry.root_conditions, point
-            )
-            if len(selection.passing) != 1:
-                return (
-                    f"{len(selection.passing)} roots pass the merged "
-                    f"conditions at {named}"
-                )
-            if not _verify.selection_matches_f(f, selection, named, cfg.precision):
-                return f"merged conditions select the wrong root at {named}"
-    return None

@@ -330,9 +330,13 @@ def _density_note(prog: AlgebraicProgram, strategy: str) -> str:
 
 
 def _rebind_condition(cond: SignCondition, registry: VarRegistry) -> SignCondition:
-    return SignCondition(
-        polynomial_from_text(cond.poly.to_text(), registry), cond.rel
-    )
+    """The same condition over `registry`, matching variables by name."""
+    names = cond.poly.registry.names()
+    terms = {
+        tuple(sorted((registry.id_of(names[v]), e) for v, e in m)): c
+        for m, c in cond.poly.terms.items()
+    }
+    return SignCondition(MultiPoly(registry, terms), cond.rel)
 
 
 def _rebind_domain(domain: DomainSpec, registry: VarRegistry) -> DomainSpec:

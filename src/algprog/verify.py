@@ -417,7 +417,7 @@ def verify_defining(
     report = VerifyReport()
     widest: Interval | None = None
     for i in range(samples):
-        point = sample_real_point(f, rng, precision, max_tries=400)
+        point = sample_real_point(f, rng, precision)
         enclosure = _zero_enclosure_at(dp, point, precision)
         if enclosure is None:  # pragma: no cover - sampler filters these
             continue
@@ -613,27 +613,28 @@ def selection_matches_f(
     return lo <= value.hi and value.lo <= hi
 
 
-#: times sample_in_component divides its radius by 16 after max_tries misses
+#: times sample_in_component divides its box radius (first 1) by 16 after
+#: max_tries misses
 _SAMPLE_SHRINKS = 4
 
 
 def sample_in_component(
     component,
     rng: random.Random,
-    radius: Fraction = Fraction(1),
     max_tries: int = 500,
 ) -> dict[VarId, Fraction]:
-    """A random rational point near the component's sample where all its
-    conditions hold exactly (rejection sampling in the anchor box).
+    """A random rational point within 1 of the component's sample in every
+    coordinate where all its conditions hold exactly (rejection sampling in
+    the anchor box).
 
-    A component much narrower than the radius (between two close roots of
-    the resultants) is hit only by the anchor itself, 1 draw in 81; after
+    A component much narrower than the box (between two close roots of the
+    resultants) is hit only by the anchor itself, 1 draw in 81; after
     `max_tries` misses the box shrinks by 16 and sampling goes on, up to
     _SAMPLE_SHRINKS times.
     """
     anchor = dict(component.sample)
     for shrink in range(_SAMPLE_SHRINKS + 1):
-        box = radius / 16**shrink
+        box = Fraction(1, 16**shrink)
         for _ in range(max_tries):
             point = {
                 v: a + box * Fraction(rng.randint(-40, 40), 40)
@@ -655,7 +656,6 @@ def verify_certificate(
     samples_per_component: int = 8,
     tol_bits: int = 64,
     seed: int = 0,
-    sample_radius: Fraction = Fraction(1),
 ) -> VerifyReport:
     """Re-check an isolation certificate from scratch, exactly.
 
@@ -684,7 +684,7 @@ def verify_certificate(
             point = (
                 dict(comp.sample)
                 if tries == 0
-                else sample_in_component(comp, rng, sample_radius)
+                else sample_in_component(comp, rng)
             )
             tries += 1
             named = {registry.name_of(v): val for v, val in point.items()}
@@ -725,7 +725,10 @@ def verify_certificate(
         named = {
             registry.name_of(v): val for v, val in comp.sample.items()
         }
-        value = eval_numeric(f, named, tol_bits)
+        try:
+            value = eval_numeric(f, named, tol_bits)
+        except EvalDomainError:
+            value = NOT_REAL
         report.add(
             CheckLine(
                 check=f"skipped component {comp.label or ''} is not real-valued",

@@ -104,6 +104,25 @@ def test_isolate_merge_verify_with_powers(capsys, tmp_path):
     assert '"passed": true' in out
 
 
+def test_isolate_and_verify_with_a_skipped_division_by_zero(capsys, tmp_path):
+    # on x > 0 the denominator sqrt(x^2) - x is 0: the isolator skips that
+    # component and verify must count it as not real-valued, not crash
+    out_file = tmp_path / "cert.json"
+    code, _, err = run(
+        capsys, "isolate", "1/(sqrt(x^2) - x)", "--out", str(out_file)
+    )
+    assert code == 0, err
+    assert len(json.loads(out_file.read_text())["skipped"]) == 1
+    code, out, err = run(capsys, "verify", str(out_file))
+    assert code == 0, err
+    assert '"passed": true' in out
+    code, _, err = run(
+        capsys, "isolate", "1/(sqrt(x^2) - x)", "--merge", "--allow-boundary",
+        "--verify", "--out", str(tmp_path / "merged.json"),
+    )
+    assert code == 0, err
+
+
 def test_isolate_domain_needs_file():
     assert run_usage_error("isolate", "sqrt(x)", "--strategy", "domain") == 2
 

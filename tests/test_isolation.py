@@ -140,6 +140,21 @@ def test_merge_preserves_singleton():
     }
 
 
+def test_merge_aborts_with_the_verify_witness():
+    # the relaxed merged conditions admit no root at a drawn point, so merge
+    # keeps the certificate as it was and names verify_certificate's witness
+    dp = defining_polynomial("root(4, x) - sqrt(x)")
+    cfg = IsolateConfig(samples=8, allow_boundary=True)
+    cert = isolate("root(4, x) - sqrt(x)", dp, strategy="univariate", cfg=cfg)
+    merged = merge_components(cert, cfg)
+    assert len(cert.entries) == 15
+    assert merged.entries == cert.entries
+    assert merged.warnings[:-1] == cert.warnings
+    assert merged.warnings[-1].startswith(
+        "merge aborted: 0 roots satisfy the conditions at (x="
+    )
+
+
 # -- domain strategy ---------------------------------------------------------------
 
 

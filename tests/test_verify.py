@@ -1,14 +1,17 @@
 """Independent auditing layer: Sturm isolation, sign-at-root queries, and the
 certificate re-checks.  Everything here runs in exact rational arithmetic."""
 
+import ast
 import dataclasses
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import algprog.verify as verify_module
 from algprog.defpoly import defining_polynomial
 from algprog.isolation import (
     ComponentDescription,
@@ -488,8 +491,8 @@ def test_sample_in_component():
 
 
 def test_sample_in_component_narrow_component():
-    # only the anchor itself lies inside at the default radius; one miss per
-    # box size forces the shrinking boxes
+    # only the anchor itself lies inside the first box (radius 1); one miss
+    # per box size forces the shrinking boxes
     comp = ComponentDescription(
         conditions=(SignCondition(X, ">"), SignCondition(100 * X - 1, "<")),
         sample={XID: Fraction(1, 200)},
@@ -497,3 +500,57 @@ def test_sample_in_component_narrow_component():
     for seed in range(20):
         pt = sample_in_component(comp, random.Random(seed), max_tries=1)
         assert 0 < pt[XID] < Fraction(1, 100)
+
+
+# -- independence from the audited code ---------------------------------------------
+
+
+def _algprog_imports(source: str) -> dict[str, set[str]]:
+    """{algprog module: names imported from it}; "*" marks a whole-module
+    import, which hands over every name."""
+    out: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.partition(".")[0] != "algprog":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                out.setdefault(module, set()).update(a.name for a in node.names)
+            else:
+                for alias in node.names:
+                    out.setdefault(alias.name, set()).add("*")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, module = alias.name.partition(".")
+                if top == "algprog":
+                    out.setdefault(module or "algprog", set()).add("*")
+    return out
+
+
+def test_verify_imports_only_the_kernel():
+    # what the README claims: verify audits certificates without importing
+    # the code that builds them
+    imports = _algprog_imports(Path(verify_module.__file__).read_text())
+    assert not imports.keys() & {"isolation", "program", "resultants", "cli"}
+    assert imports.keys() <= {"polycore", "radicals", "defpoly"}
+    assert imports.get("defpoly", set()) <= {
+        "sample_real_point", "degree_bounds", "SamplingError", "DefiningPolynomial",
+    }
+
+
+def test_import_scanner_sees_every_form():
+    source = (
+        "import json\nfrom . import radicals\nfrom .defpoly import degree_bounds\n"
+        "from algprog.isolation import isolate\nimport algprog.program\n"
+        "from algprog import cli\ndef f():\n    from .resultants import resultant\n"
+    )
+    assert _algprog_imports(source) == {
+        "radicals": {"*"},
+        "defpoly": {"degree_bounds"},
+        "isolation": {"isolate"},
+        "program": {"*"},
+        "cli": {"*"},
+        "resultants": {"resultant"},
+    }
