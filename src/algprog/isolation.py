@@ -169,6 +169,8 @@ def certificate_from_json(text: str) -> IsolationCertificate:
     z = registry.id_of(obj["z"])
 
     def sample(rec: dict) -> dict[VarId, Fraction]:
+        if not isinstance(rec, dict):
+            raise TypeError(f"sample must be an object, got {rec!r}")
         return {registry.id_of(n): Fraction(v) for n, v in rec.items()}
 
     def component(rec: dict, conds_key: str) -> ComponentDescription:

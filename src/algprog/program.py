@@ -174,12 +174,27 @@ def load_program(text: str) -> AlgebraicProgram:
         raise StructuralError(f"problem file is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise StructuralError("problem file must be a JSON object")
-    try:
-        names = obj["variables"]
-        sense = obj["objective"]["sense"]
-        objective_text = obj["objective"]["expr"]
-    except (KeyError, TypeError) as exc:
-        raise StructuralError(f"problem file is missing {exc}") from None
+    names = _field(obj, "variables", list, "a list of names")
+    if not all(isinstance(n, str) for n in names):
+        raise StructuralError(f"variables must be a list of names, got {names!r}")
+    goal = _field(obj, "objective", dict, 'an object with "sense" and "expr"')
+    sense = _field(goal, "sense", str, '"min" or "max"', "objective sense")
+    objective_text = _field(goal, "expr", str, "an expression", "objective expr")
+    records = obj.get("constraints", [])
+    if not isinstance(records, list):
+        raise StructuralError(f"constraints must be a list, got {records!r}")
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise StructuralError(
+                f'constraints[{i}] must be an object with "expr" and "rel", '
+                f"got {rec!r}"
+            )
+        _field(rec, "expr", str, "an expression", f"constraints[{i}] expr")
+    texts = obj.get("groups", [])
+    if not isinstance(texts, list) or not all(isinstance(g, str) for g in texts):
+        raise StructuralError(
+            f"groups must be a list of expression strings, got {texts!r}"
+        )
     if sense not in _SENSES:
         raise StructuralError(f"objective sense must be min or max, got {sense!r}")
     registry = VarRegistry(names)
@@ -195,7 +210,7 @@ def load_program(text: str) -> AlgebraicProgram:
 
     objective = (sense, read_expr(objective_text, "objective"))
     constraints = []
-    for i, rec in enumerate(obj.get("constraints", [])):
+    for i, rec in enumerate(records):
         rel = rec.get("rel")
         if rel not in PROGRAM_RELATIONS:
             raise StructuralError(
@@ -204,7 +219,7 @@ def load_program(text: str) -> AlgebraicProgram:
             )
         constraints.append((read_expr(rec["expr"], f"constraints[{i}]"), rel))
     groups = tuple(
-        read_expr(g, f"groups[{i}]") for i, g in enumerate(obj.get("groups", []))
+        read_expr(g, f"groups[{i}]") for i, g in enumerate(texts)
     )
     return AlgebraicProgram(
         variables=registry,
@@ -212,6 +227,16 @@ def load_program(text: str) -> AlgebraicProgram:
         constraints=tuple(constraints),
         groups=groups,
     )
+
+
+def _field(obj: dict, key: str, kind: type, shape: str, name: str = ""):
+    # obj[key] when it has the documented type; StructuralError otherwise.
+    if key not in obj:
+        raise StructuralError(f"problem file is missing {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise StructuralError(f"{name or key} must be {shape}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

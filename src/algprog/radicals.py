@@ -7,7 +7,8 @@ unfold into products, ``g^(r/s)`` becomes ``root(s, g^r)``, and negative
 exponents turn into divisions, so downstream code only ever sees
 ``Const/Var/Add/Sub/Mul/Div/Root``.
 
-Numeric evaluation is exact interval arithmetic over rational endpoints.
+Numeric evaluation is exact: a subtree without roots is a rational, and
+only roots (and the nodes they reach) are intervals with rational endpoints.
 Roots are enclosed by binary-scaled integer root extraction, refined until
 the enclosure is narrower than ``2^-precision``.  An even root of a provably
 negative radicand yields the distinguished ``NOT_REAL`` value; division by an
@@ -626,14 +627,18 @@ def rat_root_enclosure(a: Fraction, r: int, bits: int) -> Interval:
     return Interval(Fraction(lo_int, 1 << bits), Fraction(hi_int, 1 << bits))
 
 
-def _root_interval(iv: Interval, r: int, bits: int) -> NumericValue:
+def _root_value(x: Fraction | Interval, r: int, bits: int) -> NumericValue:
+    if type(x) is Fraction:
+        if x >= 0:
+            return rat_root_enclosure(x, r, bits)
+        return NOT_REAL if r % 2 == 0 else -rat_root_enclosure(-x, r, bits)
     if r % 2 == 0:
-        if iv.hi < 0:
+        if x.hi < 0:
             return NOT_REAL
-        if iv.lo < 0:
+        if x.lo < 0:
             raise _NeedsPrecision("even root of an interval straddling zero")
-        lo = rat_root_enclosure(iv.lo, r, bits)
-        hi = rat_root_enclosure(iv.hi, r, bits)
+        lo = rat_root_enclosure(x.lo, r, bits)
+        hi = rat_root_enclosure(x.hi, r, bits)
         return Interval(lo.lo, hi.hi)
     # odd roots are monotone over all reals
     def one(a: Fraction) -> Interval:
@@ -641,41 +646,58 @@ def _root_interval(iv: Interval, r: int, bits: int) -> NumericValue:
             return rat_root_enclosure(a, r, bits)
         return -rat_root_enclosure(-a, r, bits)
 
-    return Interval(one(iv.lo).lo, one(iv.hi).hi)
+    return Interval(one(x.lo).lo, one(x.hi).hi)
 
 
-def _eval_interval(e: Expr, point: Mapping[str, Fraction], bits: int) -> NumericValue:
-    if isinstance(e, Const):
-        return Interval.point(e.value)
-    if isinstance(e, Var):
+def _as_interval(x: Fraction | Interval) -> Interval:
+    return x if type(x) is Interval else Interval(x, x)
+
+
+def _eval_interval(
+    e: Expr, point: Mapping[str, Fraction], bits: int
+) -> Fraction | NumericValue:
+    # Exact first: a subtree without roots evaluates to a plain Fraction, and
+    # becomes a point interval only where it meets an interval operand or a
+    # root.  Arithmetic on point intervals is exact, so every enclosure is
+    # the one evaluating each node as an interval gives.
+    t = type(e)
+    if t is Const:
+        value = e.value
+        return value if type(value) is Fraction else Fraction(value)
+    if t is Var:
         if e.name not in point:
             raise ExprError(f"no value given for variable {e.name!r}")
-        return Interval.point(Fraction(point[e.name]))
-    if isinstance(e, (Add, Sub, Mul, Div)):
+        value = point[e.name]
+        return value if type(value) is Fraction else Fraction(value)
+    if t is Add or t is Sub or t is Mul or t is Div:
         l = _eval_interval(e.left, point, bits)
         r = _eval_interval(e.right, point, bits)
         if l is NOT_REAL or r is NOT_REAL:
             return NOT_REAL
-        assert isinstance(l, Interval) and isinstance(r, Interval)
-        if isinstance(e, Add):
+        if type(l) is not type(r):
+            l, r = _as_interval(l), _as_interval(r)
+        if t is Add:
             return l + r
-        if isinstance(e, Sub):
+        if t is Sub:
             return l - r
-        if isinstance(e, Mul):
+        if t is Mul:
             return l * r
+        if type(r) is Fraction:
+            if not r:
+                raise EvalDomainError("division by zero")
+            return l / r
         if r.contains_zero():
             if r.lo == r.hi:
                 raise EvalDomainError("division by zero")
             raise _NeedsPrecision("denominator interval straddles zero")
         inverses = (1 / r.lo, 1 / r.hi)
         return l * Interval(min(inverses), max(inverses))
-    if isinstance(e, Root):
+    if t is Root:
         inner = _eval_interval(e.radicand, point, bits)
         if inner is NOT_REAL:
             return NOT_REAL
-        assert isinstance(inner, Interval)
-        return _root_interval(inner, e.index, bits)
-    if isinstance(e, Pow):
+        return _root_value(inner, e.index, bits)
+    if t is Pow:
         raise ExprError("Pow nodes must be normalized away before evaluation")
     raise ExprError(f"unknown node {e!r}")
 
@@ -698,9 +720,11 @@ def eval_numeric(
     bits = precision + 1
     for _ in range(MAX_PRECISION_DOUBLINGS):
         try:
-            return _eval_interval(e, point, bits)
+            value = _eval_interval(e, point, bits)
         except _NeedsPrecision:
             bits *= 2
+            continue
+        return NOT_REAL if value is NOT_REAL else _as_interval(value)
     raise EvalDomainError(
         "refinement budget exhausted: a denominator or even-root radicand is "
         "numerically indistinguishable from zero"

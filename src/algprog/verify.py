@@ -9,7 +9,8 @@ That makes these checks usable as oracles for the modules they audit.
 Sturm chains hold integer coefficients (each element scaled by a positive
 rational, which never changes a sign), and the sign of an integer polynomial
 at a rational a/b is read off b^n * c(a/b), computed by homogeneous integer
-Horner; no `Fraction` is built per coefficient.  The sign of q at the root of
+Horner; no `Fraction` is built per coefficient, and `refine_root` bisects
+over one doubling denominator in integers.  The sign of q at the root of
 p isolated in (lo, hi) is decided in this order: integer interval Horner on
 the interval, then a few bisection steps of the interval with the same test,
 and only if q's sign is still undecided gcd(p, q) with a Sturm count, which
@@ -107,9 +108,12 @@ def _sign(x: Fraction) -> int:
 
 
 def _sign_at(c: Sequence[int], x: Fraction) -> int:
+    return _sign_at_ratio(c, x.numerator, x.denominator)
+
+
+def _sign_at_ratio(c: Sequence[int], a: int, b: int) -> int:
     # Sign of the integer polynomial c at x = a/b (b > 0), read off
     # b^n * c(a/b), which homogeneous Horner computes in integers.
-    a, b = x.numerator, x.denominator
     acc = 0
     scale = 1
     for coeff in reversed(c):
@@ -259,20 +263,27 @@ def refine_root(
     """Shrink an isolating interval of a simple root below `width` by bisection.
 
     A rational root discovered at a midpoint collapses the interval to a point.
-    `c` may hold ints or Fractions.
+    `c` may hold ints or Fractions.  The bisection runs in integers: with
+    lo = a/d and hi = b/d over one denominator, the midpoint is (a + b)/2d,
+    so the numerators are kept over a doubling d and b - a never changes.
     """
     c = _integral(c)
-    s_lo = _sign_at(c, lo)
-    while hi - lo > width:
-        m = (lo + hi) / 2
-        s_m = _sign_at(c, m)
+    d = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    gap = b - a
+    s_lo = _sign_at_ratio(c, a, d)
+    while gap * width.denominator > width.numerator * d:
+        m = a + b
+        d *= 2
+        s_m = _sign_at_ratio(c, m, d)
         if s_m == 0:
-            return m, m
+            return Fraction(m, d), Fraction(m, d)
         if s_m == s_lo:
-            lo = m
+            a, b = m, 2 * b
         else:
-            hi = m
-    return lo, hi
+            a, b = 2 * a, m
+    return Fraction(a, d), Fraction(b, d)
 
 
 #: bisection steps sign_at_root tries before it pays for gcd(p, q)
@@ -596,16 +607,13 @@ def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def selection_matches_f(
-    f: Expr,
+    value: Interval,
     selection: RootSelection,
-    point_by_name: Mapping[str, Fraction],
     tol_bits: int,
 ) -> bool:
-    """True when the unique passing root overlaps f(a) at tolerance 2^-tol_bits."""
+    """True when the unique passing root overlaps `value`, an enclosure of
+    f(a), with the root refined to width 2^-tol_bits."""
     if len(selection.passing) != 1:
-        return False
-    value = eval_numeric(f, point_by_name, tol_bits)
-    if value is NOT_REAL:
         return False
     sf = list(selection.square_free)
     lo, hi = selection.intervals[selection.passing[0]]
@@ -708,7 +716,7 @@ def verify_certificate(
                     f"{_point_text(named)}"
                 )
                 break
-            if not selection_matches_f(f, selection, named, tol_bits):
+            if not selection_matches_f(value, selection, tol_bits):
                 failure = f"selected root does not match f at {_point_text(named)}"
                 break
         report.add(

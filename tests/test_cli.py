@@ -242,6 +242,38 @@ def test_reformulate_bad_program_is_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda obj: obj.update(variables=5), "variables"),
+        (lambda obj: obj.update(variables=["x", 5]), "variables"),
+        (lambda obj: obj.update(objective="x"), "objective"),
+        (lambda obj: obj["objective"].update(expr=5), "objective expr"),
+        (lambda obj: obj.update(constraints=5), "constraints"),
+        (lambda obj: obj.update(constraints=["x>=0"]), "constraints[0]"),
+        (lambda obj: obj.update(constraints=[{"rel": ">="}]), "'expr'"),
+        (lambda obj: obj.update(groups=5), "groups"),
+    ],
+    ids=[
+        "variables", "variable-name", "objective", "objective-expr",
+        "constraints", "constraint-item", "constraint-expr", "groups",
+    ],
+)
+def test_reformulate_misshapen_program_is_exit_3(capsys, tmp_path, edit, field):
+    obj = {
+        "variables": ["x"],
+        "objective": {"sense": "min", "expr": "sqrt(x)"},
+        "constraints": [{"expr": "x", "rel": ">="}],
+        "groups": [],
+    }
+    edit(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "reformulate", str(bad))
+    assert code == 3
+    assert f"error: {field}" in err or f"missing {field}" in err
+
+
 def test_reformulate_child_budget_is_exit_5(capsys, tmp_path):
     prob = tmp_path / "two_branches.json"
     prob.write_text(
@@ -315,6 +347,18 @@ def test_verify_unreadable_sample_is_exit_3(capsys, tmp_path, value):
     code, _, err = tampered_relation(capsys, tmp_path, edit)
     assert code == 3
     assert "unreadable certificate" in err
+
+
+@pytest.mark.parametrize("value", [[1], "abc"])
+@pytest.mark.parametrize("where", ["entries", "skipped"])
+def test_verify_sample_not_an_object_is_exit_3(capsys, tmp_path, where, value):
+    def edit(obj):
+        obj[where][0]["sample"] = value
+
+    code, _, err = tampered_relation(capsys, tmp_path, edit)
+    assert code == 3
+    assert "unreadable certificate" in err
+    assert "sample must be an object" in err
 
 
 def test_verify_garbage_file_is_exit_3(capsys, tmp_path):

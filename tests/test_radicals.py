@@ -8,17 +8,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from algprog import radicals
 from algprog.polycore import MultiPoly, VarRegistry
 from algprog.radicals import (
     NOT_REAL,
     Add,
+    Const,
+    Div,
     EvalDomainError,
+    ExprError,
     ExprSyntaxError,
     Interval,
     MAX_NESTING,
     Mul,
     NotPolynomial,
     Root,
+    Sub,
     Var,
     distinct_radicals,
     eval_numeric,
@@ -303,3 +308,146 @@ def test_point_product_matches_four_products(pt, other):
     want = mul4(pt, other)
     for got in (pt * other, other * pt):
         assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+# -- exact-first evaluation ------------------------------------------------------
+
+
+def reference_eval(e, point, precision):
+    """Every node an interval: the evaluation the exact-first kernel must
+    reproduce enclosure for enclosure."""
+
+    def root(iv, r, bits):
+        if r % 2 == 0:
+            if iv.hi < 0:
+                return NOT_REAL
+            if iv.lo < 0:
+                raise radicals._NeedsPrecision("even root of an interval straddling zero")
+            lo = rat_root_enclosure(iv.lo, r, bits)
+            hi = rat_root_enclosure(iv.hi, r, bits)
+            return Interval(lo.lo, hi.hi)
+
+        def one(a):
+            if a >= 0:
+                return rat_root_enclosure(a, r, bits)
+            return -rat_root_enclosure(-a, r, bits)
+
+        return Interval(one(iv.lo).lo, one(iv.hi).hi)
+
+    def walk(e, bits):
+        if isinstance(e, Const):
+            return Interval.point(e.value)
+        if isinstance(e, Var):
+            if e.name not in point:
+                raise ExprError(f"no value given for variable {e.name!r}")
+            return Interval.point(Fraction(point[e.name]))
+        if isinstance(e, (Add, Sub, Mul, Div)):
+            l = walk(e.left, bits)
+            r = walk(e.right, bits)
+            if l is NOT_REAL or r is NOT_REAL:
+                return NOT_REAL
+            if isinstance(e, Add):
+                return l + r
+            if isinstance(e, Sub):
+                return l - r
+            if isinstance(e, Mul):
+                return l * r
+            if r.contains_zero():
+                if r.lo == r.hi:
+                    raise EvalDomainError("division by zero")
+                raise radicals._NeedsPrecision("denominator interval straddles zero")
+            inverses = (1 / r.lo, 1 / r.hi)
+            return l * Interval(min(inverses), max(inverses))
+        inner = walk(e.radicand, bits)
+        if inner is NOT_REAL:
+            return NOT_REAL
+        return root(inner, e.index, bits)
+
+    bits = precision + 1
+    for _ in range(radicals.MAX_PRECISION_DOUBLINGS):
+        try:
+            return walk(e, bits)
+        except radicals._NeedsPrecision:
+            bits *= 2
+    raise EvalDomainError(
+        "refinement budget exhausted: a denominator or even-root radicand is "
+        "numerically indistinguishable from zero"
+    )
+
+
+def outcome(evaluate):
+    try:
+        value = evaluate()
+    except ExprError as exc:
+        return type(exc), str(exc)
+    return value if value is NOT_REAL else (value.lo, value.hi)
+
+
+SQRT2 = Root(2, Const(Fraction(2)))
+eval_leaves = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=4).map(Const),
+    st.sampled_from([Var("x"), Var("y"), Var("x"), Var("y"), Var("w")]),
+    st.sampled_from(
+        [
+            # zero, but no enclosure excludes zero: exhausts the budget as
+            # a divisor or an even radicand
+            Sub(Mul(SQRT2, SQRT2), Const(Fraction(2))),
+            # about 2^-41.5: settled only after the precision doubles
+            Sub(Root(2, Const(2 + Fraction(1, 2**40))), SQRT2),
+        ]
+    ),
+)
+eval_exprs = st.recursive(
+    eval_leaves,
+    lambda children: st.one_of(
+        st.builds(
+            lambda op, l, r: op(l, r), st.sampled_from([Add, Sub, Mul, Div]),
+            children, children,
+        ),
+        st.builds(Root, st.integers(2, 4), children),
+    ),
+    max_leaves=8,
+)
+eval_points = st.fixed_dictionaries(
+    {
+        "x": st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        "y": st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    }
+)
+
+
+@given(eval_exprs, eval_points, st.integers(1, 32))
+def test_exact_first_eval_matches_all_interval_eval(e, point, precision):
+    # A small doubling budget keeps radicands that are exactly zero but not
+    # rational (sqrt(2)*sqrt(2) - 2 as a divisor) from refining for ever,
+    # and makes budget exhaustion one of the outcomes compared.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("algprog.radicals.MAX_PRECISION_DOUBLINGS", 4)
+        got = outcome(lambda: eval_numeric(e, point, precision))
+        want = outcome(lambda: reference_eval(e, point, precision))
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "text, point, want",
+    [
+        ("1/(x - x)", {"x": Fraction(3)}, (EvalDomainError, "division by zero")),
+        ("sqrt(x - 5)/(x - 3)", {"x": Fraction(3)}, NOT_REAL),
+        ("root(3, x - 5) + 1", {"x": Fraction(-3)}, (Fraction(-1), Fraction(-1))),
+        (
+            "1/(sqrt(x) - 3/2)",
+            {"x": Fraction(9, 4) + Fraction(1, 2**80)},
+            "doubling",
+        ),
+    ],
+)
+def test_exact_first_eval_cases(text, point, want):
+    e = normalize(parse(text))
+    got = outcome(lambda: eval_numeric(e, point))
+    assert got == outcome(lambda: reference_eval(e, point, 64))
+    if want != "doubling":
+        assert got == want
+    else:
+        # the divisor straddles zero at 65 bits, so the precision doubles
+        lo, hi = got
+        assert lo > 0 and hi > 0

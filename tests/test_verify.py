@@ -26,7 +26,13 @@ from algprog.polycore import (
     integer_normalize,
     square_free_part,
 )
-from algprog.radicals import Interval, normalize, parse, polynomial_from_text
+from algprog.radicals import (
+    Interval,
+    eval_numeric,
+    normalize,
+    parse,
+    polynomial_from_text,
+)
 from algprog.verify import (
     RELATIONS,
     _integral,
@@ -207,6 +213,67 @@ def test_refine_root():
     # rational root collapses to a point
     lo, hi = refine_root(uni(-1, 0, 1), Fraction(0), Fraction(2), Fraction(1, 8))
     assert lo == hi == 1
+
+
+def reference_refine(c, lo, hi, width):
+    """Bisection with Fraction midpoints, the integer kernel's oracle."""
+    c = _integral(c)
+    s_lo = _sign_at(c, lo)
+    while hi - lo > width:
+        m = (lo + hi) / 2
+        s_m = _sign_at(c, m)
+        if s_m == 0:
+            return m, m
+        if s_m == s_lo:
+            lo = m
+        else:
+            hi = m
+    return lo, hi
+
+
+dyadic_roots = st.builds(
+    lambda n, k: Fraction(n, 2**k), st.integers(-24, 24), st.integers(0, 4)
+)
+
+
+@given(
+    st.lists(dyadic_roots, min_size=1, max_size=4, unique=True),
+    st.booleans(),
+    st.integers(0, 70),
+    st.integers(1, 5),
+)
+def test_refine_root_matches_fraction_bisection(roots, irrational, k, m):
+    c = uni(1)
+    for r in roots:  # dyadic roots are hit exactly by some midpoints
+        c = _poly_mul(c, uni(-r, 1))
+    if irrational:
+        c = _poly_mul(c, uni(-3, 0, 1))
+    width = Fraction(1, 2**k * m)
+    for lo, hi in _isolate_square_free(c):
+        got = refine_root(c, lo, hi, width)
+        assert got == reference_refine(c, lo, hi, width)
+        assert got[1] - got[0] <= width
+
+
+def test_refine_root_midpoint_root():
+    # 2x - 3 over (1, 2): the first midpoint is the root
+    assert refine_root(uni(-3, 2), Fraction(1), Fraction(2), Fraction(1, 8)) == (
+        Fraction(3, 2),
+        Fraction(3, 2),
+    )
+    # over (1/3, 2), with unequal denominators, the second midpoint is 4x - 3's root
+    assert refine_root(uni(-3, 4), Fraction(1, 3), Fraction(2), Fraction(1, 99)) == (
+        Fraction(3, 4),
+        Fraction(3, 4),
+    )
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def test_sign_at_root():
@@ -476,7 +543,25 @@ def test_selection_matches_f():
     point = {reg.id_of("x"): Fraction(9, 4)}
     sel = root_selection(dp.poly, dp.z, conds, point)
     f = normalize(parse("sqrt(x)"))
-    assert selection_matches_f(f, sel, {"x": Fraction(9, 4)}, 64)
+    value = eval_numeric(f, {"x": Fraction(9, 4)}, 64)
+    assert selection_matches_f(value, sel, 64)
+    assert not selection_matches_f(Interval.point(Fraction(-3, 2)), sel, 64)
+
+
+def test_verify_certificate_evaluates_f_once_per_sample(monkeypatch):
+    dp = defining_polynomial("sqrt(x - 1) + x")
+    cert = isolate("sqrt(x - 1) + x", dp, cfg=IsolateConfig(samples=8))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return eval_numeric(*args)
+
+    monkeypatch.setattr(verify_module, "eval_numeric", counting)
+    report = verify_certificate("sqrt(x - 1) + x", cert, samples_per_component=6)
+    assert report.passed
+    assert len(calls) == sum(line.samples_used for line in report.checks)
+    assert len(calls) == 6 * len(cert.entries) + len(cert.skipped)
 
 
 def test_sample_in_component():
