@@ -7,8 +7,8 @@ scratch.  All randomized steps take `--seed`, so identical invocations
 produce byte-identical output.
 
 Exit codes: 0 success, 2 usage, 3 parse/input, 4 validation or verification
-failure, 5 resource budget exceeded.  Primary output goes to stdout (or
-`--out`); verification reports and progress notes go to stderr.
+failure, 5 resource budget exceeded or input too deep.  Primary output goes to
+stdout (or `--out`); verification reports and progress notes go to stderr.
 """
 
 from __future__ import annotations
@@ -62,18 +62,26 @@ _FORMATS = ("json", "smtlib", "human")
 _STRATEGIES = ("univariate", "grid", "domain")
 
 
+def positive_int(text: str) -> int:
+    """argparse type of the counts: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument(
         "--precision-bits",
-        type=int,
+        type=positive_int,
         default=64,
         metavar="B",
         help="interval refinement target 2^-B (default 64)",
     )
     p.add_argument(
         "--samples",
-        type=int,
+        type=positive_int,
         default=128,
         metavar="N",
         help="sample count for randomized checks (default 128)",
@@ -105,7 +113,7 @@ def _add_isolation_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--grid-min", type=Fraction, default=Fraction(-4), metavar="Q")
     p.add_argument("--grid-max", type=Fraction, default=Fraction(4), metavar="Q")
-    p.add_argument("--grid-res", type=int, default=8, metavar="N")
+    p.add_argument("--grid-res", type=positive_int, default=8, metavar="N")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ref.add_argument("--format", choices=_FORMATS, default="json")
     p_ref.add_argument(
         "--max-children",
-        type=int,
+        type=positive_int,
         default=64,
         metavar="N",
         help="budget on component combinations (default 64)",
@@ -200,7 +208,10 @@ class InputFileError(Exception):
     """An input file that does not have the documented form (exit 3)."""
 
 
-def _load_domain(path: str, registry: VarRegistry) -> DomainSpec:
+def _load_domain(path: str | None, registry: VarRegistry) -> DomainSpec | None:
+    # `main` has checked that a path comes with `--strategy domain` only
+    if path is None:
+        return None
     text = Path(path).read_text()
     try:
         obj = json.loads(text)
@@ -278,8 +289,6 @@ def cmd_defpoly(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def cmd_isolate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.strategy == "domain" and not args.domain_file:
-        parser.error("--strategy domain requires --domain-file")
     expr = parse(args.expr)
     cfg = _isolate_config(args)
     dp = defining_polynomial(
@@ -287,11 +296,7 @@ def cmd_isolate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         z_name=args.z,
         cfg=ReduceConfig(precision=args.precision_bits, seed=args.seed),
     )
-    domain = (
-        _load_domain(args.domain_file, dp.poly.registry)
-        if args.domain_file
-        else None
-    )
+    domain = _load_domain(args.domain_file, dp.poly.registry)
     cert = isolate(expr, dp, strategy=args.strategy, cfg=cfg, domain=domain)
     if args.merge:
         cert = merge_components(cert, cfg)
@@ -314,8 +319,6 @@ def cmd_isolate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 def cmd_reformulate(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
-    if args.strategy == "domain" and not args.domain_file:
-        parser.error("--strategy domain requires --domain-file")
     if args.baseline and not args.out:
         parser.error("--baseline needs --out to keep the two outputs apart")
     try:
@@ -323,11 +326,7 @@ def cmd_reformulate(
     except StructuralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    domain = (
-        _load_domain(args.domain_file, prog.variables)
-        if args.domain_file
-        else None
-    )
+    domain = _load_domain(args.domain_file, prog.variables)
     cfg = ReformulateConfig(
         isolate=_isolate_config(args),
         merge=args.merge,
@@ -400,6 +399,8 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "domain_file" in args and (args.strategy == "domain") != bool(args.domain_file):
+        parser.error("--strategy domain and --domain-file go together")
     if args.verbose:
         _echo_settings(args)
     try:
@@ -409,6 +410,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except (ResourceError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 5
+    except RecursionError:
+        msg = "input too deep for the recursive expression layer"
+        print(f"error: {msg}", file=sys.stderr)
         return 5
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

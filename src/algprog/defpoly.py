@@ -111,16 +111,6 @@ _SAMPLE_TRIES = 400
 _ZERO_TEST_TRIALS = 8
 
 
-def sample_point(var_names: list[str], rng: random.Random) -> dict[str, Fraction]:
-    return {
-        name: Fraction(
-            rng.randint(-SAMPLE_NUMERATOR_RANGE, SAMPLE_NUMERATOR_RANGE),
-            rng.randint(1, SAMPLE_DENOMINATOR_MAX),
-        )
-        for name in var_names
-    }
-
-
 def sample_real_point(
     f: Expr,
     rng: random.Random,
@@ -129,7 +119,13 @@ def sample_real_point(
     """A random rational point where `f` evaluates to a real interval."""
     names = sorted(variables_of(f))
     for _ in range(_SAMPLE_TRIES):
-        point = sample_point(names, rng)
+        point = {
+            name: Fraction(
+                rng.randint(-SAMPLE_NUMERATOR_RANGE, SAMPLE_NUMERATOR_RANGE),
+                rng.randint(1, SAMPLE_DENOMINATOR_MAX),
+            )
+            for name in names
+        }
         try:
             value = eval_numeric(f, point, precision)
         except EvalDomainError:

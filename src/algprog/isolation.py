@@ -163,24 +163,35 @@ def condition_from_record(rec: dict, registry: VarRegistry) -> SignCondition:
     )
 
 
+def _checked(value, valid: bool, what: str):
+    # TypeError for a misshapen field: the CLI's "unreadable certificate"
+    if not valid:
+        raise TypeError(f"{what}, got {value!r}")
+    return value
+
+
 def certificate_from_json(text: str) -> IsolationCertificate:
     obj = json.loads(text)
-    registry = VarRegistry(obj["variables"])
+    names = obj["variables"]
+    valid = isinstance(names, list) and all(isinstance(n, str) for n in names)
+    registry = VarRegistry(_checked(names, valid, "variables must list strings"))
     z = registry.id_of(obj["z"])
 
     def sample(rec: dict) -> dict[VarId, Fraction]:
-        if not isinstance(rec, dict):
-            raise TypeError(f"sample must be an object, got {rec!r}")
+        _checked(rec, isinstance(rec, dict), "sample must be an object")
         return {registry.id_of(n): Fraction(v) for n, v in rec.items()}
 
     def component(rec: dict, conds_key: str) -> ComponentDescription:
-        return ComponentDescription(
-            conditions=tuple(
-                condition_from_record(r, registry) for r in rec[conds_key]
-            ),
-            sample=sample(rec["sample"]),
-            label=rec.get("label", ""),
-        )
+        conditions = tuple(condition_from_record(r, registry) for r in rec[conds_key])
+        point = sample(rec["sample"])
+        label = rec.get("label", "")
+        _checked(label, isinstance(label, str), "label must be a string")
+        return ComponentDescription(conditions, point, label)
+
+    def sign_vector(rec: dict) -> tuple[int, ...]:
+        signs = rec["sign_vector"]
+        valid = isinstance(signs, list) and all(s in (-1, 1) for s in signs)
+        return tuple(_checked(signs, valid, "sign_vector must list -1s and 1s"))
 
     entries = tuple(
         CertEntry(
@@ -188,7 +199,7 @@ def certificate_from_json(text: str) -> IsolationCertificate:
             root_conditions=tuple(
                 condition_from_record(r, registry) for r in e["root_conditions"]
             ),
-            sign_vector=tuple(e["sign_vector"]),
+            sign_vector=sign_vector(e),
         )
         for e in obj["entries"]
     )

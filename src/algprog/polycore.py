@@ -635,15 +635,7 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     cp, cq = content_in(p, v), content_in(q, v)
     c = poly_gcd(cp, cq)
     pp, qq = divexact(p, cp), divexact(q, cq)
-    if pp.degree_in(v) == 0 or qq.degree_in(v) == 0:
-        return integer_normalize(c)
-    if _coprime_by_image(pp, qq, v):
-        return integer_normalize(c)
-    seq = subresultant_prs(pp, qq, v)
-    last = seq[-1]
-    if last.degree_in(v) == 0:
-        return integer_normalize(c)
-    return integer_normalize(c * primitive_part_in(last, v))
+    return integer_normalize(c * gcd_in_main_var(pp, qq, v))
 
 
 def gcd_in_main_var(p: MultiPoly, q: MultiPoly, v: VarId) -> MultiPoly:

@@ -394,7 +394,8 @@ def reformulate(
     For every algebraic part: defining polynomial, isolation certificate
     (optionally merged), and a fresh variable z substituted at all
     occurrences.  One child is emitted per combination of certificate entries
-    across the parts; each carries, in order, every part's defining equation
+    across the parts (one, "already polynomial", for a program without
+    parts); each carries, in order, every part's defining equation
     and root conditions, the parts' component conditions, and the original
     constraints, deduplicated.  A `domain` is required by (and only used
     with) the domain strategy and must be stated over `prog.variables`.
@@ -409,32 +410,6 @@ def reformulate(
         )
     sense, objective_expr = prog.objective
     baseline_count = len(_program_radicals(prog))
-
-    if not found:
-        registry = VarRegistry(prog.variables.names())
-        objective = to_polynomial(objective_expr, registry, allow_new=False)
-        conds = [
-            SignCondition.normalized(
-                to_polynomial(e, registry, allow_new=False), rel
-            )
-            for e, rel in prog.constraints
-        ]
-        rows = dedupe([(c, "original constraint") for c in conds], _row_key)
-        child = PolynomialProgram(
-            variables=registry,
-            objective=(sense, objective),
-            constraints=tuple((c.poly, c.rel) for c, _ in rows),
-            provenance={},
-            component_label="already polynomial",
-            constraint_kinds=tuple(kind for _, kind in rows),
-        )
-        return ReformulationResult(
-            children=(child,),
-            aux_count_ours=0,
-            aux_count_baseline=baseline_count,
-            density_note=density,
-            warnings=tuple(warnings),
-        )
 
     # Pipeline per part, on a scratch registry (defining_polynomial interns
     # elimination variables there; children get a clean registry below).
@@ -523,7 +498,7 @@ def reformulate(
                 provenance={
                     registry.id_of(p.z_name): p.expr for p in parts
                 },
-                component_label="; ".join(labels),
+                component_label="; ".join(labels) or "already polynomial",
                 constraint_kinds=tuple(kind for _, kind in rows),
                 entry_choice=combo,
             )

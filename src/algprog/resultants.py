@@ -8,27 +8,10 @@ along the way is exact, so no rational-function arithmetic is ever needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .polycore import MultiPoly, PolyError, VarId, divexact
 
 
-@dataclass
-class PolyMatrix:
-    """Dense matrix of polynomials sharing one registry."""
-
-    rows: int
-    cols: int
-    entries: list[list[MultiPoly]]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows or any(
-            len(r) != self.cols for r in self.entries
-        ):
-            raise PolyError("matrix shape does not match entries")
-
-
-def sylvester_matrix(p: MultiPoly, q: MultiPoly, v: VarId) -> PolyMatrix:
+def sylvester_matrix(p: MultiPoly, q: MultiPoly, v: VarId) -> list[list[MultiPoly]]:
     """Sylvester matrix of p (degree d) and q (degree e) in v: (d+e) square.
 
     The first e rows carry the coefficients of p, each shifted right by one
@@ -53,18 +36,17 @@ def sylvester_matrix(p: MultiPoly, q: MultiPoly, v: VarId) -> PolyMatrix:
         for k in range(e + 1):
             row[i + k] = qc.get(e - k, zero)
         rows.append(row)
-    return PolyMatrix(n, n, rows)
+    return rows
 
 
-def det_bareiss(m: PolyMatrix) -> MultiPoly:
-    """Fraction-free determinant; pivots chosen with the fewest terms."""
-    if m.rows != m.cols:
-        raise PolyError("determinant of a non-square matrix")
-    n = m.rows
-    a = [row[:] for row in m.entries]
-    reg = a[0][0].registry if n else None
-    if n == 0:
-        raise PolyError("empty matrix")
+def det_bareiss(m: list[list[MultiPoly]]) -> MultiPoly:
+    """Fraction-free determinant of a matrix given as its list of rows;
+    pivots chosen with the fewest terms."""
+    n = len(m)
+    if not n or any(len(row) != n for row in m):
+        raise PolyError("determinant needs a nonempty square matrix")
+    a = [row[:] for row in m]
+    reg = a[0][0].registry
     sign = 1
     prev = MultiPoly.const(reg, 1)
     for k in range(n - 1):

@@ -9,16 +9,17 @@ That makes these checks usable as oracles for the modules they audit.
 Sturm chains hold integer coefficients (each element scaled by a positive
 rational, which never changes a sign), and the sign of an integer polynomial
 at a rational a/b is read off b^n * c(a/b), computed by homogeneous integer
-Horner; no `Fraction` is built per coefficient, and `refine_root` bisects
-over one doubling denominator in integers.  The sign of q at the root of
-p isolated in (lo, hi) is decided in this order: integer interval Horner on
-the interval, then a few bisection steps of the interval with the same test,
-and only if q's sign is still undecided gcd(p, q) with a Sturm count, which
-settles zero exactly; refinement then continues until the interval test
-certifies the sign, which terminates because the root is simple.  Square-free
-parts are taken in integers as well: a degree-0 gcd of c and c' modulo
-`polycore.IMAGE_PRIME` usually proves c square-free, and otherwise a primitive
-integer remainder sequence gives the gcd, by which c is divided exactly.
+Horner; no `Fraction` is built per coefficient.  `refine_root` and
+`sign_at_root` bisect through one integer halving over a doubling
+denominator.  The sign of q at the root of p isolated in (lo, hi) is decided
+in this order: integer interval Horner on the interval, then a few bisection
+steps of the interval with the same test, and only if q's sign is still
+undecided gcd(p, q) with a Sturm count, which settles zero exactly;
+refinement then continues until the interval test certifies the sign, which
+terminates because the root is simple.  Square-free parts are taken in
+integers as well: a degree-0 gcd of c and c' modulo `polycore.IMAGE_PRIME`
+usually proves c square-free, and otherwise a primitive integer remainder
+sequence gives the gcd, by which c is divided exactly.
 """
 
 from __future__ import annotations
@@ -62,17 +63,18 @@ def _uni_trim(c: Uni) -> Uni:
     return c
 
 
-def uni_from_poly(p: MultiPoly, v: VarId) -> Uni:
-    """Coefficient list of `p` viewed as univariate in `v`.
+def uni_from_poly(
+    p: MultiPoly, v: VarId, point: Mapping[VarId, Fraction]
+) -> Uni:
+    """Coefficient list of `p` viewed as univariate in `v`, every other
+    variable set from `point`.
 
-    Raises PolyError when a coefficient still involves another variable.
+    Raises PolyError when a coefficient involves a variable `point` lacks.
     """
     coeffs = p.coeffs_in(v)
     out: Uni = [Fraction(0)] * (max(coeffs) + 1 if coeffs else 0)
     for e, q in coeffs.items():
-        if not q.is_constant():
-            raise PolyError("polynomial is not univariate after substitution")
-        out[e] = q.constant_value()
+        out[e] = q.eval(point)
     return _uni_trim(out)
 
 
@@ -122,13 +124,10 @@ def _sign_at_ratio(c: Sequence[int], a: int, b: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _interval_sign(c: Sequence[int], lo: Fraction, hi: Fraction) -> int:
-    # Sign of the integer polynomial c on [lo, hi] when interval Horner proves
-    # it, else 0.  With lo = a/d and hi = b/d over a common denominator d, the
-    # enclosure is of d^n * c on the interval, all in integers.
-    d = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (d // lo.denominator)
-    b = hi.numerator * (d // hi.denominator)
+def _interval_sign(c: Sequence[int], a: int, b: int, d: int) -> int:
+    # Sign of the integer polynomial c on [a/d, b/d] (d > 0) when interval
+    # Horner proves it, else 0.  The enclosure is of d^n * c on the interval,
+    # all in integers.
     low = high = 0
     scale = 1
     for coeff in reversed(c):
@@ -248,7 +247,7 @@ def isolate_real_roots(p: MultiPoly, v: VarId | None = None) -> RootIsolation:
         raise PolyError("cannot isolate roots of the zero polynomial")
     if v is None:
         v = _sole_variable(p)
-    sf = _square_free_uni(uni_from_poly(p, v))
+    sf = _square_free_uni(uni_from_poly(p, v, {}))
     if sf[-1] < 0:  # positive leading coefficient, as integer_normalize gives
         sf = [-coeff for coeff in sf]
     poly = MultiPoly(
@@ -257,33 +256,43 @@ def isolate_real_roots(p: MultiPoly, v: VarId | None = None) -> RootIsolation:
     return RootIsolation(poly, tuple(_isolate_square_free(sf)))
 
 
+def _halvings(c: Sequence[int], lo: Fraction, hi: Fraction):
+    """Bisect an isolating interval of the integer polynomial `c` in integers.
+
+    Yields (a, b, d) with the interval [a/d, b/d]: first (lo, hi) over a
+    common denominator, then each half that keeps the root.  The midpoint
+    is (a + b)/2d, so the numerators are kept over a doubling d and b - a
+    never changes.  A midpoint that is a root of c is yielded as a = b, last.
+    """
+    d = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    s_lo = _sign_at_ratio(c, a, d)
+    while True:
+        yield a, b, d
+        m = a + b
+        d *= 2
+        s_m = _sign_at_ratio(c, m, d)
+        if s_m == 0:
+            yield m, m, d
+            return
+        if s_m == s_lo:
+            a, b = m, 2 * b
+        else:
+            a, b = 2 * a, m
+
+
 def refine_root(
     c: Sequence[Fraction], lo: Fraction, hi: Fraction, width: Fraction
 ) -> tuple[Fraction, Fraction]:
     """Shrink an isolating interval of a simple root below `width` by bisection.
 
     A rational root discovered at a midpoint collapses the interval to a point.
-    `c` may hold ints or Fractions.  The bisection runs in integers: with
-    lo = a/d and hi = b/d over one denominator, the midpoint is (a + b)/2d,
-    so the numerators are kept over a doubling d and b - a never changes.
+    `c` may hold ints or Fractions.
     """
-    c = _integral(c)
-    d = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (d // lo.denominator)
-    b = hi.numerator * (d // hi.denominator)
-    gap = b - a
-    s_lo = _sign_at_ratio(c, a, d)
-    while gap * width.denominator > width.numerator * d:
-        m = a + b
-        d *= 2
-        s_m = _sign_at_ratio(c, m, d)
-        if s_m == 0:
-            return Fraction(m, d), Fraction(m, d)
-        if s_m == s_lo:
-            a, b = m, 2 * b
-        else:
-            a, b = 2 * a, m
-    return Fraction(a, d), Fraction(b, d)
+    for a, b, d in _halvings(_integral(c), lo, hi):
+        if (b - a) * width.denominator <= width.numerator * d:
+            return Fraction(a, d), Fraction(b, d)
 
 
 #: bisection steps sign_at_root tries before it pays for gcd(p, q)
@@ -310,32 +319,23 @@ def sign_at_root(
     factor, which changes no sign.
     """
     q = _uni_trim(_integral(q))
-    if lo == hi:
-        return _sign_at(q, lo)
     if not q:
         return 0
     p = _integral(p)
-    s_lo = _sign_at(p, lo)
-    steps = 0
-    while True:
-        s = _interval_sign(q, lo, hi)
+    for steps, (a, b, d) in enumerate(_halvings(p, lo, hi)):
+        if a == b:  # lo = hi, or a midpoint root of p
+            return _sign_at_ratio(q, a, d)
+        s = _interval_sign(q, a, b, d)
         if s:
             return s
         if steps == _BISECTIONS_BEFORE_GCD:
-            # Endpoints are non-roots of p (a midpoint root returned below),
+            # Endpoints are non-roots of p (a midpoint root ends the walk),
             # hence of the gcd.
             g = _int_gcd(p, q)
-            if len(g) > 1 and sturm_count(_sturm_chain(g), lo, hi) >= 1:
+            if len(g) > 1 and sturm_count(
+                _sturm_chain(g), Fraction(a, d), Fraction(b, d)
+            ):
                 return 0
-        steps += 1
-        m = (lo + hi) / 2
-        s_m = _sign_at(p, m)
-        if s_m == 0:
-            return _sign_at(q, m)
-        if s_m == s_lo:
-            lo = m
-        else:
-            hi = m
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +515,14 @@ def root_selection(
     attributes.  The single equality condition is the defining polynomial
     itself and is skipped (it holds at every root by construction).
     """
-    uni = _substituted_uni(defining, z, point)
+    uni = uni_from_poly(defining, z, point)
     if len(uni) <= 1:
         raise PolyError("defining polynomial degenerates at the sample point")
     sf = _square_free_uni(uni)
     isolation = _isolate_square_free(sf)
     # Each condition is substituted once per point, not once per root.
     strict = [
-        (cond.rel, _substituted_uni(cond.poly, z, point))
+        (cond.rel, uni_from_poly(cond.poly, z, point))
         for cond in root_conditions
         if cond.rel != "="
     ]
@@ -562,18 +562,6 @@ def _isolate_square_free(sf: Uni) -> list[tuple[Fraction, Fraction]]:
         work.append((m, var_m, hi, var_hi))
     out.sort()
     return out
-
-
-def _substituted_uni(
-    p: MultiPoly, z: VarId, point: Mapping[VarId, Fraction]
-) -> Uni:
-    coeffs = p.coeffs_in(z)
-    if not coeffs:
-        return []
-    c = [Fraction(0)] * (max(coeffs) + 1)
-    for e, q in coeffs.items():
-        c[e] = q.eval(point)
-    return _uni_trim(c)
 
 
 def _square_free_uni(c: Sequence[Fraction]) -> Uni:

@@ -534,12 +534,12 @@ def test_criterion_7_property_suites():
         if len(iso.intervals) != k:
             violations.append(f"Thom case {i}: expected {k} roots")
             continue
-        sf = uni_from_poly(iso.poly, xv)
+        sf = uni_from_poly(iso.poly, xv, {})
         derivatives = []
         q = p
         for _ in range(p.degree_in(xv)):
             q = q.derivative(xv)
-            derivatives.append(uni_from_poly(q, xv))
+            derivatives.append(uni_from_poly(q, xv, {}))
         vectors = [
             tuple(sign_at_root(d, sf, lo, hi) for d in derivatives)
             for lo, hi in iso.intervals
@@ -560,7 +560,7 @@ def test_criterion_7_property_suites():
         if len(iso.intervals) != len(roots):
             violations.append(f"Sturm case {i}: interval count")
             continue
-        sf = uni_from_poly(iso.poly, xv)
+        sf = uni_from_poly(iso.poly, xv, {})
         for (lo, hi), r in zip(iso.intervals, roots):
             inside = lo <= r <= hi
             bracketed = lo == hi or uni_eval(sf, lo) * uni_eval(sf, hi) < 0

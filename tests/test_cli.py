@@ -125,6 +125,9 @@ def test_isolate_and_verify_with_a_skipped_division_by_zero(capsys, tmp_path):
 
 def test_isolate_domain_needs_file():
     assert run_usage_error("isolate", "sqrt(x)", "--strategy", "domain") == 2
+    # and a domain file needs the domain strategy, rather than being ignored
+    assert run_usage_error("isolate", "sqrt(x)", "--domain-file", RB_DOMAIN) == 2
+    assert run_usage_error("reformulate", RB, "--domain-file", RB_DOMAIN) == 2
 
 
 def test_isolate_unknown_flag_is_usage_error():
@@ -349,16 +352,33 @@ def test_verify_unreadable_sample_is_exit_3(capsys, tmp_path, value):
     assert "unreadable certificate" in err
 
 
-@pytest.mark.parametrize("value", [[1], "abc"])
-@pytest.mark.parametrize("where", ["entries", "skipped"])
-def test_verify_sample_not_an_object_is_exit_3(capsys, tmp_path, where, value):
+@pytest.mark.parametrize(
+    "where, key, value, message",
+    [
+        ("entries", "sample", [1], "sample must be an object"),
+        ("entries", "sample", "abc", "sample must be an object"),
+        ("skipped", "sample", [1], "sample must be an object"),
+        ("skipped", "sample", "abc", "sample must be an object"),
+        (None, "variables", "xz", "variables must list strings"),
+        ("entries", "sign_vector", "ab", "sign_vector must list -1s and 1s"),
+        ("entries", "label", 3, "label must be a string"),
+        (None, "entries", [5], "not subscriptable"),
+    ],
+    ids=[
+        "entries-value0", "entries-abc", "skipped-value0", "skipped-abc",
+        "variables-xz", "sign_vector-ab", "label-3", "entry-5",
+    ],
+)
+def test_verify_sample_not_an_object_is_exit_3(
+    capsys, tmp_path, where, key, value, message
+):
     def edit(obj):
-        obj[where][0]["sample"] = value
+        (obj[where][0] if where else obj)[key] = value
 
     code, _, err = tampered_relation(capsys, tmp_path, edit)
     assert code == 3
     assert "unreadable certificate" in err
-    assert "sample must be an object" in err
+    assert message in err
 
 
 def test_verify_garbage_file_is_exit_3(capsys, tmp_path):
@@ -379,6 +399,53 @@ def test_verbose_echoes_settings(capsys):
 
 def test_no_subcommand_is_usage_error():
     assert run_usage_error() == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["isolate", "sqrt(x)", "--verify", "--samples", "0"],
+        ["defpoly", "sqrt(x)", "--precision-bits", "-1"],
+        ["reformulate", RB, "--max-children", "0"],
+        ["isolate", "sqrt(x)", "--strategy", "grid", "--grid-res", "0"],
+    ],
+    ids=["samples", "precision-bits", "max-children", "grid-res"],
+)
+def test_counts_must_be_positive(argv):
+    assert run_usage_error(*argv) == 2
+
+
+def test_verify_without_samples_is_usage_error(capsys, tmp_path):
+    # a check that draws no sample would pass even this tampered certificate
+    def edit(obj):
+        obj["entries"][0]["root_conditions"][1]["rel"] = "<"
+
+    assert tampered_relation(capsys, tmp_path, edit)[0] == 4
+    cert_file = str(tmp_path / "cert.json")
+    assert run_usage_error("verify", cert_file, "--samples", "0") == 2
+
+
+@pytest.mark.parametrize(
+    "case", ["verify-defining", "defpoly-power", "defpoly-sum", "reformulate"]
+)
+def test_too_deep_input_is_exit_5(capsys, tmp_path, case):
+    cert_file, prog_file = tmp_path / "cert.json", tmp_path / "prog.json"
+    assert run(capsys, "isolate", "sqrt(x)", "--out", str(cert_file))[0] == 0
+    obj = json.loads(cert_file.read_text())
+    cert_file.write_text(json.dumps({**obj, "defining": "z^100000 - x"}))
+    objective = {"sense": "min", "expr": "x^5000 + sqrt(x^2 + 1)"}
+    prog_file.write_text(
+        json.dumps({"variables": ["x"], "objective": objective, "constraints": []})
+    )
+    argv = {
+        "verify-defining": ["verify", str(cert_file)],
+        "defpoly-power": ["defpoly", "x^5000 + sqrt(x)"],
+        "defpoly-sum": ["defpoly", "+".join(["x"] * 5000)],
+        "reformulate": ["reformulate", str(prog_file)],
+    }[case]
+    code, _, err = run(capsys, *argv)
+    assert code == 5
+    assert "input too deep" in err
 
 
 def test_python_dash_m_runs_the_cli(capsys, monkeypatch):

@@ -1,0 +1,103 @@
+"""Golden bytes of the command-line interface.
+
+Each case runs `cli.main` in-process, one or more commands in a fresh
+directory, and compares the exit codes, stdout, stderr and every file the
+commands wrote with a frozen transcript in tests/golden/, the directory
+masked as `<tmp>`.  A change to any output byte fails here.  After an
+intended output change, regenerate the transcripts with
+
+    PYTHONPATH=src python3 tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from algprog.cli import main
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden"
+PROBLEMS = HERE.parent / "problems"
+POLYNOMIAL = GOLDEN / "polynomial.json"  # radical-free, one constraint twice
+
+_EXTENSIONS = {"json": "json", "smtlib": "smt2", "human": "txt"}
+
+
+def _reformulate_cases():
+    for name in ("goldstein_price", "rosenbrock"):
+        for fmt, ext in _EXTENSIONS.items():
+            yield f"{name}-{fmt}", [[
+                "reformulate", str(PROBLEMS / f"{name}.json"),
+                "--strategy", "domain",
+                "--domain-file", str(PROBLEMS / f"{name}.domain.json"),
+                "--merge", "--allow-boundary", "--verify", "--baseline",
+                "--format", fmt, "--out", f"<tmp>/out.{ext}",
+            ]]
+    for fmt, ext in _EXTENSIONS.items():
+        yield f"polynomial-{fmt}", [[
+            "reformulate", str(POLYNOMIAL), "--verify", "--baseline",
+            "--format", fmt, "--out", f"<tmp>/out.{ext}",
+        ]]
+
+
+def _isolate_cases():
+    for name, expr in [
+        ("sqrt", "sqrt(x)"),
+        ("sqrt-cbrt", "sqrt(x) + root(3, x + 1)"),
+        ("skipped", "1/(sqrt(x^2) - x)"),
+    ]:
+        yield f"isolate-{name}", [
+            [
+                "isolate", expr, "--merge", "--allow-boundary", "--verify",
+                "--samples", "8", "--out", "<tmp>/cert.json",
+            ],
+            ["verify", "<tmp>/cert.json", "--samples", "8"],
+        ]
+
+
+CASES = dict(
+    [
+        *_reformulate_cases(),
+        *_isolate_cases(),
+        ("defpoly-nested", [["defpoly", "sqrt(x^2 + sqrt(y^2 + 1))", "--verify"]]),
+        ("defpoly-sum", [["defpoly", "x^(1/2) + x^(1/3)", "--verify"]]),
+    ]
+)
+
+
+def transcript(steps) -> str:
+    """Exit code, stdout and stderr of each step, then every written file."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in steps:
+            argv = [a.replace("<tmp>", tmp) for a in argv]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with (
+                contextlib.redirect_stdout(stdout),
+                contextlib.redirect_stderr(stderr),
+            ):
+                code = main(argv)
+            out.append(f"$ algprog {' '.join(argv)}")
+            out.append(f"exit {code}")
+            out.append(f"--- stdout\n{stdout.getvalue()}")
+            out.append(f"--- stderr\n{stderr.getvalue()}")
+        for path in sorted(Path(tmp).iterdir()):
+            out.append(f"--- file {path.name}\n{path.read_text()}")
+        text = "\n".join(out)
+        return text.replace(tmp, "<tmp>").replace(str(HERE.parent), "<repo>")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_golden(name):
+    expected = (GOLDEN / f"{name}.txt").read_text()
+    assert transcript(CASES[name]) == expected
+
+
+if __name__ == "__main__":
+    for name, steps in sorted(CASES.items()):
+        (GOLDEN / f"{name}.txt").write_text(transcript(steps))
+        print(f"wrote {GOLDEN / f'{name}.txt'}", file=sys.stderr)

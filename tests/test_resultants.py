@@ -84,8 +84,14 @@ def test_sylvester_shape_and_determinants_agree():
     p = 2 * Z**3 + X * Z - 1
     q = Z**2 - Y
     m = sylvester_matrix(p, q, ZID)
-    assert m.rows == m.cols == 5
-    assert det_bareiss(m) == det_cofactor(m.entries)
+    assert [len(row) for row in m] == [5] * 5
+    assert det_bareiss(m) == det_cofactor(m)
+
+
+@pytest.mark.parametrize("rows", [[], [[X, Y]], [[X, Y], [Y]]])
+def test_det_bareiss_needs_a_nonempty_square_matrix(rows):
+    with pytest.raises(PolyError):
+        det_bareiss(rows)
 
 
 # -- the vanishing law ----------------------------------------------------------

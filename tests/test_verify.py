@@ -114,10 +114,20 @@ def uni_gcd(a, b):
 
 def test_uni_round_trip_and_eval():
     p = X**3 - 2 * X + 1
-    c = uni_from_poly(p, XID)
+    c = uni_from_poly(p, XID, {})
     assert c == uni(1, -2, 0, 1)
     assert uni_eval(c, Fraction(2)) == p.eval({XID: Fraction(2)})
     assert uni_derivative(c) == uni(-2, 0, 3)
+
+
+def test_uni_from_poly_sets_the_other_variables_from_the_point():
+    reg = VarRegistry(["x", "y"])
+    xid, yid = reg.id_of("x"), reg.id_of("y")
+    x, y = MultiPoly.var(reg, xid), MultiPoly.var(reg, yid)
+    p = y * x**2 - y + 3
+    assert uni_from_poly(p, xid, {yid: Fraction(2)}) == uni(1, 0, 2)
+    with pytest.raises(PolyError):
+        uni_from_poly(p, xid, {})
 
 
 def test_uni_gcd():
@@ -172,7 +182,7 @@ def test_cauchy_root_bound():
 def check_isolation(p, roots):
     iso = isolate_real_roots(p)
     assert len(iso.intervals) == len(roots)
-    sf = uni_from_poly(iso.poly, XID)
+    sf = uni_from_poly(iso.poly, XID, {})
     for (lo, hi), r in zip(iso.intervals, sorted(roots)):
         assert lo <= r <= hi
         if lo != hi:
@@ -410,7 +420,7 @@ def test_square_free_and_isolation_match_references(c, roots):
     assert iso.poly == (
         square_free_part(p, XID) if len(trimmed) > 1 else integer_normalize(p)
     )
-    assert list(iso.intervals) == reference_isolation(uni_from_poly(iso.poly, XID))
+    assert list(iso.intervals) == reference_isolation(uni_from_poly(iso.poly, XID, {}))
 
 
 @pytest.mark.parametrize(
