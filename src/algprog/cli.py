@@ -52,6 +52,7 @@ from .program import (
     reformulate,
 )
 from .radicals import (
+    Expr,
     ExprError,
     ExprSyntaxError,
     parse,
@@ -200,8 +201,10 @@ def _write(data: bytes, out: str | None) -> None:
         sys.stdout.write(data.decode())
 
 
-def _report_to_stderr(name: str, report: VerifyReport) -> None:
-    print(f"{name}: {report.to_json()}", file=sys.stderr)
+def _verdict(report: VerifyReport) -> int:
+    """Print a `--verify` report to stderr; return its exit code, 0 or 4."""
+    print(f"verify: {report.to_json()}", file=sys.stderr)
+    return 0 if report.passed else 4
 
 
 class InputFileError(Exception):
@@ -248,13 +251,13 @@ def _isolate_config(args: argparse.Namespace) -> IsolateConfig:
     )
 
 
+def _defining(expr: Expr, args: argparse.Namespace) -> DefiningPolynomial:
+    cfg = ReduceConfig(precision=args.precision_bits, seed=args.seed)
+    return defining_polynomial(expr, z_name=args.z, cfg=cfg)
+
+
 def cmd_defpoly(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    expr = parse(args.expr)
-    dp = defining_polynomial(
-        expr,
-        z_name=args.z,
-        cfg=ReduceConfig(precision=args.precision_bits, seed=args.seed),
-    )
+    dp = _defining(parse(args.expr), args)
     bounds = degree_bounds(dp.source)
     registry = dp.poly.registry
     lines = [dp.poly.to_text()]
@@ -282,20 +285,14 @@ def cmd_defpoly(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         )
         for line in audit_degrees(dp).checks:
             report.add(line)
-        _report_to_stderr("verify", report)
-        if not report.passed:
-            return 4
+        return _verdict(report)
     return 0
 
 
 def cmd_isolate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     expr = parse(args.expr)
     cfg = _isolate_config(args)
-    dp = defining_polynomial(
-        expr,
-        z_name=args.z,
-        cfg=ReduceConfig(precision=args.precision_bits, seed=args.seed),
-    )
+    dp = _defining(expr, args)
     domain = _load_domain(args.domain_file, dp.poly.registry)
     cert = isolate(expr, dp, strategy=args.strategy, cfg=cfg, domain=domain)
     if args.merge:
@@ -310,9 +307,7 @@ def cmd_isolate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             tol_bits=args.precision_bits,
             seed=args.seed,
         )
-        _report_to_stderr("verify", report)
-        if not report.passed:
-            return 4
+        return _verdict(report)
     return 0
 
 
@@ -357,9 +352,7 @@ def cmd_reformulate(
             precision=args.precision_bits,
             seed=args.seed,
         )
-        _report_to_stderr("verify", report)
-        if not report.passed:
-            return 4
+        return _verdict(report)
     return 0
 
 

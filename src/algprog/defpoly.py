@@ -60,6 +60,7 @@ from .radicals import (
     to_polynomial,
     variables_of,
 )
+from .resultants import resultant_with_constant
 
 
 class DefiningError(PolyError):
@@ -138,10 +139,6 @@ def sample_real_point(
     )
 
 
-def _point_by_id(registry: VarRegistry, point: Mapping[str, Fraction]):
-    return {registry.id_of(n): v for n, v in point.items()}
-
-
 def _certified_zero_at(
     q: MultiPoly,
     f: Expr,
@@ -153,7 +150,7 @@ def _certified_zero_at(
     """True if q(f(a), a) is certified to enclose 0 below 2^-precision,
     re-confirmed at two further precision doublings; False once any
     enclosure excludes 0 (that answer is exact)."""
-    by_id = _point_by_id(registry, point)
+    by_id = {registry.id_of(n): v for n, v in point.items()}
     target = Fraction(1, 2**precision)
     work = precision
     for _ in range(24):
@@ -255,8 +252,6 @@ def reduce_defining(
         ]
     except SamplingError:
         return note(integer_normalize(sf), "square-free only; sampling failed")
-    if len(passing) == 1:
-        return note(passing[0], f"kept 1 of {len(factors)} factors")
     if passing:
         prod = passing[0]
         for q in passing[1:]:
@@ -364,8 +359,6 @@ def _combine(
     cfg: ReduceConfig,
     log: list[str] | None = None,
 ) -> MultiPoly:
-    from .resultants import resultant_with_constant
-
     res = resultant_with_constant(a, b, t)
     if t in res.vars_present():
         raise DefiningError("internal error: elimination variable survived")

@@ -12,6 +12,7 @@ result as a certificate of strict polynomial sign conditions.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, replace
@@ -108,10 +109,6 @@ class IsolationCertificate:
     skipped: tuple[ComponentDescription, ...] = ()
     warnings: tuple[str, ...] = ()
 
-    @property
-    def skipped_components(self) -> int:
-        return len(self.skipped)
-
     def to_json(self) -> str:
         registry = self.defining.registry
         obj = {
@@ -120,7 +117,7 @@ class IsolationCertificate:
             "defining": self.defining.to_text(),
             "source": radicals.to_text(self.source),
             "strategy": self.strategy_used,
-            "skipped_components": self.skipped_components,
+            "skipped_components": len(self.skipped),
             "skipped": [_component_record(c, registry) for c in self.skipped],
             "warnings": list(self.warnings),
             "entries": [
@@ -170,12 +167,23 @@ def _checked(value, valid: bool, what: str):
     return value
 
 
+def _lists_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def certificate_from_json(text: str) -> IsolationCertificate:
     obj = json.loads(text)
     names = obj["variables"]
-    valid = isinstance(names, list) and all(isinstance(n, str) for n in names)
-    registry = VarRegistry(_checked(names, valid, "variables must list strings"))
-    z = registry.id_of(obj["z"])
+    valid = _lists_strings(names) and len(set(names)) == len(names)
+    _checked(names, valid, "variables must list strings, each once")
+    registry = VarRegistry(names)
+    z = registry.id_of(_checked(obj["z"], obj["z"] in names, "z must name a variable"))
+    rows, skipped = obj["entries"], obj.get("skipped", [])
+    _checked(rows, isinstance(rows, list), "entries must be a list")
+    _checked(skipped, isinstance(skipped, list), "skipped must be a list")
+    strategy, warnings = obj["strategy"], obj.get("warnings", [])
+    _checked(strategy, isinstance(strategy, str), "strategy must be a string")
+    _checked(warnings, _lists_strings(warnings), "warnings must list strings")
 
     def sample(rec: dict) -> dict[VarId, Fraction]:
         _checked(rec, isinstance(rec, dict), "sample must be an object")
@@ -201,16 +209,16 @@ def certificate_from_json(text: str) -> IsolationCertificate:
             ),
             sign_vector=sign_vector(e),
         )
-        for e in obj["entries"]
+        for e in rows
     )
     return IsolationCertificate(
         z=z,
         defining=radicals.polynomial_from_text(obj["defining"], registry),
         source=radicals.normalize(radicals.parse(obj["source"])),
         entries=entries,
-        strategy_used=obj["strategy"],
-        skipped=tuple(component(c, "conditions") for c in obj.get("skipped", [])),
-        warnings=tuple(obj.get("warnings", [])),
+        strategy_used=strategy,
+        skipped=tuple(component(c, "conditions") for c in skipped),
+        warnings=tuple(warnings),
     )
 
 
@@ -353,11 +361,7 @@ def _univariate_components(
     for i, s in enumerate(points):
         sample = {w: Fraction(0) for w in xvars}
         sample[v] = s
-        conditions = [
-            SignCondition.normalized(r, ">" if r.eval({v: s}) > 0 else "<")
-            for r in nonconstant
-        ]
-        conditions = dedupe(conditions, SignCondition.key)
+        conditions = _strict(nonconstant, [r.eval({v: s}) for r in nonconstant])
         if not intervals:
             label = "all of the line"
         elif i == 0:
@@ -443,12 +447,7 @@ def _grid_components(
 
     cells: dict[tuple[int, ...], tuple[int, ...]] = {}
     boundary_cells = 0
-    for flat in range(res ** n):
-        idx, rest = [], flat
-        for _ in range(n):
-            idx.append(rest % res)
-            rest //= res
-        idx = tuple(idx)
+    for idx in itertools.product(range(res), repeat=n):
         point = cell_point(idx)
         signs = tuple(
             (val > 0) - (val < 0)
@@ -482,14 +481,9 @@ def _grid_components(
     comps = []
     for k, members in enumerate(sorted(groups.values(), key=min)):
         anchor = min(members)
-        signs = cells[anchor]
-        conditions = [
-            SignCondition.normalized(r, ">" if s > 0 else "<")
-            for r, s in zip(nonconstant, signs)
-        ]
         comps.append(
             ComponentDescription(
-                tuple(dedupe(conditions, SignCondition.key)),
+                tuple(_strict(nonconstant, cells[anchor])),
                 cell_point(anchor),
                 f"grid group {k + 1} of {len(groups)}",
             )
@@ -502,6 +496,19 @@ def _grid_components(
     if not comps:
         raise ValidationError("no grid cell avoided the resultant zero sets")
     return comps
+
+
+def _strict(polys: Iterable[MultiPoly], signs: Iterable) -> list[SignCondition]:
+    """`q > 0` or `q < 0` by the sign of the matching value, for each
+    nonconstant q, without repeats."""
+    return dedupe(
+        (
+            SignCondition.normalized(q, ">" if s > 0 else "<")
+            for q, s in zip(polys, signs)
+            if not q.is_constant()
+        ),
+        SignCondition.key,
+    )
 
 
 def dedupe(items: Iterable, key: Callable[..., Hashable]) -> list:
@@ -561,12 +568,7 @@ def isolate(
             skipped.append(comp)
             continue
         signs = _certified_tower_signs(tower, z, comp, f, named, cfg)
-        conditions = [SignCondition.normalized(p, "=")]
-        for q, s in zip(tower, signs):
-            if q.is_constant():
-                continue
-            conditions.append(SignCondition.normalized(q, ">" if s > 0 else "<"))
-        conditions = dedupe(conditions, SignCondition.key)
+        conditions = [SignCondition.normalized(p, "="), *_strict(tower, signs)]
         entries.append(CertEntry(comp, tuple(conditions), tuple(signs)))
     return IsolationCertificate(
         z=z,
@@ -727,22 +729,17 @@ def _simplify_relaxed(
                 continue
         out.append(c)
     out = dedupe(out, SignCondition.key)
-    kept: list[SignCondition] = []
-    for i, c in enumerate(out):
-        implied = False
-        for j, d in enumerate(out):
-            if i == j or c.rel != ">=" or d.rel != ">=":
-                continue
-            gap = c.poly - d.poly
-            if not gap.is_zero() and provably_nonneg(gap):
-                implied = True  # d >= 0 forces c >= 0
-                break
-            if gap.is_zero() and j < i:
-                implied = True  # exact duplicate, keep the first
-                break
-        if not implied:
-            kept.append(c)
-    return kept
+    # after dedupe two `>=` conditions differ in their polynomials, so a gap
+    # that is provably nonnegative is nonzero and d >= 0 forces c >= 0
+    return [
+        c
+        for c in out
+        if c.rel != ">="
+        or not any(
+            d is not c and d.rel == ">=" and provably_nonneg(c.poly - d.poly)
+            for d in out
+        )
+    ]
 
 
 def provably_nonneg(p: MultiPoly, nonneg: Collection[VarId] = ()) -> bool:

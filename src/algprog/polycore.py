@@ -167,11 +167,7 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, 0) + c
         return MultiPoly(self.registry, out)
 
     def __radd__(self, other) -> MultiPoly:
@@ -203,11 +199,7 @@ class MultiPoly:
         for ma, ca in a.items():
             for mb, cb in b.items():
                 m = _mono_mul(ma, mb)
-                s = out.get(m, Fraction(0)) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                out[m] = out.get(m, 0) + ca * cb
         return MultiPoly(self.registry, out)
 
     def __rmul__(self, other) -> MultiPoly:
@@ -284,11 +276,7 @@ class MultiPoly:
             else:
                 d[v] = e - 1
             mm = tuple(sorted(d.items()))
-            s = out.get(mm, Fraction(0)) + c * e
-            if s:
-                out[mm] = s
-            else:
-                out.pop(mm, None)
+            out[mm] = out.get(mm, 0) + c * e
         return MultiPoly(self.registry, out)
 
     def eval(self, point: Mapping[VarId, Fraction]) -> Fraction:
@@ -342,11 +330,7 @@ class MultiPoly:
         for e, p in coeffs.items():
             for m, c in p.terms.items():
                 mm = _mono_mul(m, ((v, e),)) if e else m
-                s = out.get(mm, Fraction(0)) + c
-                if s:
-                    out[mm] = s
-                else:
-                    out.pop(mm, None)
+                out[mm] = out.get(mm, 0) + c
         return cls(registry, out)
 
     def leading_coeff_in(self, v: VarId) -> MultiPoly:
@@ -453,12 +437,11 @@ def integer_normalize(p: MultiPoly) -> MultiPoly:
     """Scale to coprime integer coefficients with positive leading coefficient."""
     if p.is_zero():
         return p
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    scale = Fraction(den_lcm, num_gcd)
+    coeffs = p.terms.values()
+    scale = Fraction(
+        math.lcm(*(c.denominator for c in coeffs)),
+        math.gcd(*(c.numerator for c in coeffs)),
+    )
     if p.terms[grlex_leading(p.terms)] < 0:
         scale = -scale
     return p * scale

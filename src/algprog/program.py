@@ -535,22 +535,19 @@ def _rational_form(
         return MultiPoly.const(registry, e.value), one
     if isinstance(e, Var):
         return MultiPoly.var(registry, registry.id_of(e.name)), one
-    if isinstance(e, (Add, Sub)):
-        a, da = _rational_form(e.left, registry)
-        b, db = _rational_form(e.right, registry)
-        num = a * db + b * da if isinstance(e, Add) else a * db - b * da
-        return num, da * db
+    if not isinstance(e, (Add, Sub, Mul, Div)):
+        raise StructuralError(f"unexpected node in rational form: {e!r}")
+    a, da = _rational_form(e.left, registry)
+    b, db = _rational_form(e.right, registry)
+    if isinstance(e, Add):
+        return a * db + b * da, da * db
+    if isinstance(e, Sub):
+        return a * db - b * da, da * db
     if isinstance(e, Mul):
-        a, da = _rational_form(e.left, registry)
-        b, db = _rational_form(e.right, registry)
         return a * b, da * db
-    if isinstance(e, Div):
-        a, da = _rational_form(e.left, registry)
-        b, db = _rational_form(e.right, registry)
-        if b.is_zero():
-            raise StructuralError("division by an identically zero expression")
-        return a * db, da * b
-    raise StructuralError(f"unexpected node in rational form: {e!r}")
+    if b.is_zero():
+        raise StructuralError("division by an identically zero expression")
+    return a * db, da * b
 
 
 def _provably_nonzero(p: MultiPoly, nonneg: set[VarId]) -> bool:
@@ -587,6 +584,10 @@ def baseline_reformulate(prog: AlgebraicProgram) -> PolynomialProgram:
 
     rows: list[Row] = []
 
+    def denominator_nonzero(den: MultiPoly) -> None:
+        if not den.is_constant() and not _provably_nonzero(den, nonneg):
+            rows.append((SignCondition.normalized(den, "!="), "denominator nonzero"))
+
     def quotient_conditions(
         num: MultiPoly, den: MultiPoly, rel: str, kind: str
     ) -> None:
@@ -604,8 +605,7 @@ def baseline_reformulate(prog: AlgebraicProgram) -> PolynomialProgram:
         # zeros of den.
         cleared = num if rel == "=" else num * den
         rows.append((SignCondition.normalized(cleared, rel), kind))
-        if not _provably_nonzero(den, nonneg):
-            rows.append((SignCondition.normalized(den, "!="), "denominator nonzero"))
+        denominator_nonzero(den)
 
     radicand_parts: list[tuple[MultiPoly, MultiPoly]] = []
     for rad, name in zip(rads, aux_names):
@@ -618,8 +618,7 @@ def baseline_reformulate(prog: AlgebraicProgram) -> PolynomialProgram:
         rows.append(
             (SignCondition.normalized(w**rad.index * den - num, "="), f"defines {name}")
         )
-        if not den.is_constant() and not _provably_nonzero(den, nonneg):
-            rows.append((SignCondition.normalized(den, "!="), "denominator nonzero"))
+        denominator_nonzero(den)
 
     for e, rel in prog.constraints:
         num, den = _rational_form(substitute_expr(e, substitution), registry)

@@ -744,37 +744,24 @@ def verify_certificate(
 def audit_degrees(dp: DefiningPolynomial) -> VerifyReport:
     """Compare observed degrees of the defining polynomial against the bounds
     promised for its source expression (and the recorded root-index product)."""
-    report = VerifyReport()
     bounds = degree_bounds(dp.source)
     registry = dp.poly.registry
     observed_z = dp.poly.degree_in(dp.z)
-    report.add(
-        CheckLine(
-            check="z-degree within bound",
-            status="pass" if observed_z <= bounds.z_degree else "fail",
-            witness=f"observed {observed_z}, bound {bounds.z_degree}",
-        )
-    )
-    report.add(
-        CheckLine(
-            check="z-degree within recorded prediction",
-            status="pass"
-            if observed_z <= dp.predicted_z_degree_bound
-            else "fail",
-            witness=f"observed {observed_z}, predicted "
-            f"{dp.predicted_z_degree_bound}",
-        )
-    )
+    prediction = dp.predicted_z_degree_bound
+    rows = [
+        ("z-degree within bound", observed_z, "bound", bounds.z_degree),
+        ("z-degree within recorded prediction", observed_z, "predicted", prediction),
+    ]
     for name in sorted(bounds.var_degrees):
-        bound = bounds.var_degrees[name]
-        observed = (
-            dp.poly.degree_in(registry.id_of(name)) if name in registry else 0
+        observed = dp.poly.degree_in(registry.id_of(name)) if name in registry else 0
+        rows.append(
+            (f"{name}-degree within bound", observed, "bound", bounds.var_degrees[name])
         )
-        report.add(
-            CheckLine(
-                check=f"{name}-degree within bound",
-                status="pass" if observed <= bound else "fail",
-                witness=f"observed {observed}, bound {bound}",
-            )
+    return VerifyReport([
+        CheckLine(
+            check=check,
+            status="pass" if observed <= limit else "fail",
+            witness=f"observed {observed}, {word} {limit}",
         )
-    return report
+        for check, observed, word, limit in rows
+    ])

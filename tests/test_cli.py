@@ -360,13 +360,22 @@ def test_verify_unreadable_sample_is_exit_3(capsys, tmp_path, value):
         ("skipped", "sample", [1], "sample must be an object"),
         ("skipped", "sample", "abc", "sample must be an object"),
         (None, "variables", "xz", "variables must list strings"),
+        (None, "variables", ["x", "z", "x"], "variables must list strings, each once"),
         ("entries", "sign_vector", "ab", "sign_vector must list -1s and 1s"),
         ("entries", "label", 3, "label must be a string"),
         (None, "entries", [5], "not subscriptable"),
+        (None, "entries", {}, "entries must be a list"),
+        (None, "skipped", {}, "skipped must be a list"),
+        (None, "strategy", 5, "strategy must be a string"),
+        (None, "warnings", "abc", "warnings must list strings"),
+        (None, "z", 5, "z must name a variable"),
+        (None, "z", "w", "z must name a variable"),
     ],
     ids=[
         "entries-value0", "entries-abc", "skipped-value0", "skipped-abc",
-        "variables-xz", "sign_vector-ab", "label-3", "entry-5",
+        "variables-xz", "variables-x-twice", "sign_vector-ab", "label-3", "entry-5",
+        "entries-object", "skipped-object", "strategy-5", "warnings-abc",
+        "z-5", "z-w",
     ],
 )
 def test_verify_sample_not_an_object_is_exit_3(

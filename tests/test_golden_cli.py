@@ -42,17 +42,24 @@ def _reformulate_cases():
             "reformulate", str(POLYNOMIAL), "--verify", "--baseline",
             "--format", fmt, "--out", f"<tmp>/out.{ext}",
         ]]
+    yield "rosenbrock-grid", [[
+        "reformulate", str(PROBLEMS / "rosenbrock.json"), "--strategy", "grid",
+        "--grid-res", "4", "--verify", "--format", "human",
+    ]]
 
 
 def _isolate_cases():
-    for name, expr in [
-        ("sqrt", "sqrt(x)"),
-        ("sqrt-cbrt", "sqrt(x) + root(3, x + 1)"),
-        ("skipped", "1/(sqrt(x^2) - x)"),
+    grid = ["--strategy", "grid", "--grid-min", "1/4", "--grid-max", "4",
+            "--grid-res", "6"]
+    for name, expr, options in [
+        ("sqrt", "sqrt(x)", ["--allow-boundary"]),
+        ("sqrt-cbrt", "sqrt(x) + root(3, x + 1)", ["--allow-boundary"]),
+        ("skipped", "1/(sqrt(x^2) - x)", ["--allow-boundary"]),
+        ("grid", "sqrt(x) + sqrt(y)", grid),
     ]:
         yield f"isolate-{name}", [
             [
-                "isolate", expr, "--merge", "--allow-boundary", "--verify",
+                "isolate", expr, "--merge", *options, "--verify",
                 "--samples", "8", "--out", "<tmp>/cert.json",
             ],
             ["verify", "<tmp>/cert.json", "--samples", "8"],

@@ -11,6 +11,7 @@ from algprog.isolation import (
     IsolateConfig,
     IsolationError,
     SignCondition,
+    _simplify_relaxed,
     certificate_from_json,
     critical_resultants,
     derivative_tower,
@@ -225,3 +226,28 @@ def test_sign_condition_normalization():
     c = SignCondition.normalized(p, ">")
     assert c.text() == "x - 2 < 0"
     assert SignCondition.normalized(p, ">").key() == c.key()
+
+
+def test_simplify_relaxed_cancels_z_and_drops_implied_conditions():
+    reg = VarRegistry(["x", "z"])
+    x, z = (MultiPoly.var(reg, reg.id_of(n)) for n in ("x", "z"))
+    conditions = [
+        SignCondition.normalized(z, ">="),
+        SignCondition.normalized(z * x, ">="),  # z >= 0 cancels it to x >= 0
+        SignCondition.normalized(x, ">="),  # a duplicate of that, dropped
+        SignCondition.normalized(x + 1, ">="),  # implied by x >= 0, dropped
+        SignCondition.normalized(x + 2, ">"),  # strict, kept as it is
+    ]
+    kept = _simplify_relaxed(conditions, reg.id_of("z"), reg)
+    assert [c.text() for c in kept] == ["z >= 0", "x >= 0", "x + 2 > 0"]
+
+
+def test_simplify_relaxed_needs_z_nonneg_to_cancel():
+    reg = VarRegistry(["x", "z"])
+    x, z = (MultiPoly.var(reg, reg.id_of(n)) for n in ("x", "z"))
+    conditions = [
+        SignCondition.normalized(z * x, ">="),
+        SignCondition.normalized(x + 1, ">="),
+    ]
+    kept = _simplify_relaxed(conditions, reg.id_of("z"), reg)
+    assert [c.text() for c in kept] == ["x*z >= 0", "x + 1 >= 0"]

@@ -122,6 +122,31 @@ def test_power_matches_repeated_product(p, k):
 
 
 @given(polys(), polys())
+def test_results_hold_only_nonzero_fraction_coefficients(p, q):
+    """The constructor alone drops zero coefficients: each operation below,
+    several built to cancel terms, leaves that to it."""
+    x = REG.id_of("x")
+    results = [
+        p + q,
+        p - q,
+        p - p,
+        (p + q) - q,
+        p * q,
+        (p + q) * (p - q),
+        p * 0,
+        p * Fraction(1, 2),
+        p.derivative(x),
+        MultiPoly.from_coeffs(REG, x, {1: p, 0: -(p * X)}),
+        (p - p.substitute(x, Y)).substitute(x, Y),
+        p.substitute(x, q),
+    ]
+    if q:
+        results.append(divexact(p * q, q))
+    for r in results:
+        assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+
+
+@given(polys(), polys())
 def test_derivative_product_rule(p, q):
     v = REG.id_of("x")
     lhs = (p * q).derivative(v)
