@@ -105,7 +105,7 @@ def _add_isolation_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--allow-boundary",
         action="store_true",
-        help="relax merged conditions to cover resultant zeros",
+        help="relax merged conditions to cover resultant zeros (needs --merge)",
     )
     p.add_argument(
         "--domain-file",
@@ -394,6 +394,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if "domain_file" in args and (args.strategy == "domain") != bool(args.domain_file):
         parser.error("--strategy domain and --domain-file go together")
+    if "merge" in args and args.allow_boundary and not args.merge:
+        parser.error("--allow-boundary needs --merge")
     if args.verbose:
         _echo_settings(args)
     try:

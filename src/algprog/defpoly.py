@@ -152,23 +152,17 @@ def _certified_zero_at(
     enclosure excludes 0 (that answer is exact)."""
     by_id = {registry.id_of(n): v for n, v in point.items()}
     target = Fraction(1, 2**precision)
-    work = precision
-    for _ in range(24):
+    confirmations = 0
+    for work in radicals.precisions(precision):
         value = eval_numeric(f, point, work)
         assert isinstance(value, Interval)
         enclosure = poly_enclosure(q, by_id, {z: value})
         if not enclosure.contains_zero():
             return False
-        if enclosure.width() <= target:
-            for _ in range(2):
-                work *= 2
-                value = eval_numeric(f, point, work)
-                assert isinstance(value, Interval)
-                enclosure = poly_enclosure(q, by_id, {z: value})
-                if not enclosure.contains_zero():
-                    return False
+        if confirmations == 2:
             return True
-        work *= 2
+        if confirmations or enclosure.width() <= target:
+            confirmations += 1
     return False  # could not certify; treat as refuted (conservative)
 
 

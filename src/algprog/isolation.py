@@ -293,19 +293,17 @@ def components(
     strategy: str,
     xvars: Sequence[VarId],
     registry: VarRegistry,
-    cfg: IsolateConfig = IsolateConfig(),
-    domain: DomainSpec | None = None,
-    warnings: list[str] | None = None,
+    cfg: IsolateConfig,
+    domain: DomainSpec | None,
+    warnings: list[str],
 ) -> list[ComponentDescription]:
     """Decompose the nonvanishing set A into connected pieces.
 
     Strategies: `univariate` (exact intervals between real roots), `domain`
     (a single user-asserted region), `grid` (sign vectors at cell centers,
     face-adjacent cells unioned).  Diagnostics that do not invalidate the
-    decomposition are appended to `warnings` when a list is supplied.
+    decomposition are appended to `warnings`.
     """
-    if warnings is None:
-        warnings = []
     for r in resultants:
         if r.is_zero():
             raise ValidationError(
@@ -595,27 +593,20 @@ def _certified_tower_signs(
     out of budget means the sample sits on (or too close to) a resultant zero
     and is reported as such.
     """
-    signs = []
-    for q in tower:
-        bits = cfg.precision
-        for _ in range(radicals.MAX_PRECISION_DOUBLINGS):
+    def sign(q: MultiPoly) -> int:
+        for bits in radicals.precisions(cfg.precision):
             value = eval_numeric(f, named, bits)
             enclosure = poly_enclosure(q, comp.sample, {z: value})
             if not enclosure.contains_zero():
-                signs.append(1 if enclosure.lo > 0 else -1)
-                break
+                return 1 if enclosure.lo > 0 else -1
             if enclosure.lo == enclosure.hi:  # exact zero: theory violation
-                bits = None
                 break
-            bits *= 2
-        else:
-            bits = None
-        if bits is None:
-            raise PrecisionError(
-                f"could not certify a derivative sign on {comp.label!r}: the "
-                "sample appears to lie on a resultant zero set"
-            )
-    return signs
+        raise PrecisionError(
+            f"could not certify a derivative sign on {comp.label!r}: the "
+            "sample appears to lie on a resultant zero set"
+        )
+
+    return [sign(q) for q in tower]
 
 
 # ---------------------------------------------------------------------------
@@ -640,18 +631,14 @@ def merge_components(
     if not cert.entries:
         return cert
     groups: dict[tuple[int, ...], list[CertEntry]] = {}
-    order: list[tuple[int, ...]] = []
     for entry in cert.entries:
-        if entry.sign_vector not in groups:
-            order.append(entry.sign_vector)
         groups.setdefault(entry.sign_vector, []).append(entry)
-    if not cfg.allow_boundary and all(len(groups[k]) == 1 for k in order):
+    if not cfg.allow_boundary and all(len(m) == 1 for m in groups.values()):
         return cert
 
     registry = cert.defining.registry
     merged_entries: list[CertEntry] = []
-    for vector in order:
-        members = groups[vector]
+    for vector, members in groups.items():
         shared = [
             c
             for c in members[0].component.conditions

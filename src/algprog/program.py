@@ -878,8 +878,10 @@ def check_substitution(
 
     At points of the child's component (anchored at the certificate samples),
     set each auxiliary z to an enclosure of its radical expression and check
-    that every child constraint holds and the child objective encloses the
-    original objective value.  Returns a VerifyReport.
+    that every child constraint from the certificates holds, that the child's
+    original-constraint rows agree with the original constraints (both hold
+    or both fail wherever the enclosures decide), and that the child
+    objective encloses the original objective value.  Returns a VerifyReport.
     """
     report = _verify.VerifyReport()
     if not result.parts:
@@ -893,9 +895,9 @@ def check_substitution(
         return report
 
     _, objective_expr = prog.objective
+    registry = result.parts[0].certificate.defining.registry
     rng = random.Random(seed)
     for ci, child in enumerate(result.children):
-        registry = result.parts[0].certificate.defining.registry
         child_vars = child.variables
         comps = [
             p.certificate.entries[idx].component
@@ -912,14 +914,8 @@ def check_substitution(
         region = dataclasses.replace(comps[0], sample=anchor)
         failure: str | None = None
         used = 0
-        tries = 0
-        while used < samples and tries < 4 * samples:
-            point = (
-                dict(anchor)
-                if tries == 0
-                else _verify.sample_in_component(region, rng)
-            )
-            tries += 1
+        points = _verify.component_points(region, rng, 4 * samples)
+        for i, point in enumerate(points):
             named = {registry.name_of(v): val for v, val in point.items()}
             if not all(
                 _verify.relation_holds(cond.poly.eval(point), cond.rel)
@@ -928,19 +924,17 @@ def check_substitution(
             ):
                 continue
 
-            ok = True
             box: dict[VarId, Interval] = {}
             for p in result.parts:
                 try:
                     enclosure = eval_numeric(p.expr, named, precision)
                 except EvalDomainError:
-                    enclosure = None
-                if enclosure is None or enclosure is NOT_REAL:
-                    ok = False
+                    break
+                if enclosure is NOT_REAL:
                     break
                 box[child_vars.id_of(p.z_name)] = enclosure
-            if not ok:
-                if tries == 1:
+            if len(box) < len(result.parts):
+                if i == 0:
                     failure = f"a part is not real at the anchor {named}"
                     break
                 continue
@@ -949,9 +943,14 @@ def check_substitution(
             exact = {
                 child_vars.id_of(n): val for n, val in named.items() if n in child_vars
             }
-            for p, rel in child.constraints:
+            rows = []  # the enclosures of the original-constraint rows
+            for (p, rel), kind in itertools.zip_longest(
+                child.constraints, child.constraint_kinds
+            ):
                 enclosure = radicals.poly_enclosure(p, exact, box)
-                if not _verify.relation_possible(enclosure, rel):
+                if kind == "original constraint":
+                    rows.append((enclosure, rel))
+                elif not _verify.relation_possible(enclosure, rel):
                     failure = (
                         f"child {ci + 1}: constraint "
                         f"{p.to_text()} {rel} 0 fails near {named}"
@@ -959,10 +958,18 @@ def check_substitution(
                     break
             if failure:
                 break
+            originals = [
+                (eval_numeric(e, named, precision), rel) for e, rel in prog.constraints
+            ]
+            if not _may_agree(rows, originals):
+                failure = f"child {ci + 1}: original constraints disagree near {named}"
+                break
             target = eval_numeric(objective_expr, named, precision)
             got = radicals.poly_enclosure(child.objective[1], exact, box)
-            if target is NOT_REAL or not _intervals_overlap(got, target):
+            if target is NOT_REAL or not (got - target).contains_zero():
                 failure = f"child {ci + 1}: objective mismatch at {named}"
+                break
+            if used == samples:
                 break
         report.add(
             _verify.CheckLine(
@@ -977,5 +984,8 @@ def check_substitution(
     return report
 
 
-def _intervals_overlap(a, b) -> bool:
-    return a.lo <= b.hi and b.lo <= a.hi
+def _may_agree(rows, originals) -> bool:
+    """Whether two conjunctions of `enclosure rel 0` can both hold or both fail."""
+    can_hold = all(_verify.relation_possible(*t) for t in rows + originals)
+    held = [all(_verify.relation_certain(*t) for t in ts) for ts in (rows, originals)]
+    return can_hold or not any(held)

@@ -706,6 +706,14 @@ def _eval_interval(
 MAX_PRECISION_DOUBLINGS = 64
 
 
+def precisions(bits: int):
+    """The refinement schedule of every certified check: `bits`, then doubled
+    each step, MAX_PRECISION_DOUBLINGS values in all (read at call time)."""
+    for _ in range(MAX_PRECISION_DOUBLINGS):
+        yield bits
+        bits *= 2
+
+
 def eval_numeric(
     e: Expr, point: Mapping[str, Fraction], precision: int = 64
 ) -> NumericValue:
@@ -717,12 +725,10 @@ def eval_numeric(
     """
     if precision < 1:
         raise ExprError("precision must be positive")
-    bits = precision + 1
-    for _ in range(MAX_PRECISION_DOUBLINGS):
+    for bits in precisions(precision + 1):
         try:
             value = _eval_interval(e, point, bits)
         except _NeedsPrecision:
-            bits *= 2
             continue
         return NOT_REAL if value is NOT_REAL else _as_interval(value)
     raise EvalDomainError(

@@ -32,12 +32,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import radicals
-from .defpoly import (
-    DefiningPolynomial,
-    SamplingError,
-    degree_bounds,
-    sample_real_point,
-)
+from .defpoly import SamplingError, degree_bounds, sample_real_point
 from .polycore import (
     IMAGE_PRIME,
     MultiPoly,
@@ -193,14 +188,12 @@ def _variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_count(chain: Sequence[Uni], lo: Fraction, hi: Fraction) -> int:
+def sturm_count(chain: Sequence[Sequence[int]], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in the open interval (lo, hi).
 
-    Endpoints must not be roots of the first chain element.  Chain elements
-    may hold ints or Fractions; each is scaled to integers by a positive
-    factor first, which changes no sign variation.
+    `chain` is a `_sturm_chain` result, so it holds integers; endpoints must
+    not be roots of its first element.
     """
-    chain = [_integral(c) for c in chain]
     return _variations(chain, lo) - _variations(chain, hi)
 
 
@@ -391,7 +384,7 @@ def _as_expr(f: Expr | str) -> Expr:
 
 
 def _zero_enclosure_at(
-    dp: DefiningPolynomial,
+    dp,
     point: Mapping[str, Fraction],
     precision: int,
 ) -> Interval | None:
@@ -399,21 +392,19 @@ def _zero_enclosure_at(
     registry = dp.poly.registry
     by_id = {registry.id_of(n): v for n, v in point.items()}
     target = Fraction(1, 2 ** precision)
-    bits = precision + 1
-    for _ in range(radicals.MAX_PRECISION_DOUBLINGS):
+    for bits in radicals.precisions(precision + 1):
         value = eval_numeric(dp.source, point, bits)
         if value is NOT_REAL:
             return None
         enclosure = radicals.poly_enclosure(dp.poly, by_id, {dp.z: value})
         if enclosure.width() <= target:
             return enclosure
-        bits *= 2
     raise EvalDomainError("could not refine p(f(a), a) below the tolerance")
 
 
 def verify_defining(
     f: Expr | str,
-    dp: DefiningPolynomial,
+    dp,
     samples: int = 32,
     precision: int = 64,
     seed: int = 0,
@@ -422,6 +413,8 @@ def verify_defining(
 
     Each sample produces an interval around p(f(a), a) of width at most
     2^-precision; the check fails the moment one such interval excludes zero.
+    The defining polynomial is duck-typed (attributes `poly`, `z` and
+    `source`), as certificates are.
     """
     f = _as_expr(f)
     rng = random.Random(seed)
@@ -492,6 +485,12 @@ def relation_possible(iv: Interval, rel: str) -> bool:
     enclosure does not refute it."""
     test = RELATIONS[rel].test
     return any(test(s) for s in range(_sign(iv.lo), _sign(iv.hi) + 1))
+
+
+def relation_certain(iv: Interval, rel: str) -> bool:
+    """Whether `rel 0` holds for every value in the interval."""
+    test = RELATIONS[rel].test
+    return all(test(s) for s in range(_sign(iv.lo), _sign(iv.hi) + 1))
 
 
 @dataclass(frozen=True)
@@ -646,6 +645,13 @@ def sample_in_component(
     )
 
 
+def component_points(component, rng: random.Random, limit: int):
+    """The sample walk of every certified check: the component's own sample,
+    then points drawn lazily by sample_in_component, `limit` points in all."""
+    for n in range(limit):
+        yield dict(component.sample) if n == 0 else sample_in_component(component, rng)
+
+
 def verify_certificate(
     f: Expr | str,
     cert,
@@ -667,30 +673,28 @@ def verify_certificate(
     registry = cert.defining.registry
     rng = random.Random(seed)
     report = VerifyReport()
+
+    def value_at(named):
+        # a point where f cannot be evaluated counts as one where it is not real
+        try:
+            return eval_numeric(f, named, tol_bits)
+        except EvalDomainError:
+            return NOT_REAL
+
     for entry in cert.entries:
         comp = entry.component
-        label = comp.label or "component"
         used = 0
-        tries = 0
         failure: str | None = None
         # Component conditions may hold beyond the component itself (they are
         # necessary, not sufficient); a drawn point where f is not even real
         # is certainly outside and is redrawn rather than counted.
-        while used < samples_per_component and tries < 4 * samples_per_component:
-            point = (
-                dict(comp.sample)
-                if tries == 0
-                else sample_in_component(comp, rng)
-            )
-            tries += 1
+        points = component_points(comp, rng, 4 * samples_per_component)
+        for n, point in enumerate(points):
             named = {registry.name_of(v): val for v, val in point.items()}
-            try:
-                value = eval_numeric(f, named, tol_bits)
-            except EvalDomainError:
-                value = None
-            if value is NOT_REAL or value is None:
-                if tries == 1:
-                    failure = f"f is not real at the component sample "
+            value = value_at(named)
+            if value is NOT_REAL:
+                if n == 0:
+                    failure = "f is not real at the component sample "
                     failure += _point_text(named)
                     break
                 continue
@@ -707,9 +711,11 @@ def verify_certificate(
             if not selection_matches_f(value, selection, tol_bits):
                 failure = f"selected root does not match f at {_point_text(named)}"
                 break
+            if used == samples_per_component:
+                break
         report.add(
             CheckLine(
-                check=f"unique root selection on {label}",
+                check=f"unique root selection on {comp.label or 'component'}",
                 status="fail" if failure else "pass",
                 witness=failure,
                 samples_used=used,
@@ -718,13 +724,8 @@ def verify_certificate(
         if failure:
             return report
     for comp in getattr(cert, "skipped", ()):
-        named = {
-            registry.name_of(v): val for v, val in comp.sample.items()
-        }
-        try:
-            value = eval_numeric(f, named, tol_bits)
-        except EvalDomainError:
-            value = NOT_REAL
+        named = {registry.name_of(v): val for v, val in comp.sample.items()}
+        value = value_at(named)
         report.add(
             CheckLine(
                 check=f"skipped component {comp.label or ''} is not real-valued",
@@ -741,7 +742,7 @@ def verify_certificate(
 # ---------------------------------------------------------------------------
 
 
-def audit_degrees(dp: DefiningPolynomial) -> VerifyReport:
+def audit_degrees(dp) -> VerifyReport:
     """Compare observed degrees of the defining polynomial against the bounds
     promised for its source expression (and the recorded root-index product)."""
     bounds = degree_bounds(dp.source)

@@ -130,6 +130,13 @@ def test_isolate_domain_needs_file():
     assert run_usage_error("reformulate", RB, "--domain-file", RB_DOMAIN) == 2
 
 
+@pytest.mark.parametrize("command", ["isolate", "reformulate"])
+def test_allow_boundary_needs_merge(command):
+    # without --merge there are no merged conditions to relax
+    target = "sqrt(x)" if command == "isolate" else RB
+    assert run_usage_error(command, target, "--allow-boundary") == 2
+
+
 def test_isolate_unknown_flag_is_usage_error():
     assert run_usage_error("isolate", "sqrt(x)", "--wat") == 2
 
@@ -205,6 +212,21 @@ def test_reformulate_with_verify(capsys, tmp_path):
     args = reformulate_args(RB, RB_DOMAIN, out_file) + ["--verify", "--samples", "8"]
     code, _, err = run(capsys, *args)
     assert code == 0
+
+
+def test_reformulate_verify_accepts_a_constraint_false_at_the_anchor(capsys, tmp_path):
+    # x - 5 >= 0 fails around the branch sample x = 2; the child's row fails
+    # there too, so the two agree
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps({
+        "variables": ["x"],
+        "objective": {"sense": "min", "expr": "sqrt(x) + x"},
+        "constraints": [{"expr": "x - 5", "rel": ">="}],
+    }))
+    code, _, err = run(capsys, "reformulate", str(prob), "--verify", "--samples", "8")
+    assert code == 0
+    report = json.loads(err[err.index("verify: ") + len("verify: "):])
+    assert report["passed"] and report["checks"][0]["samples_used"] == 8
 
 
 def test_reformulate_human_format(capsys, tmp_path):

@@ -12,13 +12,14 @@ import pytest
 from algprog.defpoly import (
     DefiningError,
     ReduceConfig,
+    _certified_zero_at,
     defining_polynomial,
     degree_bounds,
     probabilistic_zero_test,
     root_index_product,
 )
 from algprog.polycore import MultiPoly, VarRegistry
-from algprog.radicals import normalize, parse, polynomial_from_text
+from algprog.radicals import Interval, normalize, parse, polynomial_from_text
 from algprog.verify import verify_defining
 from conftest import proportional
 
@@ -163,3 +164,41 @@ def test_probabilistic_zero_test_rejects_wrong_poly():
     wrong = dp.poly + MultiPoly.const(reg, Fraction(1))
     f = normalize(parse("sqrt(x)"))
     assert not probabilistic_zero_test(wrong, f, reg, dp.z)
+
+
+def _zero_at(monkeypatch, enclosures):
+    """`_certified_zero_at` for q = z, the enclosures of f served in turn;
+    returns the answer and the precisions asked for."""
+    calls = []
+
+    def fake_eval(f, point, precision):
+        calls.append(precision)
+        return enclosures(len(calls))
+
+    monkeypatch.setattr("algprog.defpoly.eval_numeric", fake_eval)
+    reg = VarRegistry(["x", "z"])
+    q = polynomial_from_text("z", reg)
+    f = normalize(parse("sqrt(x)"))
+    got = _certified_zero_at(q, f, reg, reg.id_of("z"), {"x": Fraction(2)}, 8)
+    return got, calls
+
+
+def test_certified_zero_is_reconfirmed_at_two_more_doublings(monkeypatch):
+    tiny = Interval(Fraction(-1, 2**10), Fraction(1, 2**10))
+    got, calls = _zero_at(monkeypatch, lambda n: tiny)
+    assert got and calls == [8, 16, 32]
+
+
+def test_certified_zero_refuted_during_reconfirmation(monkeypatch):
+    tiny = Interval(Fraction(-1, 2**10), Fraction(1, 2**10))
+    got, calls = _zero_at(
+        monkeypatch, lambda n: tiny if n == 1 else Interval.point(Fraction(1))
+    )
+    assert not got and calls == [8, 16]
+
+
+def test_certified_zero_refuted_once_the_budget_runs_out(monkeypatch):
+    # an enclosure that never narrows below the tolerance
+    got, calls = _zero_at(monkeypatch, lambda n: Interval(Fraction(-1), Fraction(1)))
+    assert not got
+    assert calls == [8 * 2**k for k in range(len(calls))] and len(calls) >= 24

@@ -72,6 +72,9 @@ CASES = dict(
         *_isolate_cases(),
         ("defpoly-nested", [["defpoly", "sqrt(x^2 + sqrt(y^2 + 1))", "--verify"]]),
         ("defpoly-sum", [["defpoly", "x^(1/2) + x^(1/3)", "--verify"]]),
+        ("defpoly-factor-filter", [
+            ["defpoly", "sqrt(2)*sqrt(x) - sqrt(2*x)", "--verify"],
+        ]),
     ]
 )
 

@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from algprog.defpoly import defining_polynomial
+import algprog.verify as verify_module
+from algprog.defpoly import SamplingError, defining_polynomial
 from algprog.isolation import (
+    ComponentDescription,
     DomainSpec,
     IsolateConfig,
     IsolationError,
+    PrecisionError,
     SignCondition,
+    _certified_tower_signs,
     _simplify_relaxed,
     certificate_from_json,
     critical_resultants,
@@ -19,7 +23,7 @@ from algprog.isolation import (
     merge_components,
 )
 from algprog.polycore import MultiPoly, VarRegistry
-from algprog.radicals import polynomial_from_text
+from algprog.radicals import normalize, parse, polynomial_from_text
 from algprog.verify import verify_certificate
 from conftest import strip_factor
 
@@ -154,6 +158,49 @@ def test_merge_aborts_with_the_verify_witness():
     assert merged.warnings[-1].startswith(
         "merge aborted: 0 roots satisfy the conditions at (x="
     )
+
+
+def test_merge_aborts_when_sampling_fails(monkeypatch):
+    dp = defining_polynomial("sqrt(x)")
+    cfg = IsolateConfig(samples=8, allow_boundary=True)
+    cert = isolate("sqrt(x)", dp, cfg=cfg)
+
+    def exhausted(component, rng, max_tries=500):
+        raise SamplingError("rejection sampling exhausted near the branch")
+
+    monkeypatch.setattr(verify_module, "sample_in_component", exhausted)
+    merged = merge_components(cert, cfg)
+    assert merged.entries == cert.entries
+    assert merged.warnings == cert.warnings + (
+        "merge aborted: rejection sampling exhausted near the branch; "
+        "returning unmerged certificate",
+    )
+
+
+# -- certified tower signs ---------------------------------------------------------
+
+
+def _tower_signs(texts, x):
+    reg = VarRegistry(["x", "z"])
+    tower = [polynomial_from_text(t, reg) for t in texts]
+    comp = ComponentDescription((), {reg.id_of("x"): x}, "at the sample")
+    f = normalize(parse("sqrt(x)"))
+    return _certified_tower_signs(
+        tower, reg.id_of("z"), comp, f, {"x": x}, IsolateConfig()
+    )
+
+
+def test_tower_signs_refuse_an_exact_zero():
+    # sqrt(0) is exact, so 2*z encloses exactly 0 and no doubling can help
+    with pytest.raises(PrecisionError, match="resultant zero set"):
+        _tower_signs(["2*z"], Fraction(0))
+
+
+def test_tower_signs_refuse_once_the_budget_runs_out(monkeypatch):
+    # z^2 - 2 vanishes at the irrational sqrt(2): every enclosure straddles 0
+    monkeypatch.setattr("algprog.radicals.MAX_PRECISION_DOUBLINGS", 4)
+    with pytest.raises(PrecisionError, match="resultant zero set"):
+        _tower_signs(["z^2 - 2"], Fraction(2))
 
 
 # -- domain strategy ---------------------------------------------------------------

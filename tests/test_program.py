@@ -434,3 +434,51 @@ def test_check_substitution_with_two_parts_flags_tampered_constraint():
     report = check_substitution(bad, prog, samples=8)
     assert not report.passed
     assert "constraint" in report.checks[0].witness
+
+
+def test_check_substitution_flags_a_part_not_real_at_the_anchor():
+    import dataclasses
+
+    from algprog.isolation import ComponentDescription
+
+    prog = mini("sqrt(x) + x", variables=("x",))
+    res = reformulate(prog)
+    (part,) = res.parts
+    entry = part.certificate.entries[0]
+    outside = ComponentDescription((), {prog.variables.id_of("x"): Fraction(-1)})
+    cert = dataclasses.replace(
+        part.certificate,
+        entries=(dataclasses.replace(entry, component=outside),),
+    )
+    bad = dataclasses.replace(
+        res, parts=(dataclasses.replace(part, certificate=cert),)
+    )
+    report = check_substitution(bad, prog, samples=8)
+    assert not report.passed
+    assert report.checks[0].witness == (
+        "a part is not real at the anchor {'x': Fraction(-1, 1)}"
+    )
+    assert report.checks[0].samples_used == 0
+
+
+def test_check_substitution_flags_a_flipped_original_constraint():
+    import dataclasses
+
+    # the sqrt(x) branch is sampled around x = 2, where x - 5 >= 0 fails in
+    # the child and in the original alike
+    prog = mini("sqrt(x) + x", [("x - 5", ">=")], variables=("x",))
+    res = reformulate(prog)
+    (child,) = res.children
+    report = check_substitution(res, prog, samples=8)
+    assert report.passed and report.checks[0].samples_used == 8
+    constraints = [
+        (p, "<" if kind == "original constraint" else rel)
+        for (p, rel), kind in zip(child.constraints, child.constraint_kinds)
+    ]
+    bad_child = dataclasses.replace(child, constraints=tuple(constraints))
+    bad = dataclasses.replace(res, children=(bad_child,))
+    report = check_substitution(bad, prog, samples=8)
+    assert not report.passed
+    assert report.checks[0].witness.startswith(
+        "child 1: original constraints disagree near {'x': "
+    )

@@ -49,6 +49,7 @@ from algprog.verify import (
     cauchy_root_bound,
     isolate_real_roots,
     refine_root,
+    relation_certain,
     relation_holds,
     relation_possible,
     root_selection,
@@ -463,6 +464,14 @@ def test_relation_possible_matches_the_old_table(a, b, point, rel):
     assert relation_possible(iv, rel) == interval_compatible(iv, rel)
 
 
+@given(endpoints, endpoints, st.booleans(), st.sampled_from(sorted(RELATIONS)))
+def test_relation_certain_holds_at_every_sign_in_the_interval(a, b, point, rel):
+    lo, hi = (a, a) if point else sorted((a, b))
+    values = {lo, hi} | ({Fraction(0)} if lo < 0 < hi else set())
+    want = all(relation_holds(v, rel) for v in values)
+    assert relation_certain(Interval(lo, hi), rel) == want
+
+
 def test_relation_holds():
     assert relation_holds(Fraction(1), ">")
     assert not relation_holds(Fraction(0), ">")
@@ -531,6 +540,41 @@ def test_verify_certificate_rejects_wrong_defining():
     bad = dataclasses.replace(cert, defining=cert.defining + 1)
     report = verify_certificate("sqrt(x)", bad, samples_per_component=6)
     assert not report.passed
+
+
+def _with_component(cert, comp):
+    return dataclasses.replace(
+        cert, entries=(dataclasses.replace(cert.entries[0], component=comp),)
+    )
+
+
+def test_verify_certificate_fails_where_f_is_not_real_at_the_sample():
+    dp = defining_polynomial("sqrt(x)")
+    cert = isolate("sqrt(x)", dp, cfg=IsolateConfig(samples=8))
+    bad = _with_component(cert, ComponentDescription((), {XID: Fraction(-1)}))
+    report = verify_certificate("sqrt(x)", bad, samples_per_component=6)
+    assert not report.passed
+    (line,) = report.checks
+    assert line.witness == "f is not real at the component sample (x=-1)"
+    assert line.samples_used == 0
+
+
+def test_verify_certificate_redraws_points_where_f_is_not_real(monkeypatch):
+    # without conditions a third of the draws around 1/3 fall below 0
+    dp = defining_polynomial("sqrt(x)")
+    cert = isolate("sqrt(x)", dp, cfg=IsolateConfig(samples=8))
+    wide = _with_component(cert, ComponentDescription((), {XID: Fraction(1, 3)}))
+    draws = []
+
+    def drawing(component, rng, max_tries=500):
+        draws.append(sample_in_component(component, rng, max_tries))
+        return draws[-1]
+
+    monkeypatch.setattr(verify_module, "sample_in_component", drawing)
+    report = verify_certificate("sqrt(x)", wide, samples_per_component=8)
+    assert report.passed and report.checks[0].samples_used == 8
+    assert any(d[XID] < 0 for d in draws)
+    assert len(draws) == 7 + sum(d[XID] < 0 for d in draws)
 
 
 # -- root selection at a point -----------------------------------------------------------
@@ -631,7 +675,7 @@ def test_verify_imports_only_the_kernel():
     assert not imports.keys() & {"isolation", "program", "resultants", "cli"}
     assert imports.keys() <= {"polycore", "radicals", "defpoly"}
     assert imports.get("defpoly", set()) <= {
-        "sample_real_point", "degree_bounds", "SamplingError", "DefiningPolynomial",
+        "sample_real_point", "degree_bounds", "SamplingError",
     }
 
 
