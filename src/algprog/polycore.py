@@ -127,16 +127,50 @@ def grlex_leading(terms: Mapping[Monomial, Fraction]) -> Monomial:
     return max(terms, key=grlex_key)
 
 
-class MultiPoly:
-    """Immutable-by-convention sparse polynomial tied to a registry."""
+class _Plan:
+    """What repeated evaluation of one polynomial needs, built on its first
+    `eval` or `split`; polynomials are immutable, so it never goes stale.
 
-    __slots__ = ("registry", "terms")
+    `tops` maps each variable present to its top degree, in the order of
+    first appearance among the terms; `scale` is the lcm of the coefficient
+    denominators; `rows` holds one ``(coefficient * scale, exponents)`` pair
+    per term, the exponents listed in the order of `tops`; `splits` caches
+    `MultiPoly.split` by variable set, each entry stored once fully built.
+    """
+
+    __slots__ = ("tops", "scale", "rows", "splits")
+
+    def __init__(self, terms: Mapping[Monomial, Fraction]) -> None:
+        tops: dict[VarId, int] = {}
+        for m in terms:
+            for v, e in m:
+                if e > tops.get(v, 0):
+                    tops[v] = e
+        scale = math.lcm(*(c.denominator for c in terms.values()))
+        self.tops = tops
+        self.scale = scale
+        self.rows = [
+            (c.numerator * (scale // c.denominator), tuple(dict(m).get(v, 0) for v in tops))
+            for m, c in terms.items()
+        ]
+        self.splits: dict[frozenset[VarId], tuple] = {}
+
+
+class MultiPoly:
+    """Immutable-by-convention sparse polynomial tied to a registry.
+
+    `eval`, `split` and the callers built on them (interval enclosure, the
+    univariate coefficient lists of `verify`) read one lazily built `_Plan`.
+    """
+
+    __slots__ = ("registry", "terms", "_plan")
 
     def __init__(self, registry: VarRegistry, terms: Mapping[Monomial, Fraction]):
         self.registry = registry
         self.terms: dict[Monomial, Fraction] = {
             m: c for m, c in terms.items() if c != 0
         }
+        self._plan: _Plan | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -282,35 +316,51 @@ class MultiPoly:
     def eval(self, point: Mapping[VarId, Fraction]) -> Fraction:
         """Evaluate at a full rational point (every present var must be given).
 
-        The sum is taken in integers over one common denominator: the lcm of
-        the coefficient denominators times d^D for each variable v = n/d of
-        degree D, so that v^e contributes n^e * d^(D - e).  One `Fraction` is
-        built at the end.
+        The sum is taken in integers over one common denominator: the plan's
+        scale times d^D for each variable v = n/d of top degree D, so that
+        v^e contributes n^e * d^(D - e).  One `Fraction` is built at the end.
         """
-        degrees: dict[VarId, int] = {}
-        for m in self.terms:
-            for v, e in m:
-                if e > degrees.get(v, 0):
-                    degrees[v] = e
-        scale = math.lcm(*(c.denominator for c in self.terms.values()))
-        den = scale
-        powers: dict[tuple[VarId, int], int] = {}
-        for v, top in degrees.items():
+        plan = self._compiled()
+        den = plan.scale
+        powers = []
+        for v, top in plan.tops.items():
             if v not in point:
                 raise PolyError(f"no value for variable {self.registry.name_of(v)!r}")
             a = Fraction(point[v])
             n, d = a.numerator, a.denominator
             den *= d**top
-            for e in range(top + 1):
-                powers[v, e] = n**e * d ** (top - e)
+            powers.append([n**e * d ** (top - e) for e in range(top + 1)])
         total = 0
-        for m, c in self.terms.items():
-            acc = c.numerator * (scale // c.denominator)
-            exps = dict(m)
-            for v in degrees:
-                acc *= powers[v, exps.get(v, 0)]
+        for acc, exps in plan.rows:
+            for pw, e in zip(powers, exps):
+                acc *= pw[e]
             total += acc
         return Fraction(total, den)
+
+    def split(self, vs: frozenset[VarId]):
+        """`self` nested in the variables of `vs` it involves, ascending id
+        order: `self` when it involves none of them, else ``(v, coeffs)``
+        with v the least such variable and ``coeffs`` mapping each power of v
+        to the split of its coefficient (as `coeffs_in` gives them).
+
+        Built once per variable set and kept in the plan.
+        """
+        plan = self._compiled()
+        if plan.tops.keys().isdisjoint(vs):
+            return self
+        node = plan.splits.get(vs)
+        if node is None:
+            v = min(w for w in plan.tops if w in vs)
+            node = v, {e: c.split(vs) for e, c in self.coeffs_in(v).items()}
+            plan.splits[vs] = node
+        return node
+
+    def _compiled(self) -> _Plan:
+        plan = self._plan
+        if plan is None:
+            # assigned only once built: an exception inside leaves no plan
+            plan = self._plan = _Plan(self.terms)
+        return plan
 
     def coeffs_in(self, v: VarId) -> dict[int, MultiPoly]:
         """Coefficients of powers of `v`, each a polynomial free of `v`."""
@@ -431,6 +481,63 @@ def try_divexact(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
         return divexact(p, q)
     except InexactDivision:
         return None
+
+
+# Integer term dicts {monomial: int}, no zero values: the fraction-free
+# kernels' private working form.  They never leave the function that builds
+# them; results go back into a `MultiPoly` with `Fraction` coefficients.
+IntTerms = dict[Monomial, int]
+
+
+def int_terms(p: MultiPoly, scale: int) -> IntTerms:
+    """The terms of `scale * p`; `scale` must clear every denominator."""
+    return {m: c.numerator * (scale // c.denominator) for m, c in p.terms.items()}
+
+
+def int_cross(a: IntTerms, b: IntTerms, c: IntTerms, d: IntTerms) -> IntTerms:
+    """a*b - c*d."""
+    out: IntTerms = {}
+    for x, y, sign in ((a, b, 1), (c, d, -1)):
+        for mx, kx in x.items():
+            for my, ky in y.items():
+                m = _mono_mul(mx, my)
+                out[m] = out.get(m, 0) + sign * kx * ky
+    return {m: k for m, k in out.items() if k}
+
+
+def int_divexact(p: IntTerms, q: IntTerms) -> IntTerms:
+    """The integer quotient p / q; raise InexactDivision unless it exists."""
+    if len(q) == 1:
+        ((mq, cq),) = q.items()
+        out: IntTerms = {}
+        for m, k in p.items():
+            c, r = divmod(k, cq)
+            if r or mq and not _mono_divides(mq, m):
+                raise InexactDivision("division is not exact")
+            out[_mono_div(m, mq) if mq else m] = c
+        return out
+    rem = dict(p)
+    keys = {m: grlex_key(m) for m in rem}
+    lead_q = grlex_leading(q)
+    cq = q[lead_q]
+    out = {}
+    while rem:
+        lead_r = max(rem, key=keys.__getitem__)
+        c, r = divmod(rem[lead_r], cq)
+        if r or not _mono_divides(lead_q, lead_r):
+            raise InexactDivision("division is not exact")
+        m = _mono_div(lead_r, lead_q)
+        out[m] = c
+        for mq, kq in q.items():
+            mm = _mono_mul(m, mq)
+            s = rem.get(mm, 0) - c * kq
+            if s:
+                if mm not in keys:
+                    keys[mm] = grlex_key(mm)
+                rem[mm] = s
+            else:
+                rem.pop(mm, None)
+    return out
 
 
 def integer_normalize(p: MultiPoly) -> MultiPoly:

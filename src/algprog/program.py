@@ -912,6 +912,12 @@ def check_substitution(
             for v, val in comp.sample.items():
                 anchor.setdefault(v, val)
         region = dataclasses.replace(comps[0], sample=anchor)
+        zids = [child_vars.id_of(p.z_name) for p in result.parts]
+        child_ids = {
+            n: child_vars.id_of(n)
+            for n in map(registry.name_of, anchor)
+            if n in child_vars
+        }
         failure: str | None = None
         used = 0
         points = _verify.component_points(region, rng, 4 * samples)
@@ -925,14 +931,14 @@ def check_substitution(
                 continue
 
             box: dict[VarId, Interval] = {}
-            for p in result.parts:
+            for p, zid in zip(result.parts, zids):
                 try:
                     enclosure = eval_numeric(p.expr, named, precision)
                 except EvalDomainError:
                     break
                 if enclosure is NOT_REAL:
                     break
-                box[child_vars.id_of(p.z_name)] = enclosure
+                box[zid] = enclosure
             if len(box) < len(result.parts):
                 if i == 0:
                     failure = f"a part is not real at the anchor {named}"
@@ -940,9 +946,7 @@ def check_substitution(
                 continue
             used += 1
 
-            exact = {
-                child_vars.id_of(n): val for n, val in named.items() if n in child_vars
-            }
+            exact = {child_ids[n]: val for n, val in named.items() if n in child_ids}
             rows = []  # the enclosures of the original-constraint rows
             for (p, rel), kind in itertools.zip_longest(
                 child.constraints, child.constraint_kinds

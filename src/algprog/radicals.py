@@ -549,20 +549,23 @@ def poly_enclosure(
     coefficients enclosed recursively; a coefficient free of every box
     variable is evaluated exactly at `point` and enters as a point interval.
     By subdistributivity the enclosure is never wider than term-by-term
-    interval evaluation, and exact quantities stay exact.
+    interval evaluation, and exact quantities stay exact.  The nesting is
+    `MultiPoly.split`, built once per polynomial and box variable set.
     """
-    present = p.vars_present()
-    inner = sorted(v for v in box if v in present)
-    if not inner:
-        return Interval.point(p.eval(point))
-    iv = box[inner[0]]
-    coeffs = p.coeffs_in(inner[0])
+    return _enclose(p.split(frozenset(box)), point, box)
+
+
+def _enclose(node, point: Mapping[VarId, Fraction], box: Mapping[VarId, Interval]) -> Interval:
+    if isinstance(node, MultiPoly):
+        return Interval.point(node.eval(point))
+    v, coeffs = node
+    iv = box[v]
     top = max(coeffs)
-    acc = poly_enclosure(coeffs[top], point, box)
+    acc = _enclose(coeffs[top], point, box)
     for e in range(top - 1, -1, -1):
         acc = acc * iv
         if e in coeffs:
-            acc = acc + poly_enclosure(coeffs[e], point, box)
+            acc = acc + _enclose(coeffs[e], point, box)
     return acc
 
 

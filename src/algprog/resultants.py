@@ -2,13 +2,17 @@
 
 The resultant of two polynomials in a chosen variable is the determinant of
 their Sylvester matrix, whose entries live in the remaining variables.  The
-determinant is computed by Bareiss' fraction-free elimination: every division
-along the way is exact, so no rational-function arithmetic is ever needed.
+determinant is computed by Bareiss' fraction-free elimination over the
+integers: every division along the way is exact, so no rational-function
+arithmetic, and no `Fraction`, is needed until the result.
 """
 
 from __future__ import annotations
 
-from .polycore import MultiPoly, PolyError, VarId, divexact
+import math
+from fractions import Fraction
+
+from .polycore import IntTerms, MultiPoly, PolyError, VarId, int_cross, int_divexact, int_terms
 
 
 def sylvester_matrix(p: MultiPoly, q: MultiPoly, v: VarId) -> list[list[MultiPoly]]:
@@ -41,36 +45,51 @@ def sylvester_matrix(p: MultiPoly, q: MultiPoly, v: VarId) -> list[list[MultiPol
 
 def det_bareiss(m: list[list[MultiPoly]]) -> MultiPoly:
     """Fraction-free determinant of a matrix given as its list of rows;
-    pivots chosen with the fewest terms."""
+    pivots chosen with the fewest terms.
+
+    Elimination runs over the integers: each row is first scaled by the lcm
+    of its coefficient denominators, which scales every minor by the product
+    of its rows' scales and so changes no term count, pivot or sign.  Every
+    entry is then a minor of an integer matrix, so every division is exact,
+    and the product of the scales is divided out once at the end.
+    """
     n = len(m)
     if not n or any(len(row) != n for row in m):
         raise PolyError("determinant needs a nonempty square matrix")
-    a = [row[:] for row in m]
-    reg = a[0][0].registry
+    first = m[0][0]
+    for row in m:
+        for entry in row:
+            first._check(entry)
+    scales = [
+        math.lcm(*(c.denominator for entry in row for c in entry.terms.values()))
+        for row in m
+    ]
+    a = [[int_terms(entry, s) for entry in row] for row, s in zip(m, scales)]
     sign = 1
-    prev = MultiPoly.const(reg, 1)
+    prev: IntTerms = {(): 1}
     for k in range(n - 1):
         # pick the sparsest nonzero pivot in column k to slow coefficient swell
         pivot_row = -1
         best = None
         for i in range(k, n):
-            if not a[i][k].is_zero():
-                tc = a[i][k].term_count()
+            if a[i][k]:
+                tc = len(a[i][k])
                 if best is None or tc < best:
                     best, pivot_row = tc, i
         if pivot_row < 0:
-            return MultiPoly.zero(reg)
+            return MultiPoly.zero(first.registry)
         if pivot_row != k:
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
         pivot = a[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = pivot * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = divexact(num, prev)
-            a[i][k] = MultiPoly.zero(reg)
+                a[i][j] = int_divexact(int_cross(pivot, a[i][j], a[i][k], a[k][j]), prev)
         prev = pivot
-    return a[n - 1][n - 1] * sign
+    den = math.prod(scales)
+    return MultiPoly(
+        first.registry, {mono: Fraction(sign * c, den) for mono, c in a[n - 1][n - 1].items()}
+    )
 
 
 def resultant(p: MultiPoly, q: MultiPoly, v: VarId) -> MultiPoly:

@@ -66,8 +66,11 @@ def uni_from_poly(
 
     Raises PolyError when a coefficient involves a variable `point` lacks.
     """
-    coeffs = p.coeffs_in(v)
-    out: Uni = [Fraction(0)] * (max(coeffs) + 1 if coeffs else 0)
+    node = p.split(frozenset((v,)))
+    if isinstance(node, MultiPoly):
+        return _uni_trim([node.eval(point)])
+    _, coeffs = node
+    out: Uni = [Fraction(0)] * (max(coeffs) + 1)
     for e, q in coeffs.items():
         out[e] = q.eval(point)
     return _uni_trim(out)

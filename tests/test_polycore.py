@@ -109,8 +109,45 @@ def test_eval_rejects_a_missing_variable():
     p = X * Y + Fraction(1, 3)
     with pytest.raises(PolyError, match="no value for variable 'y'"):
         p.eval({REG.id_of("x"): Fraction(2)})
+    # and so it does once a plan exists
+    assert p.eval({REG.id_of("x"): 2, REG.id_of("y"): 3}) == Fraction(19, 3)
+    with pytest.raises(PolyError, match="no value for variable 'y'"):
+        p.eval({REG.id_of("x"): Fraction(2)})
     # a variable the polynomial does not mention needs no value
     assert (X + 1).eval({REG.id_of("x"): 2}) == 3
+
+
+class Interrupted(Exception):
+    """Stands for the signal-raised exception of a time limit."""
+
+
+def test_interrupted_eval_plan_is_not_kept():
+    p = X**2 * Y + Fraction(1, 3) * Z
+    point = {REG.id_of("x"): Fraction(1, 2), REG.id_of("y"): 3, REG.id_of("z"): -1}
+    with mock.patch.object(polycore.math, "lcm", side_effect=Interrupted):
+        with pytest.raises(Interrupted):
+            p.eval(point)
+    assert p._plan is None
+    assert p.eval(point) == term_by_term(p, point) == Fraction(5, 12)
+
+
+def test_interrupted_split_is_not_kept():
+    p = X * Y * Z + Y + Z
+    vs = frozenset((REG.id_of("y"), REG.id_of("z")))
+    real, calls = MultiPoly.coeffs_in, []
+
+    def flaky(self, v):
+        # the second split is the nested one, inside the first's coefficient
+        calls.append(v)
+        if len(calls) == 2:
+            raise Interrupted
+        return real(self, v)
+
+    with mock.patch.object(MultiPoly, "coeffs_in", flaky):
+        with pytest.raises(Interrupted):
+            p.split(vs)
+    assert not p._plan.splits
+    assert p.split(vs) == MultiPoly(REG, p.terms).split(vs)
 
 
 @given(polys(), st.integers(0, 3))

@@ -298,6 +298,48 @@ def test_poly_enclosure_in_one_variable_is_horner(data, nvars):
     assert (got.lo, got.hi) == (want.lo, want.hi)
 
 
+def reference_enclosure(p, point, box):
+    """The recursive enclosure that splits p afresh at every call."""
+    present = p.vars_present()
+    inner = sorted(v for v in box if v in present)
+    if not inner:
+        return Interval.point(p.eval(point))
+    iv = box[inner[0]]
+    coeffs = p.coeffs_in(inner[0])
+    top = max(coeffs)
+    acc = reference_enclosure(coeffs[top], point, box)
+    for e in range(top - 1, -1, -1):
+        acc = acc * iv
+        if e in coeffs:
+            acc = acc + reference_enclosure(coeffs[e], point, box)
+    return acc
+
+
+@given(st.data())
+def test_poly_enclosure_in_two_variables_matches_recursive_reference(data):
+    p = data.draw(kernel_polys(3))
+    box = {1: data.draw(intervals()), 2: data.draw(intervals())}
+    point = {0: data.draw(small_fractions)}
+    got = poly_enclosure(p, point, box)
+    want = reference_enclosure(p, point, box)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+@given(kernel_polys(3), st.lists(st.tuples(small_fractions, intervals(), intervals()), min_size=2, max_size=3))
+def test_plans_do_not_go_stale(p, draws):
+    """One object enclosed and evaluated at several points over the boxes
+    {z1}, {z1, z2} and {z2} in turn gives what a fresh copy gives."""
+    for x, iv1, iv2 in draws:
+        for box in ({1: iv1}, {1: iv1, 2: iv2}, {2: iv2}):
+            point = {0: x, 1: iv1.lo, 2: iv2.hi}
+            point = {v: a for v, a in point.items() if v not in box}
+            fresh = MultiPoly(KREG, p.terms)
+            got, want = poly_enclosure(p, point, box), poly_enclosure(fresh, point, box)
+            assert (got.lo, got.hi) == (want.lo, want.hi)
+            full = {0: x, 1: iv1.hi, 2: iv2.lo}
+            assert p.eval(full) == fresh.eval(full)
+
+
 point_intervals = st.one_of(
     st.sampled_from([Fraction(0), Fraction(-2), Fraction(1, 3)]), small_fractions
 ).map(Interval.point)

@@ -88,6 +88,45 @@ def test_sylvester_shape_and_determinants_agree():
     assert det_bareiss(m) == det_cofactor(m)
 
 
+@st.composite
+def xy_matrices(draw):
+    """1x1 to 4x4 matrices of small x, y polynomials with rational
+    coefficients, each row over its own denominators, some with a zero
+    column or a repeated row."""
+    n = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(n):
+        dens = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6]), min_size=1, max_size=2))
+        row = []
+        for _ in range(n):
+            terms = {}
+            for _ in range(draw(st.integers(0, 3))):
+                ex, ey = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+                mono = tuple((v, e) for v, e in ((REG.id_of("x"), ex), (REG.id_of("y"), ey)) if e)
+                terms[mono] = Fraction(draw(st.integers(-5, 5)), draw(st.sampled_from(dens)))
+            row.append(MultiPoly(REG, terms))
+        rows.append(row)
+    singular = n > 1 and draw(st.sampled_from(["zero column", "repeated row", None]))
+    if singular == "zero column":
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = MultiPoly.zero(REG)
+    elif singular == "repeated row":
+        i, k = draw(st.permutations(range(n)))[:2]
+        rows[k] = list(rows[i])
+    return rows, bool(singular)
+
+
+@given(xy_matrices())
+def test_det_bareiss_matches_cofactor_expansion(drawn):
+    rows, singular = drawn
+    got = det_bareiss(rows)
+    assert got == det_cofactor(rows)
+    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+    if singular:
+        assert got.is_zero()
+
+
 @pytest.mark.parametrize("rows", [[], [[X, Y]], [[X, Y], [Y]]])
 def test_det_bareiss_needs_a_nonempty_square_matrix(rows):
     with pytest.raises(PolyError):
