@@ -55,6 +55,7 @@ from .radicals import (
     Expr,
     ExprError,
     ExprSyntaxError,
+    PowerBudgetError,
     parse,
 )
 from .verify import VerifyReport, audit_degrees, verify_certificate, verify_defining
@@ -406,7 +407,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ResourceError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except RecursionError:
+    except (RecursionError, PowerBudgetError):
         msg = "input too deep for the recursive expression layer"
         print(f"error: {msg}", file=sys.stderr)
         return 5

@@ -148,16 +148,19 @@ def _component_record(c: ComponentDescription, registry: VarRegistry) -> dict:
     }
 
 
-def condition_from_record(rec: dict, registry: VarRegistry) -> SignCondition:
-    """The condition a ``{"poly": ..., "rel": ...}`` record describes.
+def condition_from_record(
+    rec: dict, registry: VarRegistry, read: Callable[[str], MultiPoly] | None = None
+) -> SignCondition:
+    """The condition a ``{"poly": ..., "rel": ...}`` record describes, its
+    polynomial read by `read` (`polynomial_from_text` in `registry` if None).
 
     Raises ValidationError for a relation outside the known set.
     """
     if rec["rel"] not in _verify.RELATIONS:
         raise ValidationError(f"unknown relation {rec['rel']!r}")
-    return SignCondition(
-        radicals.polynomial_from_text(rec["poly"], registry), rec["rel"]
-    )
+    text = rec["poly"]
+    poly = radicals.polynomial_from_text(text, registry) if read is None else read(text)
+    return SignCondition(poly, rec["rel"])
 
 
 def _checked(value, valid: bool, what: str):
@@ -185,12 +188,25 @@ def certificate_from_json(text: str) -> IsolationCertificate:
     _checked(strategy, isinstance(strategy, str), "strategy must be a string")
     _checked(warnings, _lists_strings(warnings), "warnings must list strings")
 
+    # one polynomial object per distinct text, so that its evaluation plan is
+    # built once for every condition that names it
+    polys: dict[str, MultiPoly] = {}
+
+    def read(text: str) -> MultiPoly:
+        poly = polys.get(text)
+        if poly is None:
+            poly = polys[text] = radicals.polynomial_from_text(text, registry)
+        return poly
+
+    def condition(rec: dict) -> SignCondition:
+        return condition_from_record(rec, registry, read)
+
     def sample(rec: dict) -> dict[VarId, Fraction]:
         _checked(rec, isinstance(rec, dict), "sample must be an object")
         return {registry.id_of(n): Fraction(v) for n, v in rec.items()}
 
     def component(rec: dict, conds_key: str) -> ComponentDescription:
-        conditions = tuple(condition_from_record(r, registry) for r in rec[conds_key])
+        conditions = tuple(condition(r) for r in rec[conds_key])
         point = sample(rec["sample"])
         label = rec.get("label", "")
         _checked(label, isinstance(label, str), "label must be a string")
@@ -204,16 +220,14 @@ def certificate_from_json(text: str) -> IsolationCertificate:
     entries = tuple(
         CertEntry(
             component=component(e, "component_conditions"),
-            root_conditions=tuple(
-                condition_from_record(r, registry) for r in e["root_conditions"]
-            ),
+            root_conditions=tuple(condition(r) for r in e["root_conditions"]),
             sign_vector=sign_vector(e),
         )
         for e in rows
     )
     return IsolationCertificate(
         z=z,
-        defining=radicals.polynomial_from_text(obj["defining"], registry),
+        defining=read(obj["defining"]),
         source=radicals.normalize(radicals.parse(obj["source"])),
         entries=entries,
         strategy_used=strategy,

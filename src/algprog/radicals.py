@@ -5,7 +5,8 @@ field operations, rational powers, and explicit roots.  ``sqrt(e)`` is sugar
 for ``root(2, e)``.  Normalization removes every ``Pow`` node: integer powers
 unfold into products, ``g^(r/s)`` becomes ``root(s, g^r)``, and negative
 exponents turn into divisions, so downstream code only ever sees
-``Const/Var/Add/Sub/Mul/Div/Root``.
+``Const/Var/Add/Sub/Mul/Div/Root``.  Polynomial text is read without
+normalizing: `to_polynomial` raises integer powers itself.
 
 Numeric evaluation is exact: a subtree without roots is a rational, and
 only roots (and the nodes they reach) are intervals with rational endpoints.
@@ -102,6 +103,10 @@ _REJECTED_FUNCTIONS = {"sin", "cos", "tan", "exp", "log", "ln", "abs", "min", "m
 #: deepest nesting of parentheses, function calls and unary minus `parse`
 #: accepts; deeper input would exhaust the interpreter's recursion limit
 MAX_NESTING = 100
+
+#: highest degree a power may reach in any one variable, and highest exponent
+#: of a constant, when `to_polynomial` raises it; `x^1000` still reads
+MAX_POWER = 1000
 
 
 class _Scanner:
@@ -378,44 +383,82 @@ class NotPolynomial(ExprError):
     pass
 
 
+class PowerBudgetError(Exception):
+    """A power above `MAX_POWER` (exit 5, a budget rather than a bad input)."""
+
+
 def to_polynomial(
     e: Expr, registry: VarRegistry, allow_new: bool = True
 ) -> MultiPoly:
-    """Convert a normalized, radical-free expression to a MultiPoly.
+    """Convert a radical-free expression to a MultiPoly.
 
-    Division is only allowed by nonzero constants.  Raises NotPolynomial when
-    a Root (or non-constant denominator) is in the way.
+    Division is only allowed by nonzero constants, and a negative power only
+    of a nonzero constant.  Raises NotPolynomial when a root, a fractional
+    power or a non-constant denominator is in the way, and PowerBudgetError
+    for a power above `MAX_POWER`.  Sums are added up along their left spine
+    without recursion; each term is inserted, and dropped once it cancels,
+    in the order the binary additions of the tree would give, so a
+    normalized tree converts to the same polynomial term for term.
     """
     if isinstance(e, Const):
         return MultiPoly.const(registry, e.value)
     if isinstance(e, Var):
         vid = registry.ensure(e.name) if allow_new else registry.id_of(e.name)
         return MultiPoly.var(registry, vid)
-    if isinstance(e, Add):
-        return to_polynomial(e.left, registry, allow_new) + to_polynomial(
-            e.right, registry, allow_new
-        )
-    if isinstance(e, Sub):
-        return to_polynomial(e.left, registry, allow_new) - to_polynomial(
-            e.right, registry, allow_new
-        )
+    if isinstance(e, (Add, Sub)):
+        spine = []
+        while isinstance(e, (Add, Sub)):
+            spine.append(e)
+            e = e.left
+        out = dict(to_polynomial(e, registry, allow_new).terms)
+        for node in reversed(spine):
+            right = to_polynomial(node.right, registry, allow_new).terms
+            sign = 1 if isinstance(node, Add) else -1
+            for m, c in right.items():
+                total = out.get(m, 0) + sign * c
+                if total:
+                    out[m] = total
+                else:
+                    del out[m]
+        return MultiPoly(registry, out)
     if isinstance(e, Mul):
         return to_polynomial(e.left, registry, allow_new) * to_polynomial(
             e.right, registry, allow_new
         )
     if isinstance(e, Div):
-        den = to_polynomial(e.right, registry, allow_new)
-        if not den.is_constant():
-            raise NotPolynomial("non-constant denominator")
-        c = den.constant_value()
-        if c == 0:
-            raise EvalDomainError("division by the zero constant")
+        c = _nonzero_constant(to_polynomial(e.right, registry, allow_new))
         return to_polynomial(e.left, registry, allow_new) * (Fraction(1) / c)
     if isinstance(e, Root):
+        if e.index == 1:
+            return to_polynomial(e.radicand, registry, allow_new)
         raise NotPolynomial("expression contains a root")
     if isinstance(e, Pow):
-        raise ExprError("Pow nodes must be normalized away first")
+        if e.exponent.denominator != 1:
+            raise NotPolynomial("expression contains a root")
+        base = to_polynomial(e.base, registry, allow_new)
+        k = e.exponent.numerator
+        # a constant's power counts as degree 1, so its exponent is capped too
+        top = max((d for m in base.terms for _, d in m), default=1)
+        if abs(k) * top > MAX_POWER:
+            raise PowerBudgetError(
+                f"power of degree {abs(k) * top} is above the cap of {MAX_POWER}"
+            )
+        if k < 0:
+            return MultiPoly.const(registry, _nonzero_constant(base) ** k)
+        if k == 0 and not base:
+            raise ExprError("0^0 is undefined")
+        return base**k
     raise ExprError(f"unknown node {e!r}")
+
+
+def _nonzero_constant(den: MultiPoly) -> Fraction:
+    """The value of a polynomial that divides: a nonzero constant."""
+    if not den.is_constant():
+        raise NotPolynomial("non-constant denominator")
+    c = den.constant_value()
+    if c == 0:
+        raise EvalDomainError("division by the zero constant")
+    return c
 
 
 def is_polynomial(e: Expr) -> bool:
@@ -430,8 +473,10 @@ def is_polynomial(e: Expr) -> bool:
 
 
 def polynomial_from_text(text: str, registry: VarRegistry) -> MultiPoly:
-    """Parse canonical polynomial text back into a MultiPoly."""
-    return to_polynomial(normalize(parse(text)), registry, allow_new=False)
+    """Read polynomial text (canonical or not) into a MultiPoly, straight
+    from its parse tree: powers are raised by repeated squaring under
+    `MAX_POWER`, with no normalizing."""
+    return to_polynomial(parse(text), registry, allow_new=False)
 
 
 def variables_of(e: Expr) -> set[str]:

@@ -56,6 +56,7 @@ def _isolate_cases():
         ("sqrt-cbrt", "sqrt(x) + root(3, x + 1)", ["--allow-boundary"]),
         ("skipped", "1/(sqrt(x^2) - x)", ["--allow-boundary"]),
         ("grid", "sqrt(x) + sqrt(y)", grid),
+        ("diff", "x^(1/2) - x^(1/3)", []),
     ]:
         yield f"isolate-{name}", [
             [

@@ -267,6 +267,51 @@ def test_certificate_json_round_trip():
     assert again.to_json() == merged.to_json()
 
 
+#: expressions, strategies, settings and domains that together give
+#: certificates of every strategy, with many entries sharing condition texts
+CORPUS = [
+    ("sqrt(x)", "univariate", {}, None),
+    ("x^(1/2) + x^(1/3)", "univariate", {}, None),
+    ("x^(1/2) - x^(1/3)", "univariate", {}, None),
+    ("sqrt(1 + x^2)", "univariate", {}, None),
+    ("sqrt(sqrt(x) + 1)", "univariate", {}, None),
+    ("sqrt(x) + root(3, x + 1)", "univariate", {}, None),
+    ("sqrt(x) - sqrt(2 - x)", "univariate", {}, None),
+    ("sqrt(x) + sqrt(y)", "grid",
+     {"grid_min": Fraction(1, 4), "grid_max": Fraction(4), "grid_resolution": 6}, None),
+    ("sqrt(1 + x^2) + x/y", "grid", {"grid_resolution": 6}, None),
+    ("sqrt(x - 1) + sqrt(y - 1)", "domain", {"allow_boundary": True},
+     ([("x - 1", ">="), ("y - 1", ">=")], {"x": 3, "y": 2})),
+    ("sqrt(x^2 + sqrt(y^2 + 1))", "domain", {"allow_boundary": True},
+     ([], {"x": 0, "y": 0})),
+]
+
+
+@pytest.mark.parametrize("text, strategy, fields, dom", CORPUS, ids=[c[0] for c in CORPUS])
+def test_certificate_text_reads_back_byte_for_byte(text, strategy, fields, dom):
+    cfg = IsolateConfig(samples=4, seed=0, **fields)
+    dp = defining_polynomial(text)
+    domain = None if dom is None else domain_for(dp, *dom)
+    cert = merge_components(isolate(text, dp, strategy, cfg, domain), cfg)
+    doc = cert.to_json()
+    assert certificate_from_json(doc).to_json() == doc
+
+
+def test_equal_condition_texts_share_one_polynomial():
+    dp = defining_polynomial("x^(1/2) - x^(1/3)")
+    cert = isolate("x^(1/2) - x^(1/3)", dp, cfg=IsolateConfig(samples=4))
+    again = certificate_from_json(cert.to_json())
+    polys = [again.defining] + [
+        c.poly
+        for e in again.entries
+        for c in e.component.conditions + e.root_conditions
+    ]
+    by_text = {}
+    for p in polys:
+        assert by_text.setdefault(p.to_text(), p) is p
+    assert len(by_text) < len(polys)
+
+
 def test_sign_condition_normalization():
     reg = VarRegistry(["x"])
     p = polynomial_from_text("-2*x + 4", reg)

@@ -2,14 +2,15 @@
 expressions."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from algprog import radicals
-from algprog.polycore import MultiPoly, VarRegistry
+from algprog.polycore import MultiPoly, PolyError, VarRegistry
 from algprog.radicals import (
     NOT_REAL,
     Add,
@@ -20,8 +21,10 @@ from algprog.radicals import (
     ExprSyntaxError,
     Interval,
     MAX_NESTING,
+    MAX_POWER,
     Mul,
     NotPolynomial,
+    PowerBudgetError,
     Root,
     Sub,
     Var,
@@ -130,6 +133,123 @@ def test_polynomial_from_text_golden():
     p = polynomial_from_text("(x + y)^2 - 4*x*y", reg)
     q = polynomial_from_text("x^2 - 2*x*y + y^2", reg)
     assert p == q
+
+
+def recursive_to_polynomial(e, reg):
+    """The converter as it was before sums were added up along their spine:
+    one MultiPoly per binary node, for normalized (Pow-free) trees."""
+    if isinstance(e, Const):
+        return MultiPoly.const(reg, e.value)
+    if isinstance(e, Var):
+        return MultiPoly.var(reg, reg.id_of(e.name))
+    if isinstance(e, Root):
+        raise NotPolynomial("expression contains a root")
+    if isinstance(e, Div):
+        den = recursive_to_polynomial(e.right, reg).constant_value()
+        return recursive_to_polynomial(e.left, reg) * (1 / den)
+    left, right = recursive_to_polynomial(e.left, reg), recursive_to_polynomial(e.right, reg)
+    if isinstance(e, Add):
+        return left + right
+    if isinstance(e, Sub):
+        return left - right
+    return left * right
+
+
+text_leaves = st.sampled_from(["x", "y", "0", "1", "2", "3"])
+text_ops = st.sampled_from(["+", "-", "*"])
+power_bases = st.one_of(
+    text_leaves, st.builds("{} {} {}".format, text_leaves, text_ops, text_leaves)
+)
+poly_texts = st.recursive(
+    st.one_of(
+        text_leaves,
+        st.builds("{}^{}".format, text_leaves, st.integers(1, 6)),
+        st.builds("({})^{}".format, power_bases, st.integers(1, 6)),
+    ),
+    lambda children: st.one_of(
+        st.builds("{} {} {}".format, children, text_ops, children),
+        children.map("({})".format),
+        children.map("-({})".format),
+        st.builds("({})/{}".format, children, st.integers(1, 4)),
+    ),
+    max_leaves=8,
+)
+
+
+@given(poly_texts)
+def test_reading_text_matches_normalizing_first(text):
+    reg = VarRegistry(["x", "y"])
+    want = to_polynomial(normalize(parse(text)), reg, allow_new=False)
+    assert polynomial_from_text(text, reg) == want
+
+
+@given(poly_texts)
+@example("x - x + y + x")  # x cancels, then comes back after y
+def test_normalized_trees_keep_their_term_order(text):
+    # defpoly converts normalized trees; its gcd work follows the term order
+    reg = VarRegistry(["x", "y"])
+    tree = normalize(parse(text))
+    want = list(recursive_to_polynomial(tree, reg).terms.items())
+    assert list(to_polynomial(tree, reg, allow_new=False).terms.items()) == want
+    assert parse(to_text(tree)) == tree
+    assert list(polynomial_from_text(to_text(tree), reg).terms.items()) == want
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("sqrt(x)", NotPolynomial, "expression contains a root"),
+        ("w", PolyError, "unknown variable 'w'"),
+        ("x/z", NotPolynomial, "non-constant denominator"),
+        ("0^0", ExprError, "0^0 is undefined"),
+        ("x^(1/2)", NotPolynomial, "expression contains a root"),
+        ("1/0", EvalDomainError, "division by the zero constant"),
+        ("x^-1", NotPolynomial, "non-constant denominator"),
+        ("0^-1", EvalDomainError, "division by the zero constant"),
+        ("4^(1/2)", NotPolynomial, "expression contains a root"),
+        ("2^(-2)*x", ExprSyntaxError, "expected '/' (at position 5)"),
+        ("x^(-1/2)", NotPolynomial, "expression contains a root"),
+        ("(x - x)^-1", EvalDomainError, "division by the zero constant"),
+        # a root is refused before its radicand is read
+        ("sqrt(w)", NotPolynomial, "expression contains a root"),
+        ("w^(1/2)", NotPolynomial, "expression contains a root"),
+        # the normalizing reader took both for 1, never reading the base
+        ("(x - x)^0", ExprError, "0^0 is undefined"),
+        ("w^0", PolyError, "unknown variable 'w'"),
+    ],
+)
+def test_polynomial_from_text_single_faults(text, error, message):
+    with pytest.raises(error) as exc:
+        polynomial_from_text(text, VarRegistry(["x", "z"]))
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, want", [("root(1, x)", "x"), ("2^-2*x", "1/4*x"), ("(x + 1)^0", "1")]
+)
+def test_polynomial_from_text_reads_powers_and_trivial_roots(text, want):
+    reg = VarRegistry(["x"])
+    assert polynomial_from_text(text, reg) == polynomial_from_text(want, reg)
+
+
+def test_long_polynomial_text_reads_in_one_pass():
+    reg = VarRegistry(["x", "z"])
+    text = " + ".join(f"{k}*x^{k - 1}*z" for k in range(1, 801))
+    start = time.perf_counter()
+    p = polynomial_from_text(text, reg)
+    assert time.perf_counter() - start < 1.0
+    assert p.term_count() == 800
+    assert polynomial_from_text(p.to_text(), reg) == p
+    many = " + ".join(f"x^{k % MAX_POWER}*z" for k in range(5000))
+    assert polynomial_from_text(many, reg).term_count() == MAX_POWER
+
+
+@pytest.mark.parametrize("text", ["z^1001 - x", "(x^100)^11", "2^1001", "x^-1001"])
+def test_powers_above_the_cap_are_refused(text):
+    reg = VarRegistry(["x", "z"])
+    with pytest.raises(PowerBudgetError):
+        polynomial_from_text(text, reg)
+    assert polynomial_from_text(f"z^{MAX_POWER} - x", reg).degree_in(1) == MAX_POWER
 
 
 def test_is_polynomial():
