@@ -57,6 +57,7 @@ from .radicals import (
     ExprSyntaxError,
     PowerBudgetError,
     parse,
+    polynomial_from_text,
 )
 from .verify import VerifyReport, audit_degrees, verify_certificate, verify_defining
 
@@ -220,7 +221,8 @@ def _load_domain(path: str | None, registry: VarRegistry) -> DomainSpec | None:
     try:
         obj = json.loads(text)
         conditions = tuple(
-            condition_from_record(c, registry) for c in obj["conditions"]
+            condition_from_record(c, lambda t: polynomial_from_text(t, registry))
+            for c in obj["conditions"]
         )
         point = {
             registry.id_of(name): Fraction(str(value))
@@ -407,9 +409,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ResourceError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except (RecursionError, PowerBudgetError):
+    except (RecursionError, PowerBudgetError) as exc:
         msg = "input too deep for the recursive expression layer"
-        print(f"error: {msg}", file=sys.stderr)
+        print(f"error: {msg}{': ' + str(exc) if str(exc) else ''}", file=sys.stderr)
         return 5
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -148,19 +148,15 @@ def _component_record(c: ComponentDescription, registry: VarRegistry) -> dict:
     }
 
 
-def condition_from_record(
-    rec: dict, registry: VarRegistry, read: Callable[[str], MultiPoly] | None = None
-) -> SignCondition:
+def condition_from_record(rec: dict, read: Callable[[str], MultiPoly]) -> SignCondition:
     """The condition a ``{"poly": ..., "rel": ...}`` record describes, its
-    polynomial read by `read` (`polynomial_from_text` in `registry` if None).
+    polynomial read from the text by `read`.
 
     Raises ValidationError for a relation outside the known set.
     """
     if rec["rel"] not in _verify.RELATIONS:
         raise ValidationError(f"unknown relation {rec['rel']!r}")
-    text = rec["poly"]
-    poly = radicals.polynomial_from_text(text, registry) if read is None else read(text)
-    return SignCondition(poly, rec["rel"])
+    return SignCondition(read(rec["poly"]), rec["rel"])
 
 
 def _checked(value, valid: bool, what: str):
@@ -198,15 +194,12 @@ def certificate_from_json(text: str) -> IsolationCertificate:
             poly = polys[text] = radicals.polynomial_from_text(text, registry)
         return poly
 
-    def condition(rec: dict) -> SignCondition:
-        return condition_from_record(rec, registry, read)
-
     def sample(rec: dict) -> dict[VarId, Fraction]:
         _checked(rec, isinstance(rec, dict), "sample must be an object")
         return {registry.id_of(n): Fraction(v) for n, v in rec.items()}
 
     def component(rec: dict, conds_key: str) -> ComponentDescription:
-        conditions = tuple(condition(r) for r in rec[conds_key])
+        conditions = tuple(condition_from_record(r, read) for r in rec[conds_key])
         point = sample(rec["sample"])
         label = rec.get("label", "")
         _checked(label, isinstance(label, str), "label must be a string")
@@ -220,7 +213,9 @@ def certificate_from_json(text: str) -> IsolationCertificate:
     entries = tuple(
         CertEntry(
             component=component(e, "component_conditions"),
-            root_conditions=tuple(condition(r) for r in e["root_conditions"]),
+            root_conditions=tuple(
+                condition_from_record(r, read) for r in e["root_conditions"]
+            ),
             sign_vector=sign_vector(e),
         )
         for e in rows

@@ -104,9 +104,15 @@ _REJECTED_FUNCTIONS = {"sin", "cos", "tan", "exp", "log", "ln", "abs", "min", "m
 #: accepts; deeper input would exhaust the interpreter's recursion limit
 MAX_NESTING = 100
 
-#: highest degree a power may reach in any one variable, and highest exponent
-#: of a constant, when `to_polynomial` raises it; `x^1000` still reads
+#: highest degree a product or power may reach in any one variable, and
+#: highest exponent of a constant, when `polynomial_from_text` multiplies it
+#: out; `x^1000` still reads
 MAX_POWER = 1000
+
+#: most terms a power may expand to when `polynomial_from_text` raises it,
+#: counted as the monomials of its degree in the base's terms;
+#: `(x + y + z + w)^37` still reads
+MAX_TERMS = 10_000
 
 
 class _Scanner:
@@ -384,21 +390,24 @@ class NotPolynomial(ExprError):
 
 
 class PowerBudgetError(Exception):
-    """A power above `MAX_POWER` (exit 5, a budget rather than a bad input)."""
+    """A product or power above `MAX_POWER` or `MAX_TERMS` (exit 5, a budget
+    rather than a bad input)."""
 
 
 def to_polynomial(
-    e: Expr, registry: VarRegistry, allow_new: bool = True
+    e: Expr, registry: VarRegistry, allow_new: bool = True, capped: bool = False
 ) -> MultiPoly:
     """Convert a radical-free expression to a MultiPoly.
 
     Division is only allowed by nonzero constants, and a negative power only
     of a nonzero constant.  Raises NotPolynomial when a root, a fractional
-    power or a non-constant denominator is in the way, and PowerBudgetError
-    for a power above `MAX_POWER`.  Sums are added up along their left spine
-    without recursion; each term is inserted, and dropped once it cancels,
-    in the order the binary additions of the tree would give, so a
-    normalized tree converts to the same polynomial term for term.
+    power or a non-constant denominator is in the way.  With `capped`, as
+    `polynomial_from_text` reads, a product or power above `MAX_POWER` in a
+    variable, or a power that may expand past `MAX_TERMS` terms, raises
+    PowerBudgetError before it is multiplied out.  Sums are added up along
+    their left spine without recursion; each term is inserted, and dropped
+    once it cancels, in the order the binary additions of the tree would
+    give, so a normalized tree converts to the same polynomial term for term.
     """
     if isinstance(e, Const):
         return MultiPoly.const(registry, e.value)
@@ -410,9 +419,9 @@ def to_polynomial(
         while isinstance(e, (Add, Sub)):
             spine.append(e)
             e = e.left
-        out = dict(to_polynomial(e, registry, allow_new).terms)
+        out = dict(to_polynomial(e, registry, allow_new, capped).terms)
         for node in reversed(spine):
-            right = to_polynomial(node.right, registry, allow_new).terms
+            right = to_polynomial(node.right, registry, allow_new, capped).terms
             sign = 1 if isinstance(node, Add) else -1
             for m, c in right.items():
                 total = out.get(m, 0) + sign * c
@@ -422,33 +431,57 @@ def to_polynomial(
                     del out[m]
         return MultiPoly(registry, out)
     if isinstance(e, Mul):
-        return to_polynomial(e.left, registry, allow_new) * to_polynomial(
-            e.right, registry, allow_new
-        )
+        left = to_polynomial(e.left, registry, allow_new, capped)
+        right = to_polynomial(e.right, registry, allow_new, capped)
+        if capped:
+            da, db = _degrees(left), _degrees(right)
+            sums = (da.get(v, 0) + db.get(v, 0) for v in da.keys() | db.keys())
+            _check_degree("product", max(sums, default=0))
+        return left * right
     if isinstance(e, Div):
-        c = _nonzero_constant(to_polynomial(e.right, registry, allow_new))
-        return to_polynomial(e.left, registry, allow_new) * (Fraction(1) / c)
+        c = _nonzero_constant(to_polynomial(e.right, registry, allow_new, capped))
+        return to_polynomial(e.left, registry, allow_new, capped) * (Fraction(1) / c)
     if isinstance(e, Root):
         if e.index == 1:
-            return to_polynomial(e.radicand, registry, allow_new)
+            return to_polynomial(e.radicand, registry, allow_new, capped)
         raise NotPolynomial("expression contains a root")
     if isinstance(e, Pow):
         if e.exponent.denominator != 1:
             raise NotPolynomial("expression contains a root")
-        base = to_polynomial(e.base, registry, allow_new)
+        base = to_polynomial(e.base, registry, allow_new, capped)
         k = e.exponent.numerator
-        # a constant's power counts as degree 1, so its exponent is capped too
-        top = max((d for m in base.terms for _, d in m), default=1)
-        if abs(k) * top > MAX_POWER:
-            raise PowerBudgetError(
-                f"power of degree {abs(k) * top} is above the cap of {MAX_POWER}"
-            )
+        if capped:
+            # a constant's power counts as degree 1, so its exponent is capped too
+            _check_degree("power", abs(k) * max(_degrees(base).values(), default=1))
         if k < 0:
             return MultiPoly.const(registry, _nonzero_constant(base) ** k)
         if k == 0 and not base:
             raise ExprError("0^0 is undefined")
+        n = len(base.terms)
+        if capped and n > 1 and math.comb(k + n - 1, n - 1) > MAX_TERMS:
+            raise PowerBudgetError(
+                f"a power of {n} terms to the {k} may expand past "
+                f"the cap of {MAX_TERMS} terms"
+            )
         return base**k
     raise ExprError(f"unknown node {e!r}")
+
+
+def _degrees(p: MultiPoly) -> dict[VarId, int]:
+    """The highest exponent of each variable in `p`."""
+    out: dict[VarId, int] = {}
+    for m in p.terms:
+        for v, d in m:
+            if d > out.get(v, 0):
+                out[v] = d
+    return out
+
+
+def _check_degree(what: str, degree: int) -> None:
+    if degree > MAX_POWER:
+        raise PowerBudgetError(
+            f"{what} of degree {degree} is above the cap of {MAX_POWER}"
+        )
 
 
 def _nonzero_constant(den: MultiPoly) -> Fraction:
@@ -474,9 +507,10 @@ def is_polynomial(e: Expr) -> bool:
 
 def polynomial_from_text(text: str, registry: VarRegistry) -> MultiPoly:
     """Read polynomial text (canonical or not) into a MultiPoly, straight
-    from its parse tree: powers are raised by repeated squaring under
-    `MAX_POWER`, with no normalizing."""
-    return to_polynomial(parse(text), registry, allow_new=False)
+    from its parse tree: powers are raised by repeated squaring, with no
+    normalizing, and products and powers are held under `MAX_POWER` and
+    `MAX_TERMS`."""
+    return to_polynomial(parse(text), registry, allow_new=False, capped=True)
 
 
 def variables_of(e: Expr) -> set[str]:

@@ -479,6 +479,17 @@ def test_too_deep_input_is_exit_5(capsys, tmp_path, case):
     assert "input too deep" in err
 
 
+@pytest.mark.parametrize("defining", ["z^1000*z - x", "z^1000*z^1000 - x"])
+def test_defining_product_above_the_power_cap_is_exit_5(capsys, tmp_path, defining):
+    cert_file = tmp_path / "cert.json"
+    assert run(capsys, "isolate", "sqrt(x)", "--out", str(cert_file))[0] == 0
+    obj = json.loads(cert_file.read_text())
+    cert_file.write_text(json.dumps({**obj, "defining": defining}))
+    code, _, err = run(capsys, "verify", str(cert_file))
+    assert code == 5
+    assert "above the cap of 1000" in err
+
+
 def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
     import runpy
 

@@ -1,6 +1,7 @@
 """Branch isolation certificates: critical resultants, component strategies,
 merging, and the JSON form."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from algprog.polycore import MultiPoly, VarRegistry
 from algprog.radicals import normalize, parse, polynomial_from_text
 from algprog.verify import verify_certificate
 from conftest import strip_factor
+from test_acceptance import DOMAIN_CORPUS, GRID_CORPUS, UNIVARIATE_CORPUS
 
 
 def zero_set_factors(resultants, factors, registry):
@@ -267,29 +269,28 @@ def test_certificate_json_round_trip():
     assert again.to_json() == merged.to_json()
 
 
-#: expressions, strategies, settings and domains that together give
-#: certificates of every strategy, with many entries sharing condition texts
-CORPUS = [
-    ("sqrt(x)", "univariate", {}, None),
-    ("x^(1/2) + x^(1/3)", "univariate", {}, None),
-    ("x^(1/2) - x^(1/3)", "univariate", {}, None),
-    ("sqrt(1 + x^2)", "univariate", {}, None),
-    ("sqrt(sqrt(x) + 1)", "univariate", {}, None),
-    ("sqrt(x) + root(3, x + 1)", "univariate", {}, None),
-    ("sqrt(x) - sqrt(2 - x)", "univariate", {}, None),
-    ("sqrt(x) + sqrt(y)", "grid",
-     {"grid_min": Fraction(1, 4), "grid_max": Fraction(4), "grid_resolution": 6}, None),
-    ("sqrt(1 + x^2) + x/y", "grid", {"grid_resolution": 6}, None),
-    ("sqrt(x - 1) + sqrt(y - 1)", "domain", {"allow_boundary": True},
-     ([("x - 1", ">="), ("y - 1", ">=")], {"x": 3, "y": 2})),
-    ("sqrt(x^2 + sqrt(y^2 + 1))", "domain", {"allow_boundary": True},
-     ([], {"x": 0, "y": 0})),
-]
+#: the acceptance corpora, with the two univariate expressions that complete
+#: the certify benchmark's corpus: certificates of every strategy, with many
+#: entries sharing condition texts
+ROUND_TRIP = (
+    [(t, "univariate", IsolateConfig(), None) for t in UNIVARIATE_CORPUS]
+    + [
+        (t, "univariate", IsolateConfig(), None)
+        for t in ("sqrt(x) + root(3, x + 1)", "sqrt(x) - sqrt(2 - x)")
+    ]
+    + [(t, "grid", cfg, None) for t, cfg in GRID_CORPUS.items()]
+    + [
+        (t, "domain", IsolateConfig(allow_boundary=True), (conds, pt))
+        for t, conds, pt in DOMAIN_CORPUS
+    ]
+)
 
 
-@pytest.mark.parametrize("text, strategy, fields, dom", CORPUS, ids=[c[0] for c in CORPUS])
-def test_certificate_text_reads_back_byte_for_byte(text, strategy, fields, dom):
-    cfg = IsolateConfig(samples=4, seed=0, **fields)
+@pytest.mark.parametrize(
+    "text, strategy, cfg, dom", ROUND_TRIP, ids=[c[0] for c in ROUND_TRIP]
+)
+def test_certificate_text_reads_back_byte_for_byte(text, strategy, cfg, dom):
+    cfg = dataclasses.replace(cfg, samples=4, seed=0)
     dp = defining_polynomial(text)
     domain = None if dom is None else domain_for(dp, *dom)
     cert = merge_components(isolate(text, dp, strategy, cfg, domain), cfg)
