@@ -192,12 +192,14 @@ def probabilistic_zero_test(
 def _split_candidate_factors(p: MultiPoly, z: VarId) -> list[MultiPoly]:
     """Cheap coprime splitting of a square-free p via gcds with its
     derivatives: a factor missing some variable w is caught by
-    gcd(p, dp/dw).  No irreducible factorization is attempted."""
+    gcd(p, dp/dw).  No irreducible factorization is attempted.  The
+    derivative in z itself is skipped: every q here divides p, so it is
+    square-free in z and gcd(q, dq/dz) is 1."""
     work = [p]
     out: list[MultiPoly] = []
     while work:
         q = work.pop()
-        for w in sorted(q.vars_present()):
+        for w in sorted(q.vars_present() - {z}):
             g = gcd_in_main_var(q, q.derivative(w), z)
             if 0 < g.degree_in(z) < q.degree_in(z):
                 work.append(g)
@@ -205,7 +207,9 @@ def _split_candidate_factors(p: MultiPoly, z: VarId) -> list[MultiPoly]:
                 break
         else:
             out.append(integer_normalize(q))
-    return sorted(out, key=lambda m: m.to_text())
+    if len(out) > 1:
+        out.sort(key=MultiPoly.to_text)
+    return out
 
 
 def reduce_defining(
@@ -233,7 +237,8 @@ def reduce_defining(
             )
         return result
 
-    p = primitive_part_in(p, z)
+    # no primitive part first: the gcd over K(x)[z] ignores content, and
+    # square_free_part returns a primitive result (Gauss's lemma)
     sf = square_free_part(p, z)
     factors = _split_candidate_factors(sf, z)
     if len(factors) == 1:
@@ -337,6 +342,12 @@ def _build(
             a = homogenize_in_quotient(pf, z, t, pf.degree_in(z))
         else:  # Div
             a = pf.substitute(z, tp * zp)
+            # a denominator is never 0 where f/g is defined, so pg's factors
+            # z go; kept, they multiply the resultant by powers of pf(0),
+            # which may vanish identically
+            pg = divexact(pg, zp ** min(dict(m).get(z, 0) for m in pg.terms))
+            if pg.degree_in(z) < 1:
+                raise _degenerated(e)
         b = pg.substitute(z, tp)
         return _combine(a, b, t, e, registry, z, cfg, log)
 
@@ -357,12 +368,16 @@ def _combine(
     if t in res.vars_present():
         raise DefiningError("internal error: elimination variable survived")
     if res.degree_in(z) < 1:
-        raise DefiningError(
-            "defining polynomial degenerated to degree 0 in the root variable "
-            f"while combining {radicals.to_text(e)!r} (is a denominator "
-            "identically zero?)"
-        )
+        raise _degenerated(e)
     return reduce_defining(res, e, registry, z, cfg, log)
+
+
+def _degenerated(e: Expr) -> DefiningError:
+    return DefiningError(
+        "defining polynomial degenerated to degree 0 in the root variable "
+        f"while combining {radicals.to_text(e)!r} (is a denominator "
+        "identically zero?)"
+    )
 
 
 def root_index_product(e: Expr) -> int:

@@ -221,6 +221,8 @@ class MultiPoly:
     def __mul__(self, other) -> MultiPoly:
         if not isinstance(other, MultiPoly):
             c = Fraction(other)
+            if c == 1:  # polynomials are immutable, so sharing is safe
+                return self
             if not c:
                 return MultiPoly.zero(self.registry)
             return MultiPoly(self.registry, {m: k * c for m, k in self.terms.items()})
@@ -243,6 +245,12 @@ class MultiPoly:
         if not isinstance(k, int) or k < 0:
             raise PolyError(f"polynomial power must be a non-negative int, got {k!r}")
         result = MultiPoly.const(self.registry, 1)
+        if len(self.terms) > 1 and len(self.vars_present()) > 1:
+            # squaring would multiply two halves of comb(k/2 + n - 1, n - 1)
+            # terms each at the last step; k products by the base cost less
+            for _ in range(k):
+                result = result * self
+            return result
         base = self
         while k:
             if k & 1:
@@ -690,15 +698,21 @@ def _coprime_by_image(p: MultiPoly, q: MultiPoly, v: VarId) -> bool:
 
 
 def content_in(p: MultiPoly, v: VarId) -> MultiPoly:
-    """Gcd of the coefficients of `p` viewed as a polynomial in `v`."""
-    coeffs = list(p.coeffs_in(v).values())
+    """Gcd of the coefficients of `p` viewed as a polynomial in `v`.
+
+    The gcds are taken smallest coefficient first, so a constant one, which
+    settles the content at 1, ends the loop before any gcd runs.
+    """
+    coeffs = sorted(
+        p.coeffs_in(v).values(), key=lambda c: (c.term_count(), c.total_degree())
+    )
     if not coeffs:
         return MultiPoly.zero(p.registry)
     g = coeffs[0]
     for c in coeffs[1:]:
-        g = poly_gcd(g, c)
         if g.is_constant():
             break
+        g = poly_gcd(g, c)
     return integer_normalize(g)
 
 

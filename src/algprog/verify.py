@@ -436,7 +436,8 @@ def verify_defining(
                     check="defining-polynomial substitution",
                     status="fail",
                     witness=f"sample {i}: {_point_text(point)} -> "
-                    f"[{enclosure.lo}, {enclosure.hi}]",
+                    f"[{_endpoint_text(enclosure.lo, up=False)}, "
+                    f"{_endpoint_text(enclosure.hi, up=True)}]",
                     samples_used=i + 1,
                 )
             )
@@ -445,11 +446,35 @@ def verify_defining(
         CheckLine(
             check="defining-polynomial substitution",
             status="pass",
-            widest_interval=(str(widest.lo), str(widest.hi)) if widest else None,
+            widest_interval=(
+                (_endpoint_text(widest.lo, up=False), _endpoint_text(widest.hi, up=True))
+                if widest else None
+            ),
             samples_used=samples,
         )
     )
     return report
+
+
+#: significant bits kept by an endpoint too long to print in full
+ENDPOINT_BITS = 64
+
+
+def _endpoint_text(x: Fraction, up: bool) -> str:
+    """`x` in full when its digits fit int-to-text conversion.  Otherwise x
+    rounded outward (up for an upper end, down for a lower one) to
+    `ENDPOINT_BITS` significant bits and printed exactly as ``m*2^e``: the
+    printed interval then still encloses the computed one, on the same side
+    of zero."""
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    n, d = x.numerator, x.denominator
+    e = n.bit_length() - d.bit_length() - ENDPOINT_BITS
+    num, den = (n, d << e) if e >= 0 else (n << -e, d)
+    m = -(-num // den) if up else num // den
+    return f"{m}*2^{e}"
 
 
 def _point_text(point: Mapping[str, Fraction]) -> str:

@@ -490,6 +490,18 @@ def test_defining_product_above_the_power_cap_is_exit_5(capsys, tmp_path, defini
     assert "above the cap of 1000" in err
 
 
+def test_verify_bounds_an_endpoint_too_long_to_print(capsys, tmp_path):
+    # p(f(a), a) of z^250 - x is enclosed by endpoints of more than 4,300 digits
+    cert_file = tmp_path / "cert.json"
+    assert run(capsys, "isolate", "sqrt(x)", "--out", str(cert_file))[0] == 0
+    obj = json.loads(cert_file.read_text())
+    cert_file.write_text(json.dumps({**obj, "defining": "z^250 - x"}))
+    code, out, _ = run(capsys, "verify", str(cert_file))
+    assert code == 4
+    witness = json.loads(out)["checks"][0]["witness"]
+    assert witness.startswith("sample 0: (x=4/7) -> [-") and "*2^-65, -" in witness
+
+
 def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
     import runpy
 

@@ -3,25 +3,46 @@
 The golden polynomials below were cross-checked independently by substituting
 the radical expression for z at a handful of rational points and certifying
 the result is zero to 64 bits (`verify_defining` re-runs that check here).
+
+`tests/golden/defpoly-draws.txt` pins the bytes of the reduction on criterion
+6's random draws.  After an intended change to them, regenerate it with
+
+    PYTHONPATH=src python3 tests/test_defpoly.py
 """
 
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from algprog.defpoly import (
     DefiningError,
     ReduceConfig,
+    SamplingError,
     _certified_zero_at,
     defining_polynomial,
     degree_bounds,
     probabilistic_zero_test,
+    reduce_defining,
     root_index_product,
 )
-from algprog.polycore import MultiPoly, VarRegistry
-from algprog.radicals import Interval, normalize, parse, polynomial_from_text
+from algprog.polycore import MultiPoly, VarRegistry, primitive_part_in
+from algprog.radicals import (
+    ExprError,
+    Interval,
+    distinct_radicals,
+    normalize,
+    parse,
+    polynomial_from_text,
+    to_text,
+)
 from algprog.verify import verify_defining
 from conftest import proportional
+from test_acceptance import random_expr
+
+DRAWS = Path(__file__).resolve().parent / "golden" / "defpoly-draws.txt"
 
 
 def golden(expr_text: str, poly_text: str) -> None:
@@ -116,6 +137,24 @@ def test_reduction_strips_extraneous_factor():
     assert dp.reduced
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["sqrt(x)*sqrt(x)", "x^(1/2) + x^(1/3)", "sqrt(2)*sqrt(x) - sqrt(2*x)"],
+)
+def test_reduction_equals_reduction_of_the_primitive_part(text):
+    dp = defining_polynomial(text)
+    reg, z = dp.poly.registry, dp.z
+    x = MultiPoly.var(reg, reg.id_of("x"))
+    zp = MultiPoly.var(reg, z)
+    # a content in z and a repeated factor
+    p = (x + 1) * 6 * dp.poly * (zp - x) ** 2
+    got_log, want_log = [], []
+    got = reduce_defining(p, dp.source, reg, z, log=got_log)
+    want = reduce_defining(primitive_part_in(p, z), dp.source, reg, z, log=want_log)
+    assert got == want and got.to_text() == want.to_text()
+    assert got_log == want_log
+
+
 def test_polynomial_input_gives_linear_z():
     dp = defining_polynomial("x^2 - 3*x + 1")
     reg = dp.poly.registry
@@ -125,6 +164,26 @@ def test_polynomial_input_gives_linear_z():
 
 
 # -- error handling and configuration ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, poly",
+    [
+        ("sqrt(x - x)/(y/y + sqrt(1))", "z"),
+        ("(sqrt(1) - 1)/(sqrt(1) + 1)", "z^2 + z"),
+        ("(sqrt(x^2) - x)/(sqrt(x^2) + x)", "z^2 + z"),
+    ],
+)
+def test_quotient_whose_denominator_polynomial_has_the_root_zero(text, poly):
+    dp = defining_polynomial(text)
+    assert dp.poly.to_text() == poly
+    assert verify_defining(text, dp, samples=16).passed
+
+
+@pytest.mark.parametrize("text", ["sqrt(x)/(sqrt(x) - sqrt(x))", "1/sqrt(x - x)"])
+def test_denominator_identically_zero_rejected(text):
+    with pytest.raises(DefiningError, match="is a denominator identically zero"):
+        defining_polynomial(text)
 
 
 def test_z_name_collision_rejected():
@@ -202,3 +261,38 @@ def test_certified_zero_refuted_once_the_budget_runs_out(monkeypatch):
     got, calls = _zero_at(monkeypatch, lambda n: Interval(Fraction(-1), Fraction(1)))
     assert not got
     assert calls == [8 * 2**k for k in range(len(calls))] and len(calls) >= 24
+
+
+# -- golden bytes of the reduction ---------------------------------------------------------
+
+
+def draws_transcript(count: int = 500) -> str:
+    """The first `count` draws of criterion 6 (`random.Random(2024)`, its
+    caps applied): each expression's text, then its defining polynomial and
+    reduction log, or the error it raises."""
+    rng = random.Random(2024)
+    out = []
+    while len(out) < count:
+        try:
+            e = normalize(random_expr(rng, 3))
+            if not 1 < root_index_product(e) <= 9 or len(distinct_radicals(e)) > 3:
+                continue
+        except (DefiningError, ExprError, ZeroDivisionError):
+            continue
+        try:
+            dp = defining_polynomial(e)
+        except (DefiningError, SamplingError, ExprError, ZeroDivisionError) as exc:
+            body = [f"error {type(exc).__name__}: {exc}"]
+        else:
+            body = [dp.poly.to_text(), *(f"log {line}" for line in dp.reduction_log)]
+        out.append("\n".join([f"expr {to_text(e)}", *body]))
+    return "\n\n".join(out) + "\n"
+
+
+def test_reduction_of_random_draws_is_golden():
+    assert draws_transcript() == DRAWS.read_text()
+
+
+if __name__ == "__main__":
+    DRAWS.write_text(draws_transcript())
+    print(f"wrote {DRAWS}", file=sys.stderr)

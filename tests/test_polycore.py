@@ -14,6 +14,7 @@ from algprog.polycore import (
     MultiPoly,
     PolyError,
     VarRegistry,
+    content_in,
     divexact,
     gcd_in_main_var,
     grlex_leading,
@@ -150,12 +151,39 @@ def test_interrupted_split_is_not_kept():
     assert p.split(vs) == MultiPoly(REG, p.terms).split(vs)
 
 
-@given(polys(), st.integers(0, 3))
+@given(polys(max_exp=2), st.integers(0, 7))
 def test_power_matches_repeated_product(p, k):
+    # one-term and univariate bases take repeated squaring, the rest the chain
     expected = MultiPoly.const(REG, 1)
     for _ in range(k):
         expected = expected * p
     assert p**k == expected
+
+
+@given(polys())
+def test_product_with_one_is_the_polynomial_itself(p):
+    assert p * 1 is p
+    assert 1 * p is p
+    assert p * Fraction(1) is p
+
+
+@given(polys(max_terms=6, max_exp=2), st.randoms(use_true_random=False))
+def test_content_does_not_depend_on_term_order(p, rng):
+    items = list(p.terms.items())
+    rng.shuffle(items)
+    shuffled = MultiPoly(REG, dict(items))
+    for v in range(3):
+        assert content_in(shuffled, v) == content_in(p, v)
+
+
+@given(polys(max_terms=3, max_exp=2), polys(max_terms=2, max_exp=1))
+def test_square_free_part_is_coprime_to_its_derivative(p, q):
+    v = REG.id_of("z")
+    p = p * q**2
+    if p.degree_in(v) < 1:
+        return
+    sf = square_free_part(p, v)
+    assert gcd_in_main_var(sf, sf.derivative(v), v) == MultiPoly.const(REG, 1)
 
 
 @given(polys(), polys())

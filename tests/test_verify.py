@@ -34,7 +34,9 @@ from algprog.radicals import (
     polynomial_from_text,
 )
 from algprog.verify import (
+    ENDPOINT_BITS,
     RELATIONS,
+    _endpoint_text,
     _integral,
     _isolate_square_free,
     _primitive,
@@ -499,6 +501,22 @@ def test_verify_defining_rejects_corruption():
     report = verify_defining("sqrt(x)", bad, samples=16)
     assert not report.passed
     assert report.checks[0].witness is not None
+
+
+def _bounded_value(text: str) -> Fraction:
+    m, e = text.split("*2^")
+    return Fraction(int(m)) * Fraction(2) ** int(e)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_endpoint_text_bounds_an_endpoint_too_long_to_print(sign):
+    x = sign * Fraction(10**5000 + 1, 3**9000)  # 5,001 digits over 4,295
+    lo, hi = _endpoint_text(x, up=False), _endpoint_text(x, up=True)
+    assert _bounded_value(lo) <= x <= _bounded_value(hi)
+    for text in (lo, hi):
+        assert _bounded_value(text) * sign > 0
+        assert abs(int(text.split("*")[0])).bit_length() <= ENDPOINT_BITS + 1
+    assert _bounded_value(hi) - _bounded_value(lo) <= abs(x) / 2 ** (ENDPOINT_BITS - 2)
 
 
 def test_audit_degrees_pass_and_fail():
