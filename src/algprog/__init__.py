@@ -8,7 +8,7 @@ polynomial by resultant elimination (`defpoly` on top of `polycore` and
 sequences, exact sampling — so certificates never audit themselves.
 """
 
-from .defpoly import DefiningPolynomial, defining_polynomial, degree_bounds
+from .defpoly import DefiningPolynomial, defining_polynomial
 from .isolation import (
     DomainSpec,
     IsolateConfig,
@@ -31,7 +31,7 @@ from .program import (
     reformulate,
     result_from_json,
 )
-from .radicals import Expr, parse, to_text
+from .radicals import Expr, degree_bounds, parse, to_text
 from .resultants import resultant
 from .verify import (
     isolate_real_roots,

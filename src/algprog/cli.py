@@ -18,15 +18,13 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .defpoly import (
     DefiningError,
     DefiningPolynomial,
     ReduceConfig,
-    SamplingError,
     defining_polynomial,
-    degree_bounds,
     root_index_product,
 )
 from .isolation import (
@@ -56,8 +54,11 @@ from .radicals import (
     ExprError,
     ExprSyntaxError,
     PowerBudgetError,
+    SamplingError,
+    degree_bounds,
     parse,
     polynomial_from_text,
+    variables_of,
 )
 from .verify import VerifyReport, audit_degrees, verify_certificate, verify_defining
 
@@ -213,7 +214,11 @@ class InputFileError(Exception):
     """An input file that does not have the documented form (exit 3)."""
 
 
-def _load_domain(path: str | None, registry: VarRegistry) -> DomainSpec | None:
+def _load_domain(
+    path: str | None, registry: VarRegistry, names: Collection[str]
+) -> DomainSpec | None:
+    """The domain file at `path`, its interior point assigning exactly the
+    variables `names`."""
     # `main` has checked that a path comes with `--strategy domain` only
     if path is None:
         return None
@@ -224,9 +229,12 @@ def _load_domain(path: str | None, registry: VarRegistry) -> DomainSpec | None:
             condition_from_record(c, lambda t: polynomial_from_text(t, registry))
             for c in obj["conditions"]
         )
+        values = obj["interior_point"]
+        if set(values) != set(names):
+            raise ValueError(f"interior_point must assign exactly {sorted(names)}")
         point = {
             registry.id_of(name): Fraction(str(value))
-            for name, value in obj["interior_point"].items()
+            for name, value in values.items()
         }
     except (
         ValueError,
@@ -296,7 +304,7 @@ def cmd_isolate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     expr = parse(args.expr)
     cfg = _isolate_config(args)
     dp = _defining(expr, args)
-    domain = _load_domain(args.domain_file, dp.poly.registry)
+    domain = _load_domain(args.domain_file, dp.poly.registry, variables_of(dp.source))
     cert = isolate(expr, dp, strategy=args.strategy, cfg=cfg, domain=domain)
     if args.merge:
         cert = merge_components(cert, cfg)
@@ -324,7 +332,7 @@ def cmd_reformulate(
     except StructuralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    domain = _load_domain(args.domain_file, prog.variables)
+    domain = _load_domain(args.domain_file, prog.variables, prog.variables.names())
     cfg = ReformulateConfig(
         isolate=_isolate_config(args),
         merge=args.merge,

@@ -24,7 +24,7 @@ part is returned unchanged.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -45,18 +45,19 @@ from .radicals import (
     Add,
     Const,
     Div,
-    EvalDomainError,
     Expr,
     Interval,
     Mul,
-    NOT_REAL,
     NotPolynomial,
     Root,
+    SamplingError,
     Sub,
+    degree_bounds,  # noqa: F401 - callers read defpoly.degree_bounds
     eval_numeric,
     normalize,
     parse,
     poly_enclosure,
+    sample_real_point,
     to_polynomial,
     variables_of,
 )
@@ -65,10 +66,6 @@ from .resultants import resultant_with_constant
 
 class DefiningError(PolyError):
     """The construction degenerated (zero denominator expressions etc.)."""
-
-
-class SamplingError(Exception):
-    """Could not find real-valued sample points for a zero test."""
 
 
 @dataclass(frozen=True)
@@ -89,54 +86,12 @@ class DefiningPolynomial:
     reduction_log: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class DegreeBounds:
-    """A priori degree bounds for the defining polynomial of an expression."""
-
-    z_degree: int
-    var_degrees: dict[str, int] = field(default_factory=dict)
-
-
 # ---------------------------------------------------------------------------
-# sampling and the probabilistic zero test
+# the probabilistic zero test
 # ---------------------------------------------------------------------------
-
-#: sample coordinates are n/d with n in [-20, 20] and d in [1, 8]
-SAMPLE_NUMERATOR_RANGE = 20
-SAMPLE_DENOMINATOR_MAX = 8
-
-#: draws sample_real_point makes before giving up
-_SAMPLE_TRIES = 400
 
 #: real-valued points at which a candidate factor must vanish
 _ZERO_TEST_TRIALS = 8
-
-
-def sample_real_point(
-    f: Expr,
-    rng: random.Random,
-    precision: int,
-) -> dict[str, Fraction]:
-    """A random rational point where `f` evaluates to a real interval."""
-    names = sorted(variables_of(f))
-    for _ in range(_SAMPLE_TRIES):
-        point = {
-            name: Fraction(
-                rng.randint(-SAMPLE_NUMERATOR_RANGE, SAMPLE_NUMERATOR_RANGE),
-                rng.randint(1, SAMPLE_DENOMINATOR_MAX),
-            )
-            for name in names
-        }
-        try:
-            value = eval_numeric(f, point, precision)
-        except EvalDomainError:
-            continue
-        if value is not NOT_REAL:
-            return point
-    raise SamplingError(
-        f"no real-valued sample point found for {radicals.to_text(f)!r} "
-        f"after {_SAMPLE_TRIES} tries"
-    )
 
 
 def _certified_zero_at(
@@ -314,7 +269,7 @@ def _build(
     log: list[str],
 ) -> MultiPoly:
     try:
-        base = to_polynomial(e, registry, allow_new=False)
+        base = to_polynomial(e, registry)
     except NotPolynomial:
         base = None
     if base is not None:
@@ -390,39 +345,3 @@ def root_index_product(e: Expr) -> int:
     if isinstance(e, Root):
         return e.index * root_index_product(e.radicand)
     raise DefiningError(f"normalize the expression first: {e!r}")
-
-
-def degree_bounds(f: Expr | str) -> DegreeBounds:
-    """A priori degree bounds, mirroring how the construction recurses:
-    polynomial nodes are base cases, the four field operations multiply
-    z-degrees and mix variable degrees, and an r-th root scales the z-degree
-    by r while leaving variable degrees alone."""
-    if isinstance(f, str):
-        f = parse(f)
-    f = normalize(f)
-    return _bounds(f)
-
-
-def _bounds(e: Expr) -> DegreeBounds:
-    if radicals.is_polynomial(e):
-        probe = VarRegistry()
-        p = to_polynomial(e, probe, allow_new=True)
-        degs = {
-            probe.name_of(v): p.degree_in(v) for v in sorted(p.vars_present())
-        }
-        return DegreeBounds(z_degree=1, var_degrees=degs)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        lb, rb = _bounds(e.left), _bounds(e.right)
-        names = set(lb.var_degrees) | set(rb.var_degrees)
-        mixed = {
-            n: lb.var_degrees.get(n, 0) * rb.z_degree
-            + lb.z_degree * rb.var_degrees.get(n, 0)
-            for n in names
-        }
-        return DegreeBounds(z_degree=lb.z_degree * rb.z_degree, var_degrees=mixed)
-    if isinstance(e, Root):
-        gb = _bounds(e.radicand)
-        return DegreeBounds(
-            z_degree=e.index * gb.z_degree, var_degrees=dict(gb.var_degrees)
-        )
-    raise DefiningError(f"cannot bound degrees for {e!r}")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
 
 from . import radicals
-from .defpoly import DefiningPolynomial, SamplingError
+from .defpoly import DefiningPolynomial
 from .polycore import (
     MultiPoly,
     PolyError,
@@ -183,6 +183,9 @@ def certificate_from_json(text: str) -> IsolationCertificate:
     strategy, warnings = obj["strategy"], obj.get("warnings", [])
     _checked(strategy, isinstance(strategy, str), "strategy must be a string")
     _checked(warnings, _lists_strings(warnings), "warnings must list strings")
+    source = radicals.normalize(radicals.parse(obj["source"]))
+    source_names = radicals.variables_of(source)
+    _checked(obj["source"], source_names <= set(names), "source must name listed variables")
 
     # one polynomial object per distinct text, so that its evaluation plan is
     # built once for every condition that names it
@@ -191,11 +194,17 @@ def certificate_from_json(text: str) -> IsolationCertificate:
     def read(text: str) -> MultiPoly:
         poly = polys.get(text)
         if poly is None:
-            poly = polys[text] = radicals.polynomial_from_text(text, registry)
+            try:
+                poly = polys[text] = radicals.polynomial_from_text(text, registry)
+            except PolyError:  # a name that `variables` does not list
+                what = "polynomials must name listed variables"
+                raise TypeError(f"{what}, got {text!r}") from None
         return poly
 
     def sample(rec: dict) -> dict[VarId, Fraction]:
         _checked(rec, isinstance(rec, dict), "sample must be an object")
+        valid = rec.keys() == source_names
+        _checked(rec, valid, "sample must assign exactly the source's variables")
         return {registry.id_of(n): Fraction(v) for n, v in rec.items()}
 
     def component(rec: dict, conds_key: str) -> ComponentDescription:
@@ -223,7 +232,7 @@ def certificate_from_json(text: str) -> IsolationCertificate:
     return IsolationCertificate(
         z=z,
         defining=read(obj["defining"]),
-        source=radicals.normalize(radicals.parse(obj["source"])),
+        source=source,
         entries=entries,
         strategy_used=strategy,
         skipped=tuple(component(c, "conditions") for c in skipped),
@@ -690,7 +699,7 @@ def merge_components(
         report = _verify.verify_certificate(
             cert.source, merged, max(cfg.samples, 1), cfg.precision, cfg.seed
         )
-    except SamplingError as exc:
+    except radicals.SamplingError as exc:
         failure = str(exc)
     else:
         failure = next(

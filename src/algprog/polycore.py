@@ -20,7 +20,9 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
+
+from .uni import IMAGE_PRIME, gcd_degree_mod
 
 VarId = int
 
@@ -457,31 +459,24 @@ class InexactDivision(PolyError):
 
 
 def divexact(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Divide `p` by `q` assuming exact divisibility; raise otherwise."""
+    """Divide `p` by `q` assuming exact divisibility; raise otherwise.
+
+    `q` is scaled to primitive integers and `p` to integers; by Gauss's
+    lemma their quotient is then integral whenever it exists, and
+    `int_divexact` finds it.
+    """
     p._check(q)
     if q.is_zero():
         raise PolyError("division by the zero polynomial")
     if q.is_constant():
         return p * (1 / q.constant_value())
-    rem = dict(p.terms)
-    lead_q = grlex_leading(q.terms)
-    cq = q.terms[lead_q]
-    out: dict[Monomial, Fraction] = {}
-    while rem:
-        lead_r = grlex_leading(rem)
-        if not _mono_divides(lead_q, lead_r):
-            raise InexactDivision("division is not exact")
-        m = _mono_div(lead_r, lead_q)
-        c = rem[lead_r] / cq
-        out[m] = out.get(m, Fraction(0)) + c
-        for mq, kq in q.terms.items():
-            mm = _mono_mul(m, mq)
-            s = rem.get(mm, Fraction(0)) - c * kq
-            if s:
-                rem[mm] = s
-            else:
-                rem.pop(mm, None)
-    return MultiPoly(p.registry, out)
+    dp = math.lcm(*(c.denominator for c in p.terms.values()))
+    dq = math.lcm(*(c.denominator for c in q.terms.values()))
+    iq = int_terms(q, dq)
+    g = math.gcd(*iq.values())
+    quo = int_divexact(int_terms(p, dp), {m: k // g for m, k in iq.items()})
+    scale = Fraction(dq, g * dp)
+    return MultiPoly(p.registry, {m: k * scale for m, k in quo.items()})
 
 
 def try_divexact(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
@@ -605,43 +600,6 @@ def subresultant_prs(p: MultiPoly, q: MultiPoly, v: VarId) -> list[MultiPoly]:
             h = divexact(g ** delta, h ** (delta - 1))
         # delta == 0 leaves h unchanged
     return seq
-
-
-#: the prime of the modular images that prove coprimality
-IMAGE_PRIME = 2**61 - 1
-
-
-def gcd_degree_mod(a: Sequence[int], b: Sequence[int]) -> int:
-    """Degree of gcd(a, b) in GF(IMAGE_PRIME)[x], -1 when both vanish.
-
-    `a` and `b` are integer coefficient lists, index = power.
-    """
-    a, b = _trim_mod(a), _trim_mod(b)
-    while b:
-        a, b = b, _rem_mod(a, b)
-    return len(a) - 1
-
-
-def _trim_mod(c: Sequence[int]) -> list[int]:
-    out = [x % IMAGE_PRIME for x in c]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _rem_mod(a: list[int], b: list[int]) -> list[int]:
-    # Remainder of a by b over GF(IMAGE_PRIME); b is trimmed and nonzero.
-    rem = list(a)
-    inv = pow(b[-1], -1, IMAGE_PRIME)
-    while len(rem) >= len(b):
-        factor = rem[-1] * inv % IMAGE_PRIME
-        shift = len(rem) - len(b)
-        for i, coeff in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - factor * coeff) % IMAGE_PRIME
-        rem.pop()
-        while rem and not rem[-1]:
-            rem.pop()
-    return rem
 
 
 _MASK64 = 2**64 - 1

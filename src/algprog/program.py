@@ -455,12 +455,10 @@ def reformulate(
     substitution: Mapping[Expr, Expr] = {
         p.expr: Var(p.z_name) for p in parts
     }
-    objective = to_polynomial(
-        substitute_expr(objective_expr, substitution), registry, allow_new=False
-    )
+    objective = to_polynomial(substitute_expr(objective_expr, substitution), registry)
     original_conds = [
         SignCondition.normalized(
-            to_polynomial(substitute_expr(e, substitution), registry, allow_new=False),
+            to_polynomial(substitute_expr(e, substitution), registry),
             rel,
         )
         for e, rel in prog.constraints

@@ -19,7 +19,8 @@ exact zero raises ``EvalDomainError`` (a different thing entirely).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -394,10 +395,9 @@ class PowerBudgetError(Exception):
     rather than a bad input)."""
 
 
-def to_polynomial(
-    e: Expr, registry: VarRegistry, allow_new: bool = True, capped: bool = False
-) -> MultiPoly:
-    """Convert a radical-free expression to a MultiPoly.
+def to_polynomial(e: Expr, registry: VarRegistry, capped: bool = False) -> MultiPoly:
+    """Convert a radical-free expression to a MultiPoly over `registry`,
+    which must hold every variable of `e`.
 
     Division is only allowed by nonzero constants, and a negative power only
     of a nonzero constant.  Raises NotPolynomial when a root, a fractional
@@ -412,16 +412,15 @@ def to_polynomial(
     if isinstance(e, Const):
         return MultiPoly.const(registry, e.value)
     if isinstance(e, Var):
-        vid = registry.ensure(e.name) if allow_new else registry.id_of(e.name)
-        return MultiPoly.var(registry, vid)
+        return MultiPoly.var(registry, registry.id_of(e.name))
     if isinstance(e, (Add, Sub)):
         spine = []
         while isinstance(e, (Add, Sub)):
             spine.append(e)
             e = e.left
-        out = dict(to_polynomial(e, registry, allow_new, capped).terms)
+        out = dict(to_polynomial(e, registry, capped).terms)
         for node in reversed(spine):
-            right = to_polynomial(node.right, registry, allow_new, capped).terms
+            right = to_polynomial(node.right, registry, capped).terms
             sign = 1 if isinstance(node, Add) else -1
             for m, c in right.items():
                 total = out.get(m, 0) + sign * c
@@ -431,24 +430,24 @@ def to_polynomial(
                     del out[m]
         return MultiPoly(registry, out)
     if isinstance(e, Mul):
-        left = to_polynomial(e.left, registry, allow_new, capped)
-        right = to_polynomial(e.right, registry, allow_new, capped)
+        left = to_polynomial(e.left, registry, capped)
+        right = to_polynomial(e.right, registry, capped)
         if capped:
             da, db = _degrees(left), _degrees(right)
             sums = (da.get(v, 0) + db.get(v, 0) for v in da.keys() | db.keys())
             _check_degree("product", max(sums, default=0))
         return left * right
     if isinstance(e, Div):
-        c = _nonzero_constant(to_polynomial(e.right, registry, allow_new, capped))
-        return to_polynomial(e.left, registry, allow_new, capped) * (Fraction(1) / c)
+        c = _nonzero_constant(to_polynomial(e.right, registry, capped))
+        return to_polynomial(e.left, registry, capped) * (Fraction(1) / c)
     if isinstance(e, Root):
         if e.index == 1:
-            return to_polynomial(e.radicand, registry, allow_new, capped)
+            return to_polynomial(e.radicand, registry, capped)
         raise NotPolynomial("expression contains a root")
     if isinstance(e, Pow):
         if e.exponent.denominator != 1:
             raise NotPolynomial("expression contains a root")
-        base = to_polynomial(e.base, registry, allow_new, capped)
+        base = to_polynomial(e.base, registry, capped)
         k = e.exponent.numerator
         if capped:
             # a constant's power counts as degree 1, so its exponent is capped too
@@ -497,9 +496,8 @@ def _nonzero_constant(den: MultiPoly) -> Fraction:
 def is_polynomial(e: Expr) -> bool:
     """True iff the normalized expression denotes a polynomial (roots absent,
     all denominators nonzero constants)."""
-    probe = VarRegistry()
     try:
-        to_polynomial(e, probe, allow_new=True)
+        to_polynomial(e, VarRegistry(sorted(variables_of(e))))
         return True
     except NotPolynomial:
         return False
@@ -510,7 +508,7 @@ def polynomial_from_text(text: str, registry: VarRegistry) -> MultiPoly:
     from its parse tree: powers are raised by repeated squaring, with no
     normalizing, and products and powers are held under `MAX_POWER` and
     `MAX_TERMS`."""
-    return to_polynomial(parse(text), registry, allow_new=False, capped=True)
+    return to_polynomial(parse(text), registry, capped=True)
 
 
 def variables_of(e: Expr) -> set[str]:
@@ -817,3 +815,90 @@ def eval_numeric(
         "refinement budget exhausted: a denominator or even-root radicand is "
         "numerically indistinguishable from zero"
     )
+
+
+# ---------------------------------------------------------------------------
+# sample points and a priori degree bounds
+# ---------------------------------------------------------------------------
+
+
+class SamplingError(Exception):
+    """Could not find real-valued sample points for a zero test."""
+
+
+#: sample coordinates are n/d with n in [-20, 20] and d in [1, 8]
+SAMPLE_NUMERATOR_RANGE = 20
+SAMPLE_DENOMINATOR_MAX = 8
+
+#: draws sample_real_point makes before giving up
+_SAMPLE_TRIES = 400
+
+
+def sample_real_point(
+    f: Expr,
+    rng: random.Random,
+    precision: int,
+) -> dict[str, Fraction]:
+    """A random rational point where `f` evaluates to a real interval."""
+    names = sorted(variables_of(f))
+    for _ in range(_SAMPLE_TRIES):
+        point = {
+            name: Fraction(
+                rng.randint(-SAMPLE_NUMERATOR_RANGE, SAMPLE_NUMERATOR_RANGE),
+                rng.randint(1, SAMPLE_DENOMINATOR_MAX),
+            )
+            for name in names
+        }
+        try:
+            value = eval_numeric(f, point, precision)
+        except EvalDomainError:
+            continue
+        if value is not NOT_REAL:
+            return point
+    raise SamplingError(
+        f"no real-valued sample point found for {to_text(f)!r} "
+        f"after {_SAMPLE_TRIES} tries"
+    )
+
+
+@dataclass(frozen=True)
+class DegreeBounds:
+    """A priori degree bounds for the defining polynomial of an expression."""
+
+    z_degree: int
+    var_degrees: dict[str, int] = field(default_factory=dict)
+
+
+def degree_bounds(f: Expr | str) -> DegreeBounds:
+    """A priori degree bounds, mirroring how the defining polynomial's
+    construction recurses: polynomial nodes are base cases, the four field
+    operations multiply z-degrees and mix variable degrees, and an r-th root
+    scales the z-degree by r while leaving variable degrees alone."""
+    if isinstance(f, str):
+        f = parse(f)
+    return _bounds(normalize(f))
+
+
+def _bounds(e: Expr) -> DegreeBounds:
+    if is_polynomial(e):
+        probe = VarRegistry(sorted(variables_of(e)))
+        p = to_polynomial(e, probe)
+        degs = {
+            probe.name_of(v): p.degree_in(v) for v in sorted(p.vars_present())
+        }
+        return DegreeBounds(z_degree=1, var_degrees=degs)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        lb, rb = _bounds(e.left), _bounds(e.right)
+        names = set(lb.var_degrees) | set(rb.var_degrees)
+        mixed = {
+            n: lb.var_degrees.get(n, 0) * rb.z_degree
+            + lb.z_degree * rb.var_degrees.get(n, 0)
+            for n in names
+        }
+        return DegreeBounds(z_degree=lb.z_degree * rb.z_degree, var_degrees=mixed)
+    if isinstance(e, Root):
+        gb = _bounds(e.radicand)
+        return DegreeBounds(
+            z_degree=e.index * gb.z_degree, var_degrees=dict(gb.var_degrees)
+        )
+    raise ExprError(f"cannot bound degrees for {e!r}")

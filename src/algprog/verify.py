@@ -1,25 +1,14 @@
 """Independent oracles for the rest of the pipeline.
 
 Everything in this module is exact: real roots of univariate polynomials are
-isolated with Sturm sequences over rationals, signs of polynomials at
-algebraic roots are decided exactly, and certificates are re-checked from
-scratch rather than by trusting any interval the isolation code produced.
-That makes these checks usable as oracles for the modules they audit.
+isolated with Sturm sequences, signs of polynomials at algebraic roots are
+decided exactly, and certificates are re-checked from scratch rather than by
+trusting any interval the isolation code produced.  That makes these checks
+usable as oracles for the modules they audit.
 
-Sturm chains hold integer coefficients (each element scaled by a positive
-rational, which never changes a sign), and the sign of an integer polynomial
-at a rational a/b is read off b^n * c(a/b), computed by homogeneous integer
-Horner; no `Fraction` is built per coefficient.  `refine_root` and
-`sign_at_root` bisect through one integer halving over a doubling
-denominator.  The sign of q at the root of p isolated in (lo, hi) is decided
-in this order: integer interval Horner on the interval, then a few bisection
-steps of the interval with the same test, and only if q's sign is still
-undecided gcd(p, q) with a Sturm count, which settles zero exactly;
-refinement then continues until the interval test certifies the sign, which
-terminates because the root is simple.  Square-free parts are taken in
-integers as well: a degree-0 gcd of c and c' modulo `polycore.IMAGE_PRIME`
-usually proves c square-free, and otherwise a primitive integer remainder
-sequence gives the gcd, by which c is divided exactly.
+The univariate kernel is `uni`, on integer coefficient lists;
+`uni_from_poly` is where a polynomial at a sample point becomes one, scaled
+by a positive integer, which changes no sign.
 """
 
 from __future__ import annotations
@@ -28,155 +17,43 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from math import lcm
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import radicals
-from .defpoly import SamplingError, degree_bounds, sample_real_point
-from .polycore import (
-    IMAGE_PRIME,
-    MultiPoly,
-    PolyError,
-    VarId,
-    gcd_degree_mod,
+from .polycore import MultiPoly, PolyError, VarId
+from .radicals import (
+    NOT_REAL,
+    EvalDomainError,
+    Expr,
+    Interval,
+    SamplingError,
+    degree_bounds,
+    eval_numeric,
+    sample_real_point,
 )
-from .radicals import NOT_REAL, EvalDomainError, Expr, Interval, eval_numeric
-
-
-# ---------------------------------------------------------------------------
-# Dense univariate polynomials as Fraction coefficient lists (index = power).
-# The multivariate machinery is overkill once a sample point has been
-# substituted in, and Sturm chains want cheap arithmetic.
-# ---------------------------------------------------------------------------
-
-Uni = list[Fraction]
-
-
-def _uni_trim(c: Uni) -> Uni:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+from .uni import isolate_roots, refine_root, sign_at_root, square_free, trim
 
 
 def uni_from_poly(
     p: MultiPoly, v: VarId, point: Mapping[VarId, Fraction]
-) -> Uni:
-    """Coefficient list of `p` viewed as univariate in `v`, every other
-    variable set from `point`.
+) -> list[int]:
+    """Integer coefficient list of `p` viewed as univariate in `v`, every
+    other variable set from `point`, scaled by the lcm of the denominators.
 
     Raises PolyError when a coefficient involves a variable `point` lacks.
     """
     node = p.split(frozenset((v,)))
-    if isinstance(node, MultiPoly):
-        return _uni_trim([node.eval(point)])
-    _, coeffs = node
-    out: Uni = [Fraction(0)] * (max(coeffs) + 1)
+    coeffs = {0: node} if isinstance(node, MultiPoly) else node[1]
+    values = [Fraction(0)] * (max(coeffs) + 1)
     for e, q in coeffs.items():
-        out[e] = q.eval(point)
-    return _uni_trim(out)
-
-
-def uni_eval(c: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for coeff in reversed(c):
-        acc = acc * x + coeff
-    return acc
-
-
-def uni_derivative(c: Sequence[Fraction]) -> Uni:
-    return _uni_trim([c[e] * e for e in range(1, len(c))])
-
-
-def _integral(c: Sequence[Fraction]) -> list[int]:
-    # Integer coefficients of c times the lcm of its denominators, a positive
-    # factor, so every sign is kept.  Int entries are accepted as they are.
-    den = 1
-    for coeff in c:
-        den = lcm(den, coeff.denominator)
-    return [coeff.numerator * (den // coeff.denominator) for coeff in c]
-
-
-def _primitive(c: list[int]) -> list[int]:
-    # Divide out the (positive) content; keeps chains from drowning in huge
-    # numerators and changes no sign.
-    g = gcd(*c)
-    return [n // g for n in c] if g > 1 else c
+        values[e] = q.eval(point)
+    den = lcm(*(x.denominator for x in values))
+    return trim([x.numerator * (den // x.denominator) for x in values])
 
 
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
-
-
-def _sign_at(c: Sequence[int], x: Fraction) -> int:
-    return _sign_at_ratio(c, x.numerator, x.denominator)
-
-
-def _sign_at_ratio(c: Sequence[int], a: int, b: int) -> int:
-    # Sign of the integer polynomial c at x = a/b (b > 0), read off
-    # b^n * c(a/b), which homogeneous Horner computes in integers.
-    acc = 0
-    scale = 1
-    for coeff in reversed(c):
-        acc = acc * a + coeff * scale
-        scale *= b
-    return (acc > 0) - (acc < 0)
-
-
-def _interval_sign(c: Sequence[int], a: int, b: int, d: int) -> int:
-    # Sign of the integer polynomial c on [a/d, b/d] (d > 0) when interval
-    # Horner proves it, else 0.  The enclosure is of d^n * c on the interval,
-    # all in integers.
-    low = high = 0
-    scale = 1
-    for coeff in reversed(c):
-        products = (low * a, low * b, high * a, high * b)
-        term = coeff * scale
-        low, high = min(products) + term, max(products) + term
-        scale *= d
-    return 1 if low > 0 else -1 if high < 0 else 0
-
-
-# ---------------------------------------------------------------------------
-# Sturm sequences and root isolation.
-# ---------------------------------------------------------------------------
-
-
-def _negated_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    # -(a mod b) scaled to primitive integers by a positive factor: integer
-    # pseudo-division that multiplies by |lc(b)|, so no sign is lost.
-    rem = list(a)
-    lead = abs(b[-1])
-    sign = 1 if b[-1] > 0 else -1
-    while len(rem) >= len(b):
-        factor = rem[-1] * sign
-        shift = len(rem) - len(b)
-        if lead != 1:
-            rem = [lead * r for r in rem]
-        for i, coeff in enumerate(b):
-            rem[shift + i] -= factor * coeff
-        rem.pop()
-        _uni_trim(rem)
-    return _primitive([-r for r in rem])
-
-
-def _sturm_chain(c: Sequence[Fraction]) -> list[list[int]]:
-    # Sturm chain of c with every element scaled to primitive integers.
-    first = _primitive(_integral(c))
-    chain = [first, _primitive(uni_derivative(first))]
-    while chain[-1]:
-        rem = _negated_remainder(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(rem)
-    return chain
-
-
-def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    # A greatest common divisor of integer polynomials, up to a rational factor.
-    a, b = list(a), _uni_trim(list(b))
-    while b:
-        a, b = b, _negated_remainder(a, b)
-    return a
 
 
 def _sole_variable(p: MultiPoly) -> VarId:
@@ -184,45 +61,6 @@ def _sole_variable(p: MultiPoly) -> VarId:
     if len(present) > 1:
         raise PolyError("expected a univariate polynomial")
     return next(iter(present)) if present else 0
-
-
-def _variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
-    signs = [s for s in (_sign_at(c, x) for c in chain) if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def sturm_count(chain: Sequence[Sequence[int]], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in the open interval (lo, hi).
-
-    `chain` is a `_sturm_chain` result, so it holds integers; endpoints must
-    not be roots of its first element.
-    """
-    return _variations(chain, lo) - _variations(chain, hi)
-
-
-def cauchy_root_bound(c: Sequence[Fraction]) -> Fraction:
-    """Strict bound: every real root r of the polynomial has |r| < bound."""
-    if len(c) <= 1:
-        return Fraction(1)
-    lead = abs(c[-1])
-    return Fraction(1) + max(abs(coeff) / lead for coeff in c[:-1])
-
-
-_SPLIT_OFFSETS = [
-    Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 5),
-    Fraction(2, 5), Fraction(3, 5), Fraction(4, 5), Fraction(1, 7),
-    Fraction(3, 7), Fraction(5, 7), Fraction(6, 7), Fraction(1, 11),
-]
-
-
-def _split_point(c: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction:
-    # A point strictly inside (lo, hi) that is not a root; the polynomial has
-    # finitely many roots, so one of the fixed offsets always works.
-    for t in _SPLIT_OFFSETS:
-        m = lo + (hi - lo) * t
-        if _sign_at(c, m):
-            return m
-    raise PolyError("could not find a non-root split point")  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -243,95 +81,14 @@ def isolate_real_roots(p: MultiPoly, v: VarId | None = None) -> RootIsolation:
         raise PolyError("cannot isolate roots of the zero polynomial")
     if v is None:
         v = _sole_variable(p)
-    sf = _square_free_uni(uni_from_poly(p, v, {}))
+    sf = square_free(uni_from_poly(p, v, {}))
     if sf[-1] < 0:  # positive leading coefficient, as integer_normalize gives
         sf = [-coeff for coeff in sf]
     poly = MultiPoly(
-        p.registry, {((v, e),) if e else (): coeff for e, coeff in enumerate(sf)}
+        p.registry,
+        {((v, e),) if e else (): Fraction(coeff) for e, coeff in enumerate(sf)},
     )
-    return RootIsolation(poly, tuple(_isolate_square_free(sf)))
-
-
-def _halvings(c: Sequence[int], lo: Fraction, hi: Fraction):
-    """Bisect an isolating interval of the integer polynomial `c` in integers.
-
-    Yields (a, b, d) with the interval [a/d, b/d]: first (lo, hi) over a
-    common denominator, then each half that keeps the root.  The midpoint
-    is (a + b)/2d, so the numerators are kept over a doubling d and b - a
-    never changes.  A midpoint that is a root of c is yielded as a = b, last.
-    """
-    d = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (d // lo.denominator)
-    b = hi.numerator * (d // hi.denominator)
-    s_lo = _sign_at_ratio(c, a, d)
-    while True:
-        yield a, b, d
-        m = a + b
-        d *= 2
-        s_m = _sign_at_ratio(c, m, d)
-        if s_m == 0:
-            yield m, m, d
-            return
-        if s_m == s_lo:
-            a, b = m, 2 * b
-        else:
-            a, b = 2 * a, m
-
-
-def refine_root(
-    c: Sequence[Fraction], lo: Fraction, hi: Fraction, width: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval of a simple root below `width` by bisection.
-
-    A rational root discovered at a midpoint collapses the interval to a point.
-    `c` may hold ints or Fractions.
-    """
-    for a, b, d in _halvings(_integral(c), lo, hi):
-        if (b - a) * width.denominator <= width.numerator * d:
-            return Fraction(a, d), Fraction(b, d)
-
-
-#: bisection steps sign_at_root tries before it pays for gcd(p, q)
-_BISECTIONS_BEFORE_GCD = 4
-
-
-def sign_at_root(
-    q: Sequence[Fraction],
-    p: Sequence[Fraction],
-    lo: Fraction,
-    hi: Fraction,
-) -> int:
-    """Exact sign of q at the unique root of square-free p inside (lo, hi).
-
-    The decisions come in this order.  Integer interval Horner bounds q on
-    the interval, and a bound that excludes zero gives the sign.  Otherwise
-    the interval is bisected a few steps, retrying the bound after each; a
-    midpoint that is a root of p gives the exact sign of q there.  Only if
-    the sign is still undecided is gcd(p, q) computed: any common root inside
-    the interval must be the root, so a Sturm count of the gcd decides zero
-    exactly.  If q does not vanish there, bisection goes on until the bound
-    excludes zero, which terminates because the root is simple.  `q` and `p`
-    may hold ints or Fractions; both are scaled to integers by a positive
-    factor, which changes no sign.
-    """
-    q = _uni_trim(_integral(q))
-    if not q:
-        return 0
-    p = _integral(p)
-    for steps, (a, b, d) in enumerate(_halvings(p, lo, hi)):
-        if a == b:  # lo = hi, or a midpoint root of p
-            return _sign_at_ratio(q, a, d)
-        s = _interval_sign(q, a, b, d)
-        if s:
-            return s
-        if steps == _BISECTIONS_BEFORE_GCD:
-            # Endpoints are non-roots of p (a midpoint root ends the walk),
-            # hence of the gcd.
-            g = _int_gcd(p, q)
-            if len(g) > 1 and sturm_count(
-                _sturm_chain(g), Fraction(a, d), Fraction(b, d)
-            ):
-                return 0
+    return RootIsolation(poly, tuple(isolate_roots(sf)))
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +282,7 @@ def relation_certain(iv: Interval, rel: str) -> bool:
 class RootSelection:
     """Roots of the defining polynomial at one sample, tagged by condition."""
 
-    square_free: tuple[Fraction, ...]
+    square_free: tuple[int, ...]
     intervals: tuple[tuple[Fraction, Fraction], ...]
     passing: tuple[int, ...]
 
@@ -542,11 +299,11 @@ def root_selection(
     attributes.  The single equality condition is the defining polynomial
     itself and is skipped (it holds at every root by construction).
     """
-    uni = uni_from_poly(defining, z, point)
-    if len(uni) <= 1:
+    c = uni_from_poly(defining, z, point)
+    if len(c) <= 1:
         raise PolyError("defining polynomial degenerates at the sample point")
-    sf = _square_free_uni(uni)
-    isolation = _isolate_square_free(sf)
+    sf = square_free(c)
+    isolation = isolate_roots(sf)
     # Each condition is substituted once per point, not once per root.
     strict = [
         (cond.rel, uni_from_poly(cond.poly, z, point))
@@ -566,61 +323,6 @@ def root_selection(
     return RootSelection(tuple(sf), tuple(isolation), tuple(passing))
 
 
-def _isolate_square_free(sf: Uni) -> list[tuple[Fraction, Fraction]]:
-    if len(sf) <= 1:
-        return []
-    chain = _sturm_chain(sf)
-    bound = cauchy_root_bound(sf)
-    out: list[tuple[Fraction, Fraction]] = []
-    # Each work item carries the sign variations at both of its ends, so a
-    # split point's count is computed once and serves both halves.
-    work = [(-bound, _variations(chain, -bound), bound, _variations(chain, bound))]
-    while work:
-        lo, var_lo, hi, var_hi = work.pop()
-        n = var_lo - var_hi
-        if n == 0:
-            continue
-        if n == 1:
-            out.append((lo, hi))
-            continue
-        m = _split_point(chain[0], lo, hi)
-        var_m = _variations(chain, m)
-        work.append((lo, var_lo, m, var_m))
-        work.append((m, var_m, hi, var_hi))
-    out.sort()
-    return out
-
-
-def _square_free_uni(c: Sequence[Fraction]) -> Uni:
-    c = _uni_trim(list(c))
-    ci = _integral(c)
-    dci = uni_derivative(ci)
-    # When lc(ci) survives mod the prime, so does the leading coefficient of
-    # any integer divisor of ci, and a degree-0 image gcd of ci and ci'
-    # proves ci square-free without a gcd over the integers.
-    if not (ci and ci[-1] % IMAGE_PRIME and gcd_degree_mod(ci, dci) == 0):
-        # The gcd can be ci' itself, which need not be primitive.
-        g = _primitive(_int_gcd(ci, dci))
-        if len(g) > 1:
-            # lc(g) > 0 keeps the sign of c's leading coefficient
-            ci = _exact_quotient(ci, g if g[-1] > 0 else [-n for n in g])
-    # Scaled by a positive rational to coprime integers.
-    return [Fraction(n) for n in _primitive(ci)]
-
-
-def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    # a / b for a primitive divisor b of the integer polynomial a; by Gauss's
-    # lemma the quotient has integer coefficients.
-    rem = list(a)
-    quo = [0] * (len(a) - len(b) + 1)
-    for shift in reversed(range(len(quo))):
-        factor = rem[shift + len(b) - 1] // b[-1]
-        quo[shift] = factor
-        for i, coeff in enumerate(b):
-            rem[shift + i] -= factor * coeff
-    return quo
-
-
 def selection_matches_f(
     value: Interval,
     selection: RootSelection,
@@ -630,9 +332,8 @@ def selection_matches_f(
     f(a), with the root refined to width 2^-tol_bits."""
     if len(selection.passing) != 1:
         return False
-    sf = list(selection.square_free)
     lo, hi = selection.intervals[selection.passing[0]]
-    lo, hi = refine_root(sf, lo, hi, Fraction(1, 2 ** tol_bits))
+    lo, hi = refine_root(selection.square_free, lo, hi, Fraction(1, 2 ** tol_bits))
     return lo <= value.hi and value.lo <= hi
 
 

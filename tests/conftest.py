@@ -8,10 +8,12 @@ throughout instead of `==` where a scalar factor is immaterial.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import settings
 
 from algprog.polycore import MultiPoly
+from algprog.uni import trim
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -50,3 +52,19 @@ def strip_factor(p: MultiPoly, d: MultiPoly) -> MultiPoly:
 
 def frac(a, b=1) -> Fraction:
     return Fraction(a, b)
+
+
+def integral(c) -> list[int]:
+    """A rational coefficient list (index = power) times the lcm of its
+    denominators, trimmed: the integer list of `algprog.uni`."""
+    den = lcm(*(Fraction(x).denominator for x in c))
+    return trim([int(x * den) for x in c])
+
+
+def uni_eval(c, x: Fraction) -> Fraction:
+    """The value of a coefficient list at x, by Horner in Fractions: the
+    reference for the integer sign kernel."""
+    acc = Fraction(0)
+    for coeff in reversed(c):
+        acc = acc * x + coeff
+    return acc

@@ -43,18 +43,17 @@ from algprog.radicals import (
     polynomial_from_text,
 )
 from algprog.resultants import resultant, resultant_degree_bound
+from algprog.uni import sign_at_root
 from algprog.verify import (
     audit_degrees,
     isolate_real_roots,
     relation_holds,
     root_selection,
-    sign_at_root,
-    uni_eval,
     uni_from_poly,
     verify_certificate,
     verify_defining,
 )
-from conftest import proportional, strip_factor
+from conftest import integral, proportional, strip_factor, uni_eval
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -205,7 +204,9 @@ def test_criterion_3_isolation_certificates():
             for idx, (lo, hi) in enumerate(sel.intervals)
             if all(
                 relation_holds(
-                    Fraction(sign_at_root(substituted(c.poly, point), sf, lo, hi)),
+                    Fraction(
+                        sign_at_root(integral(substituted(c.poly, point)), sf, lo, hi)
+                    ),
                     c.rel,
                 )
                 for c in reference

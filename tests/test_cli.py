@@ -255,6 +255,31 @@ def test_domain_file_without_interior_point_is_exit_3(capsys, tmp_path):
     assert "bad domain file" in err
 
 
+@pytest.mark.parametrize(
+    "target, point",
+    [
+        ("sqrt(x + y)", {"x": "2"}),
+        ("sqrt(x)", {"x": "2", "z": "5"}),
+        (RB, {"x": "3"}),
+        (RB, {"x": "3", "y": "2", "w": "1"}),
+    ],
+    ids=["isolate-missing-y", "isolate-root-variable", "reformulate-missing-y",
+         "reformulate-extra-w"],
+)
+def test_domain_point_in_other_variables_is_exit_3(capsys, tmp_path, target, point):
+    # the point must assign exactly the expression's (isolate) or the
+    # problem's (reformulate) variables
+    domain = tmp_path / "domain.json"
+    domain.write_text(json.dumps({"conditions": [], "interior_point": point}))
+    if target == RB:
+        argv = reformulate_args(RB, str(domain), tmp_path / "rb.json")
+    else:
+        argv = ["isolate", target, "--strategy", "domain", "--domain-file", str(domain)]
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "bad domain file" in err and "interior_point must assign exactly" in err
+
+
 def test_reformulate_missing_file_is_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, "reformulate", str(tmp_path / "absent.json"))
     assert code == 3
@@ -392,12 +417,20 @@ def test_verify_unreadable_sample_is_exit_3(capsys, tmp_path, value):
         (None, "warnings", "abc", "warnings must list strings"),
         (None, "z", 5, "z must name a variable"),
         (None, "z", "w", "z must name a variable"),
+        ("entries", "root_conditions", [{"poly": "q*z", "rel": ">"}],
+         "polynomials must name listed variables"),
+        (None, "defining", "z^2 - q", "polynomials must name listed variables"),
+        (None, "source", "sqrt(q)", "source must name listed variables"),
+        ("entries", "sample", {}, "sample must assign exactly the source's variables"),
+        ("entries", "sample", {"x": "1", "z": "3"}, "sample must assign exactly"),
+        ("skipped", "sample", {"q": "1"}, "sample must assign exactly"),
     ],
     ids=[
         "entries-value0", "entries-abc", "skipped-value0", "skipped-abc",
         "variables-xz", "variables-x-twice", "sign_vector-ab", "label-3", "entry-5",
         "entries-object", "skipped-object", "strategy-5", "warnings-abc",
-        "z-5", "z-w",
+        "z-5", "z-w", "condition-q", "defining-q", "source-q", "sample-empty",
+        "sample-x-z", "skipped-sample-q",
     ],
 )
 def test_verify_sample_not_an_object_is_exit_3(

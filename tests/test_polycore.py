@@ -276,6 +276,49 @@ def test_divexact_inverts_product(p, q):
     assert divexact(p * q, q) == p
 
 
+def reference_divexact(p, q):
+    """Long division over the rationals in grlex order, the reference for
+    the integer quotient of `divexact`."""
+    if q.is_constant():
+        return p * (1 / q.constant_value())
+    rem = dict(p.terms)
+    lead_q = grlex_leading(q.terms)
+    cq = q.terms[lead_q]
+    out = {}
+    while rem:
+        lead_r = grlex_leading(rem)
+        if not polycore._mono_divides(lead_q, lead_r):
+            raise InexactDivision("division is not exact")
+        m = polycore._mono_div(lead_r, lead_q)
+        c = rem[lead_r] / cq
+        out[m] = out.get(m, Fraction(0)) + c
+        for mq, kq in q.terms.items():
+            mm = polycore._mono_mul(m, mq)
+            s = rem.get(mm, Fraction(0)) - c * kq
+            if s:
+                rem[mm] = s
+            else:
+                rem.pop(mm, None)
+    return MultiPoly(p.registry, out)
+
+
+@given(polys(), polys(max_terms=4), polys(max_terms=2), st.booleans())
+def test_divexact_matches_rational_long_division(a, q, r, divisible):
+    # p = a*q is divisible by q; p = a*q + r usually is not
+    if q.is_zero():
+        return
+    p = a * q if divisible else a * q + r
+    try:
+        want = reference_divexact(p, q)
+    except InexactDivision:
+        with pytest.raises(InexactDivision):
+            divexact(p, q)
+        return
+    got = divexact(p, q)
+    assert got == want
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
 def test_divexact_rejects_inexact():
     with pytest.raises(InexactDivision):
         divexact(X * Y + 1, X)

@@ -179,7 +179,7 @@ poly_texts = st.recursive(
 @given(poly_texts)
 def test_reading_text_matches_normalizing_first(text):
     reg = VarRegistry(["x", "y"])
-    want = to_polynomial(normalize(parse(text)), reg, allow_new=False)
+    want = to_polynomial(normalize(parse(text)), reg)
     assert polynomial_from_text(text, reg) == want
 
 
@@ -190,7 +190,7 @@ def test_normalized_trees_keep_their_term_order(text):
     reg = VarRegistry(["x", "y"])
     tree = normalize(parse(text))
     want = list(recursive_to_polynomial(tree, reg).terms.items())
-    assert list(to_polynomial(tree, reg, allow_new=False).terms.items()) == want
+    assert list(to_polynomial(tree, reg).terms.items()) == want
     assert parse(to_text(tree)) == tree
     assert list(polynomial_from_text(to_text(tree), reg).terms.items()) == want
 
@@ -281,7 +281,7 @@ def test_products_and_powers_up_to_the_caps_read():
 def test_reader_caps_do_not_reach_other_conversions():
     # construct converts normalized trees, whose products may pass the cap
     reg = VarRegistry(["x"])
-    p = to_polynomial(normalize(parse("x^600*x^600")), reg, allow_new=False)
+    p = to_polynomial(normalize(parse("x^600*x^600")), reg)
     assert p.degree_in(0) == 1200
 
 

@@ -33,38 +33,39 @@ from algprog.radicals import (
     parse,
     polynomial_from_text,
 )
+from algprog.uni import (
+    cauchy_root_bound,
+    derivative,
+    isolate_roots,
+    primitive,
+    refine_root,
+    sign_at,
+    sign_at_root,
+    split_point,
+    square_free,
+    sturm_chain,
+    sturm_count,
+    trim,
+    variations,
+)
 from algprog.verify import (
     ENDPOINT_BITS,
     RELATIONS,
     _endpoint_text,
-    _integral,
-    _isolate_square_free,
-    _primitive,
     _sign,
-    _sign_at,
-    _split_point,
-    _square_free_uni,
-    _sturm_chain,
-    _uni_trim,
-    _variations,
     audit_degrees,
-    cauchy_root_bound,
     isolate_real_roots,
-    refine_root,
     relation_certain,
     relation_holds,
     relation_possible,
     root_selection,
     sample_in_component,
     selection_matches_f,
-    sign_at_root,
-    sturm_count,
-    uni_derivative,
-    uni_eval,
     uni_from_poly,
     verify_certificate,
     verify_defining,
 )
+from conftest import integral, uni_eval
 
 REG = VarRegistry(["x"])
 X = MultiPoly.var(REG, 0)
@@ -81,7 +82,7 @@ def uni(*coeffs):
 def uni_divmod(a, b):
     """Quotient and remainder of a by b over the rationals; zero top
     coefficients are ignored.  The reference for the integer kernel."""
-    rem, b = _uni_trim(list(a)), _uni_trim(list(b))
+    rem, b = trim(list(a)), trim(list(b))
     if not b:
         raise PolyError("univariate division by zero")
     quo = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
@@ -92,8 +93,8 @@ def uni_divmod(a, b):
         for i, coeff in enumerate(b):
             rem[shift + i] -= factor * coeff
         rem.pop()
-        _uni_trim(rem)
-    return _uni_trim(quo), rem
+        trim(rem)
+    return trim(quo), rem
 
 
 def uni_to_poly(c, v, registry):
@@ -109,7 +110,7 @@ def uni_to_poly(c, v, registry):
 def uni_gcd(a, b):
     """Monic Euclidean gcd over the rationals: the reference for the integer
     gcds (constant 1 for coprime inputs)."""
-    x, y = _uni_trim(list(a)), _uni_trim(list(b))
+    x, y = trim(list(a)), trim(list(b))
     while y:
         x, y = y, uni_divmod(x, y)[1]
     return [coeff / x[-1] for coeff in x] if x else []
@@ -120,7 +121,7 @@ def test_uni_round_trip_and_eval():
     c = uni_from_poly(p, XID, {})
     assert c == uni(1, -2, 0, 1)
     assert uni_eval(c, Fraction(2)) == p.eval({XID: Fraction(2)})
-    assert uni_derivative(c) == uni(-2, 0, 3)
+    assert derivative(c) == uni(-2, 0, 3)
 
 
 def test_uni_from_poly_sets_the_other_variables_from_the_point():
@@ -152,14 +153,14 @@ def test_uni_divmod_ignores_zero_top_coefficients():
     # the case that made the bisection oracle below disagree with sign_at_root
     p, q = uni(-2, 0, 1), uni(0, 1, 0)
     lo, hi = Fraction(-3), Fraction(0)
-    assert sign_at_root(q, p, lo, hi) == oracle_sign(q, p, lo, hi) == -1
+    assert sign_at_root(integral(q), integral(p), lo, hi) == oracle_sign(q, p, lo, hi) == -1
 
 
 def test_sturm_chain_golden():
     # p, p', then negated remainders, each scaled to primitive integers
-    assert _sturm_chain(uni(-2, 0, 1)) == [[-2, 0, 1], [0, 1], [1]]
-    assert _sturm_chain(uni(0, -1, 0, 1)) == [[0, -1, 0, 1], [-1, 0, 3], [0, 1], [1]]
-    assert _sturm_chain(uni(Fraction(-1, 2), 0, Fraction(3, 2))) == [
+    assert sturm_chain(integral(uni(-2, 0, 1))) == [[-2, 0, 1], [0, 1], [1]]
+    assert sturm_chain(integral(uni(0, -1, 0, 1))) == [[0, -1, 0, 1], [-1, 0, 3], [0, 1], [1]]
+    assert sturm_chain(integral(uni(Fraction(-1, 2), 0, Fraction(3, 2)))) == [
         [-1, 0, 3],
         [0, 1],
         [1],
@@ -167,7 +168,7 @@ def test_sturm_chain_golden():
 
 
 def test_sturm_count_on_intervals():
-    chain = _sturm_chain(uni(0, -1, 0, 1))
+    chain = sturm_chain(integral(uni(0, -1, 0, 1)))
     assert sturm_count(chain, Fraction(-2), Fraction(2)) == 3
     assert sturm_count(chain, Fraction(1, 2), Fraction(2)) == 1
     assert sturm_count(chain, Fraction(5), Fraction(9)) == 0
@@ -175,7 +176,7 @@ def test_sturm_count_on_intervals():
 
 def test_cauchy_root_bound():
     c = uni(-6, 11, -6, 1)  # roots 1, 2, 3
-    b = cauchy_root_bound(c)
+    b = cauchy_root_bound(integral(c))
     assert b >= 3
 
 
@@ -220,21 +221,20 @@ def test_isolate_clustered_roots():
 
 def test_refine_root():
     c = uni(-2, 0, 1)
-    lo, hi = refine_root(c, Fraction(1), Fraction(2), Fraction(1, 2**40))
+    lo, hi = refine_root(integral(c), Fraction(1), Fraction(2), Fraction(1, 2**40))
     assert hi - lo <= Fraction(1, 2**40)
     assert lo**2 <= 2 <= hi**2
     # rational root collapses to a point
-    lo, hi = refine_root(uni(-1, 0, 1), Fraction(0), Fraction(2), Fraction(1, 8))
+    lo, hi = refine_root(integral(uni(-1, 0, 1)), Fraction(0), Fraction(2), Fraction(1, 8))
     assert lo == hi == 1
 
 
 def reference_refine(c, lo, hi, width):
     """Bisection with Fraction midpoints, the integer kernel's oracle."""
-    c = _integral(c)
-    s_lo = _sign_at(c, lo)
+    s_lo = _sign(uni_eval(c, lo))
     while hi - lo > width:
         m = (lo + hi) / 2
-        s_m = _sign_at(c, m)
+        s_m = _sign(uni_eval(c, m))
         if s_m == 0:
             return m, m
         if s_m == s_lo:
@@ -262,20 +262,20 @@ def test_refine_root_matches_fraction_bisection(roots, irrational, k, m):
     if irrational:
         c = _poly_mul(c, uni(-3, 0, 1))
     width = Fraction(1, 2**k * m)
-    for lo, hi in _isolate_square_free(c):
-        got = refine_root(c, lo, hi, width)
+    for lo, hi in isolate_roots(integral(c)):
+        got = refine_root(integral(c), lo, hi, width)
         assert got == reference_refine(c, lo, hi, width)
         assert got[1] - got[0] <= width
 
 
 def test_refine_root_midpoint_root():
     # 2x - 3 over (1, 2): the first midpoint is the root
-    assert refine_root(uni(-3, 2), Fraction(1), Fraction(2), Fraction(1, 8)) == (
+    assert refine_root(integral(uni(-3, 2)), Fraction(1), Fraction(2), Fraction(1, 8)) == (
         Fraction(3, 2),
         Fraction(3, 2),
     )
     # over (1/3, 2), with unequal denominators, the second midpoint is 4x - 3's root
-    assert refine_root(uni(-3, 4), Fraction(1, 3), Fraction(2), Fraction(1, 99)) == (
+    assert refine_root(integral(uni(-3, 4)), Fraction(1, 3), Fraction(2), Fraction(1, 99)) == (
         Fraction(3, 4),
         Fraction(3, 4),
     )
@@ -290,12 +290,12 @@ def _poly_mul(a, b):
 
 
 def test_sign_at_root():
-    sf = uni(-2, 0, 1)  # sqrt(2) lives in (1, 2)
+    sf = [-2, 0, 1]  # sqrt(2) lives in (1, 2)
     lo, hi = Fraction(1), Fraction(2)
-    assert sign_at_root(uni(-1, 1), sf, lo, hi) == 1  # x - 1 > 0 at sqrt 2
-    assert sign_at_root(uni(-2, 1), sf, lo, hi) == -1  # x - 2 < 0
-    assert sign_at_root(uni(-2, 0, 1), sf, lo, hi) == 0  # vanishes there
-    assert sign_at_root(uni(-2, 0, 3), sf, lo, hi) == 1  # 3x^2 - 2 > 0
+    assert sign_at_root([-1, 1], sf, lo, hi) == 1  # x - 1 > 0 at sqrt 2
+    assert sign_at_root([-2, 1], sf, lo, hi) == -1  # x - 2 < 0
+    assert sign_at_root([-2, 0, 1], sf, lo, hi) == 0  # vanishes there
+    assert sign_at_root([-2, 0, 3], sf, lo, hi) == 1  # 3x^2 - 2 > 0
 
 
 # -- the integer sign kernel against plain Fraction arithmetic ----------------------
@@ -320,7 +320,7 @@ small_fractions = st.fractions(min_value=-40, max_value=40, max_denominator=24)
 def test_integer_sign_matches_fraction_horner(c, x, vanish):
     if vanish:  # make x a root, so the zero sign is exercised too
         c = uni_mul(c or [Fraction(1)], [-x, Fraction(1)])
-    assert _sign_at(_integral(c), x) == _sign(uni_eval(c, x))
+    assert sign_at(integral(c), x.numerator, x.denominator) == _sign(uni_eval(c, x))
 
 
 #: rational roots are drawn from the grid n/12, |n| <= 24; the interval of
@@ -376,28 +376,29 @@ def root_problems(draw):
 @given(root_problems())
 def test_sign_at_root_matches_bisection_oracle(problem):
     p, factors, roots, q = problem
-    intervals = _isolate_square_free(_square_free_uni(p))
+    intervals = isolate_roots(square_free(integral(p)))
     assert len(intervals) == len(roots) + 2 * (len(factors) > len(roots))
     for lo, hi in intervals + [(r - H, r + H) for r in roots]:
         (minimal,) = [
             f for f in factors if _sign(uni_eval(f, lo)) * _sign(uni_eval(f, hi)) < 0
         ]
-        assert sign_at_root(q, p, lo, hi) == oracle_sign(q, minimal, lo, hi)
+        got = sign_at_root(integral(q), integral(p), lo, hi)
+        assert got == oracle_sign(q, minimal, lo, hi)
 
 
 def reference_isolation(sf):
     """Sturm bisection that counts sign variations at both ends of every
     interval, split points included twice."""
-    chain = _sturm_chain(sf)
+    chain = sturm_chain(sf)
     bound = cauchy_root_bound(sf)
     out, work = [], [(-bound, bound)]
     while work:
         lo, hi = work.pop()
-        n = _variations(chain, lo) - _variations(chain, hi)
+        n = variations(chain, lo) - variations(chain, hi)
         if n == 1:
             out.append((lo, hi))
         elif n > 1:
-            m = _split_point(chain[0], lo, hi)
+            m = split_point(chain[0], lo, hi)
             work += [(lo, m), (m, hi)]
     return sorted(out)
 
@@ -413,9 +414,9 @@ def test_square_free_and_isolation_match_references(c, roots):
     trimmed = list(c)
     while trimmed and trimmed[-1] == 0:
         trimmed.pop()
-    g = uni_gcd(trimmed, uni_derivative(trimmed))
+    g = uni_gcd(trimmed, [e * a for e, a in enumerate(trimmed)][1:])
     sf = uni_divmod(trimmed, g)[0] if len(g) > 1 else trimmed
-    assert _square_free_uni(c) == [Fraction(n) for n in _primitive(_integral(sf))]
+    assert square_free(integral(c)) == primitive(integral(sf))
     if not trimmed:
         return
     p = uni_to_poly(trimmed, XID, REG)
@@ -438,7 +439,7 @@ def test_square_free_and_isolation_match_references(c, roots):
 def test_square_free_when_the_gcd_is_the_derivative(c, sf):
     # c' divides c, so the integer remainder sequence ends at c' itself, whose
     # content must go before the exact division
-    assert _square_free_uni(c) == sf
+    assert square_free(integral(c)) == sf
 
 
 def interval_compatible(iv, rel):
@@ -686,15 +687,23 @@ def _algprog_imports(source: str) -> dict[str, set[str]]:
     return out
 
 
-def test_verify_imports_only_the_kernel():
+#: the modules of src/algprog in layer order: each imports only earlier ones
+LAYERS = [
+    "uni", "polycore", "radicals", "resultants", "defpoly", "verify",
+    "isolation", "program", "cli",
+]
+
+
+def test_modules_import_only_earlier_layers():
+    src = Path(verify_module.__file__).parent
+    imports = {m: _algprog_imports((src / f"{m}.py").read_text()) for m in LAYERS}
+    for i, module in enumerate(LAYERS):
+        assert imports[module].keys() <= set(LAYERS[:i]), module
+    assert not imports["uni"]
     # what the README claims: verify audits certificates without importing
     # the code that builds them
-    imports = _algprog_imports(Path(verify_module.__file__).read_text())
-    assert not imports.keys() & {"isolation", "program", "resultants", "cli"}
-    assert imports.keys() <= {"polycore", "radicals", "defpoly"}
-    assert imports.get("defpoly", set()) <= {
-        "sample_real_point", "degree_bounds", "SamplingError",
-    }
+    audited = {"defpoly", "isolation", "program", "resultants", "cli"}
+    assert not imports["verify"].keys() & audited
 
 
 def test_import_scanner_sees_every_form():
