@@ -218,7 +218,7 @@ def _load_domain(
     path: str | None, registry: VarRegistry, names: Collection[str]
 ) -> DomainSpec | None:
     """The domain file at `path`, its interior point assigning exactly the
-    variables `names`."""
+    variables `names` and its conditions naming no others."""
     # `main` has checked that a path comes with `--strategy domain` only
     if path is None:
         return None
@@ -229,6 +229,14 @@ def _load_domain(
             condition_from_record(c, lambda t: polynomial_from_text(t, registry))
             for c in obj["conditions"]
         )
+        for cond in conditions:
+            outside = {registry.name_of(v) for v in cond.poly.vars_present()}
+            outside -= set(names)
+            if outside:
+                raise ValueError(
+                    f"condition {cond.text()} names {sorted(outside)}, "
+                    f"not among {sorted(names)}"
+                )
         values = obj["interior_point"]
         if set(values) != set(names):
             raise ValueError(f"interior_point must assign exactly {sorted(names)}")

@@ -406,7 +406,7 @@ def _domain_component(
 ) -> list[ComponentDescription]:
     point = dict(domain.interior_point)
     for cond in domain.conditions:
-        if not _verify.relation_holds(cond.poly.eval(point), cond.rel):
+        if not _verify.condition_holds(cond, point):
             raise ValidationError(
                 f"interior point violates domain condition {cond.text()}"
             )
@@ -611,9 +611,13 @@ def _certified_tower_signs(
     out of budget means the sample sits on (or too close to) a resultant zero
     and is reported as such.
     """
+    values = {}  # f's enclosure at each precision reached, shared by the tower
+
     def sign(q: MultiPoly) -> int:
         for bits in radicals.precisions(cfg.precision):
-            value = eval_numeric(f, named, bits)
+            value = values.get(bits)
+            if value is None:
+                value = values[bits] = eval_numeric(f, named, bits)
             enclosure = poly_enclosure(q, comp.sample, {z: value})
             if not enclosure.contains_zero():
                 return 1 if enclosure.lo > 0 else -1

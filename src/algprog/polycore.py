@@ -330,13 +330,24 @@ class MultiPoly:
         scale times d^D for each variable v = n/d of top degree D, so that
         v^e contributes n^e * d^(D - e).  One `Fraction` is built at the end.
         """
+        return Fraction(*self._scaled_value(point))
+
+    def sign_at(self, point: Mapping[VarId, Fraction]) -> int:
+        """The sign of `eval(point)`, read off the integer sum without a
+        `Fraction`: its common denominator is positive."""
+        total = self._scaled_value(point)[0]
+        return (total > 0) - (total < 0)
+
+    def _scaled_value(self, point: Mapping[VarId, Fraction]) -> tuple[int, int]:
+        # `eval`'s integer sum and common denominator; point values are ints
+        # or Fractions, read through .numerator and .denominator.
         plan = self._compiled()
         den = plan.scale
         powers = []
         for v, top in plan.tops.items():
             if v not in point:
                 raise PolyError(f"no value for variable {self.registry.name_of(v)!r}")
-            a = Fraction(point[v])
+            a = point[v]
             n, d = a.numerator, a.denominator
             den *= d**top
             powers.append([n**e * d ** (top - e) for e in range(top + 1)])
@@ -345,7 +356,7 @@ class MultiPoly:
             for pw, e in zip(powers, exps):
                 acc *= pw[e]
             total += acc
-        return Fraction(total, den)
+        return total, den
 
     def split(self, vs: frozenset[VarId]):
         """`self` nested in the variables of `vs` it involves, ascending id

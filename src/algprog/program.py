@@ -922,7 +922,7 @@ def check_substitution(
         for i, point in enumerate(points):
             named = {registry.name_of(v): val for v, val in point.items()}
             if not all(
-                _verify.relation_holds(cond.poly.eval(point), cond.rel)
+                _verify.condition_holds(cond, point)
                 for comp in comps
                 for cond in comp.conditions
             ):

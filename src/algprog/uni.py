@@ -8,14 +8,16 @@ lists; only interval endpoints are `Fraction`s.
 
 The sign of c at a rational a/b is read off b^n * c(a/b), computed by
 homogeneous integer Horner.  Real roots are isolated with Sturm chains
-(integer pseudo-remainders, each made primitive), and `refine_root` and
-`sign_at_root` bisect through one integer halving over a doubling
-denominator.  The sign of q at the root of p isolated in (lo, hi) is decided
-in this order: integer interval Horner on the interval, then a few bisection
-steps of the interval with the same test, and only if q's sign is still
-undecided gcd(p, q) with a Sturm count, which settles zero exactly;
-refinement then continues until the interval test certifies the sign, which
-terminates because the root is simple.  A degree-0 gcd of c and c' modulo
+(integer pseudo-remainders, each made primitive).  A `Bracket` holds one
+isolating interval as integers over a doubling denominator and halves it in
+place; `refine_root` and `sign_at_root` both bisect through it, and a caller
+that passes one bracket to several `sign_at_root` calls refines the root
+once, each call going on from where the last one stopped.  The sign of q at
+the root of p in a bracket is decided in this order: integer interval Horner
+on the bracket, then a few halvings with the same test, and only if q's
+sign is still undecided gcd(p, q) with a Sturm count, which settles zero
+exactly; halving then continues until the interval test certifies the sign,
+which terminates because the root is simple.  A degree-0 gcd of c and c' modulo
 `IMAGE_PRIME` usually proves c square-free; otherwise a primitive remainder
 sequence gives the gcd, by which c is divided exactly (Basu, Pollack & Roy,
 *Algorithms in Real Algebraic Geometry*, ch. 2 and 10).
@@ -210,30 +212,39 @@ def isolate_roots(sf: list[int]) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def halvings(c: Sequence[int], lo: Fraction, hi: Fraction):
-    """Bisect an isolating interval of `c` in integers.
+class Bracket:
+    """An isolating interval [a/d, b/d] (d > 0) of the simple root of `c`
+    inside it, narrowed in place.
 
-    Yields (a, b, d) with the interval [a/d, b/d]: first (lo, hi) over a
-    common denominator, then each half that keeps the root.  The midpoint
-    is (a + b)/2d, so the numerators are kept over a doubling d and b - a
-    never changes.  A midpoint that is a root of c is yielded as a = b, last.
+    `halve` keeps the half that holds the root.  Its midpoint is
+    (a + b)/2d, so the numerators are kept over a doubling d and b - a never
+    changes; `s_lo`, the sign of c at the lower end, stays the same.  A
+    midpoint that is a root of c collapses the bracket to a point, a = b.
     """
-    d = math.lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (d // lo.denominator)
-    b = hi.numerator * (d // hi.denominator)
-    s_lo = sign_at(c, a, d)
-    while True:
-        yield a, b, d
-        m = a + b
-        d *= 2
-        s_m = sign_at(c, m, d)
+
+    __slots__ = ("c", "a", "b", "d", "s_lo")
+
+    def __init__(self, c: Sequence[int], lo: Fraction, hi: Fraction) -> None:
+        d = math.lcm(lo.denominator, hi.denominator)
+        self.c = c
+        self.a = lo.numerator * (d // lo.denominator)
+        self.b = hi.numerator * (d // hi.denominator)
+        self.d = d
+        self.s_lo = sign_at(c, self.a, d)
+
+    def halve(self) -> None:
+        m = self.a + self.b
+        self.d *= 2
+        s_m = sign_at(self.c, m, self.d)
         if s_m == 0:
-            yield m, m, d
-            return
-        if s_m == s_lo:
-            a, b = m, 2 * b
+            self.a = self.b = m
+        elif s_m == self.s_lo:
+            self.a, self.b = m, 2 * self.b
         else:
-            a, b = 2 * a, m
+            self.a, self.b = 2 * self.a, m
+
+    def interval(self) -> tuple[Fraction, Fraction]:
+        return Fraction(self.a, self.d), Fraction(self.b, self.d)
 
 
 def refine_root(
@@ -243,45 +254,45 @@ def refine_root(
 
     A rational root discovered at a midpoint collapses the interval to a point.
     """
-    for a, b, d in halvings(c, lo, hi):
-        if (b - a) * width.denominator <= width.numerator * d:
-            return Fraction(a, d), Fraction(b, d)
+    br = Bracket(c, lo, hi)
+    while (br.b - br.a) * width.denominator > width.numerator * br.d:
+        br.halve()
+    return br.interval()
 
 
-#: bisection steps sign_at_root tries before it pays for gcd(p, q)
+#: bisection steps sign_at_root tries, per call, before it pays for gcd(p, q)
 _BISECTIONS_BEFORE_GCD = 4
 
 
-def sign_at_root(
-    q: Sequence[int], p: Sequence[int], lo: Fraction, hi: Fraction
-) -> int:
-    """Exact sign of q at the unique root of square-free p inside (lo, hi).
+def sign_at_root(q: Sequence[int], bracket: Bracket) -> int:
+    """Exact sign of q at the root of square-free p = `bracket.c` that the
+    bracket isolates; the bracket is left as far as this narrowed it.
 
     The decisions come in this order.  Integer interval Horner bounds q on
-    the interval, and a bound that excludes zero gives the sign.  Otherwise
-    the interval is bisected a few steps, retrying the bound after each; a
+    the bracket, and a bound that excludes zero gives the sign.  Otherwise
+    the bracket is halved a few steps, retrying the bound after each; a
     midpoint that is a root of p gives the exact sign of q there.  Only if
     the sign is still undecided is gcd(p, q) computed: any common root inside
-    the interval must be the root, so a Sturm count of the gcd decides zero
-    exactly.  If q does not vanish there, bisection goes on until the bound
+    the bracket must be the root, so a Sturm count of the gcd decides zero
+    exactly.  If q does not vanish there, halving goes on until the bound
     excludes zero, which terminates because the root is simple.
     """
     if not q:
         return 0
-    for steps, (a, b, d) in enumerate(halvings(p, lo, hi)):
-        if a == b:  # lo = hi, or a midpoint root of p
-            return sign_at(q, a, d)
-        s = interval_sign(q, a, b, d)
+    br = bracket
+    for steps in itertools.count():
+        if br.a == br.b:  # lo = hi, or a midpoint root of p
+            return sign_at(q, br.a, br.d)
+        s = interval_sign(q, br.a, br.b, br.d)
         if s:
             return s
         if steps == _BISECTIONS_BEFORE_GCD:
             # Endpoints are non-roots of p (a midpoint root ends the walk),
             # hence of the gcd.
-            g = gcd(p, q)
-            if len(g) > 1 and sturm_count(
-                sturm_chain(g), Fraction(a, d), Fraction(b, d)
-            ):
+            g = gcd(br.c, q)
+            if len(g) > 1 and sturm_count(sturm_chain(g), *br.interval()):
                 return 0
+        br.halve()
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .radicals import (
     eval_numeric,
     sample_real_point,
 )
-from .uni import isolate_roots, refine_root, sign_at_root, square_free, trim
+from .uni import Bracket, isolate_roots, sign_at, sign_at_root, square_free, trim
 
 
 def uni_from_poly(
@@ -265,6 +265,13 @@ def relation_holds(value: Fraction, rel: str) -> bool:
         raise PolyError(f"unknown relation {rel!r}") from None
 
 
+def condition_holds(cond, point: Mapping[VarId, Fraction]) -> bool:
+    """Whether `cond.poly cond.rel 0` holds at a full rational point, read
+    from the sign alone; the condition is duck-typed (attributes `poly` and
+    `rel`)."""
+    return relation_holds(cond.poly.sign_at(point), cond.rel)
+
+
 def relation_possible(iv: Interval, rel: str) -> bool:
     """Whether `rel 0` holds for some value in the interval, that is, the
     enclosure does not refute it."""
@@ -297,44 +304,53 @@ def root_selection(
 
     `root_conditions` are duck-typed: objects with `poly` and `rel`
     attributes.  The single equality condition is the defining polynomial
-    itself and is skipped (it holds at every root by construction).
+    itself and is skipped (it holds at every root by construction).  Each
+    root keeps one bracket that every condition narrows in turn; the
+    selection's intervals are the brackets as the conditions left them,
+    still isolating, with non-root endpoints unless the root is rational
+    and they meet in it.
     """
     c = uni_from_poly(defining, z, point)
     if len(c) <= 1:
         raise PolyError("defining polynomial degenerates at the sample point")
     sf = square_free(c)
-    isolation = isolate_roots(sf)
     # Each condition is substituted once per point, not once per root.
     strict = [
-        (cond.rel, uni_from_poly(cond.poly, z, point))
+        (RELATIONS[cond.rel].test, uni_from_poly(cond.poly, z, point))
         for cond in root_conditions
         if cond.rel != "="
     ]
+    intervals = []
     passing = []
-    for idx, (lo, hi) in enumerate(isolation):
-        ok = True
-        for rel, cq in strict:
-            s = sign_at_root(cq, sf, lo, hi)
-            if not RELATIONS[rel].test(s):
-                ok = False
-                break
-        if ok:
+    for idx, (lo, hi) in enumerate(isolate_roots(sf)):
+        bracket = Bracket(sf, lo, hi)
+        if all(test(sign_at_root(cq, bracket)) for test, cq in strict):
             passing.append(idx)
-    return RootSelection(tuple(sf), tuple(isolation), tuple(passing))
+        intervals.append(bracket.interval())
+    return RootSelection(tuple(sf), tuple(intervals), tuple(passing))
 
 
-def selection_matches_f(
-    value: Interval,
-    selection: RootSelection,
-    tol_bits: int,
-) -> bool:
-    """True when the unique passing root overlaps `value`, an enclosure of
-    f(a), with the root refined to width 2^-tol_bits."""
+def selection_matches_f(value: Interval, selection: RootSelection) -> bool:
+    """True when the unique passing root lies in `value`, an enclosure of
+    f(a).
+
+    The root is the only one of the square-free p in its interval, whose
+    endpoints are not roots unless they meet in it, so it lies in the
+    intersection J of the interval and `value` exactly when p does not keep
+    one strict sign at both ends of J.
+    """
     if len(selection.passing) != 1:
         return False
     lo, hi = selection.intervals[selection.passing[0]]
-    lo, hi = refine_root(selection.square_free, lo, hi, Fraction(1, 2 ** tol_bits))
-    return lo <= value.hi and value.lo <= hi
+    lo, hi = max(lo, value.lo), min(hi, value.hi)
+    if lo > hi:
+        return False
+    p = selection.square_free
+    return (
+        sign_at(p, lo.numerator, lo.denominator)
+        * sign_at(p, hi.numerator, hi.denominator)
+        <= 0
+    )
 
 
 #: times sample_in_component divides its box radius (first 1) by 16 after
@@ -364,10 +380,7 @@ def sample_in_component(
                 v: a + box * Fraction(rng.randint(-40, 40), 40)
                 for v, a in anchor.items()
             }
-            if all(
-                relation_holds(c.poly.eval(point), c.rel)
-                for c in component.conditions
-            ):
+            if all(condition_holds(c, point) for c in component.conditions):
                 return point
     raise SamplingError(
         f"rejection sampling exhausted near {component.label or 'component'}"
@@ -393,7 +406,7 @@ def verify_certificate(
     For every entry, sample points satisfying the component conditions, then
     isolate all real roots of the defining polynomial at each point and decide
     every sign condition with rational arithmetic.  Exactly one root may pass,
-    and its isolating interval must overlap an enclosure of f at the sample.
+    and it must lie in an enclosure of f at the sample.
     The certificate object is duck-typed (attributes `defining`, `z`,
     `entries`, and per-entry `component` / `root_conditions`), so this module
     never imports the code it is auditing.
@@ -437,7 +450,7 @@ def verify_certificate(
                     f"{_point_text(named)}"
                 )
                 break
-            if not selection_matches_f(value, selection, tol_bits):
+            if not selection_matches_f(value, selection):
                 failure = f"selected root does not match f at {_point_text(named)}"
                 break
             if used == samples_per_component:

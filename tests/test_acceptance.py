@@ -43,7 +43,7 @@ from algprog.radicals import (
     polynomial_from_text,
 )
 from algprog.resultants import resultant, resultant_degree_bound
-from algprog.uni import sign_at_root
+from algprog.uni import Bracket, sign_at_root
 from algprog.verify import (
     audit_degrees,
     isolate_real_roots,
@@ -205,7 +205,7 @@ def test_criterion_3_isolation_certificates():
             if all(
                 relation_holds(
                     Fraction(
-                        sign_at_root(integral(substituted(c.poly, point)), sf, lo, hi)
+                        sign_at_root(integral(substituted(c.poly, point)), Bracket(sf, lo, hi))
                     ),
                     c.rel,
                 )
@@ -542,7 +542,7 @@ def test_criterion_7_property_suites():
             q = q.derivative(xv)
             derivatives.append(uni_from_poly(q, xv, {}))
         vectors = [
-            tuple(sign_at_root(d, sf, lo, hi) for d in derivatives)
+            tuple(sign_at_root(d, Bracket(sf, lo, hi)) for d in derivatives)
             for lo, hi in iso.intervals
         ]
         if len(set(vectors)) != k:

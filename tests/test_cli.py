@@ -280,6 +280,34 @@ def test_domain_point_in_other_variables_is_exit_3(capsys, tmp_path, target, poi
     assert "bad domain file" in err and "interior_point must assign exactly" in err
 
 
+@pytest.mark.parametrize(
+    "target, condition, point, why",
+    [
+        ("sqrt(x)", "z - 1", {"x": "4"}, "condition z - 1 >= 0 names ['z']"),
+        (RB, "w - 1", {"x": "3", "y": "2"}, "unknown variable 'w'"),
+    ],
+    ids=["isolate-root-variable", "reformulate-extra-w"],
+)
+def test_domain_condition_in_other_variables_is_exit_3(
+    capsys, tmp_path, target, condition, point, why
+):
+    # conditions may name only the variables the point assigns; the root
+    # variable z, which the expression's registry also holds, once reached
+    # the verifier and exited 4 there
+    domain = tmp_path / "domain.json"
+    domain.write_text(json.dumps({
+        "conditions": [{"poly": condition, "rel": ">="}], "interior_point": point,
+    }))
+    if target == RB:
+        argv = reformulate_args(RB, str(domain), tmp_path / "rb.json")
+    else:
+        argv = ["isolate", target, "--strategy", "domain", "--domain-file", str(domain),
+                "--verify", "--out", str(tmp_path / "cert.json")]
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "bad domain file" in err and why in err
+
+
 def test_reformulate_missing_file_is_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, "reformulate", str(tmp_path / "absent.json"))
     assert code == 3

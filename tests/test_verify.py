@@ -3,6 +3,7 @@ certificate re-checks.  Everything here runs in exact rational arithmetic."""
 
 import ast
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +35,7 @@ from algprog.radicals import (
     polynomial_from_text,
 )
 from algprog.uni import (
+    Bracket,
     cauchy_root_bound,
     derivative,
     isolate_roots,
@@ -51,6 +53,7 @@ from algprog.uni import (
 from algprog.verify import (
     ENDPOINT_BITS,
     RELATIONS,
+    RootSelection,
     _endpoint_text,
     _sign,
     audit_degrees,
@@ -153,7 +156,7 @@ def test_uni_divmod_ignores_zero_top_coefficients():
     # the case that made the bisection oracle below disagree with sign_at_root
     p, q = uni(-2, 0, 1), uni(0, 1, 0)
     lo, hi = Fraction(-3), Fraction(0)
-    assert sign_at_root(integral(q), integral(p), lo, hi) == oracle_sign(q, p, lo, hi) == -1
+    assert sign_at_root(integral(q), Bracket(integral(p), lo, hi)) == oracle_sign(q, p, lo, hi) == -1
 
 
 def test_sturm_chain_golden():
@@ -292,10 +295,10 @@ def _poly_mul(a, b):
 def test_sign_at_root():
     sf = [-2, 0, 1]  # sqrt(2) lives in (1, 2)
     lo, hi = Fraction(1), Fraction(2)
-    assert sign_at_root([-1, 1], sf, lo, hi) == 1  # x - 1 > 0 at sqrt 2
-    assert sign_at_root([-2, 1], sf, lo, hi) == -1  # x - 2 < 0
-    assert sign_at_root([-2, 0, 1], sf, lo, hi) == 0  # vanishes there
-    assert sign_at_root([-2, 0, 3], sf, lo, hi) == 1  # 3x^2 - 2 > 0
+    assert sign_at_root([-1, 1], Bracket(sf, lo, hi)) == 1  # x - 1 > 0 at sqrt 2
+    assert sign_at_root([-2, 1], Bracket(sf, lo, hi)) == -1  # x - 2 < 0
+    assert sign_at_root([-2, 0, 1], Bracket(sf, lo, hi)) == 0  # vanishes there
+    assert sign_at_root([-2, 0, 3], Bracket(sf, lo, hi)) == 1  # 3x^2 - 2 > 0
 
 
 # -- the integer sign kernel against plain Fraction arithmetic ----------------------
@@ -382,8 +385,72 @@ def test_sign_at_root_matches_bisection_oracle(problem):
         (minimal,) = [
             f for f in factors if _sign(uni_eval(f, lo)) * _sign(uni_eval(f, hi)) < 0
         ]
-        got = sign_at_root(integral(q), integral(p), lo, hi)
+        got = sign_at_root(integral(q), Bracket(integral(p), lo, hi))
         assert got == oracle_sign(q, minimal, lo, hi)
+
+
+def _minimal_factor(factors, lo, hi):
+    (minimal,) = [f for f in factors if _sign(uni_eval(f, lo)) * _sign(uni_eval(f, hi)) < 0]
+    return minimal
+
+
+@st.composite
+def several_conditions(draw):
+    """A problem of `root_problems` with two to five q's, in a random order."""
+    p, factors, roots, q = draw(root_problems())
+    qs = [q]
+    for _ in range(draw(st.integers(1, 4))):
+        cofactor = draw(st.lists(small_fractions, min_size=1, max_size=4).filter(any))
+        shared = draw(st.sampled_from([None, *factors]))
+        qs.append(cofactor if shared is None else uni_mul(cofactor, shared))
+    return p, factors, draw(st.permutations(qs))
+
+
+@given(several_conditions())
+def test_shared_bracket_signs_match_fresh_ones(problem):
+    # root_selection's walk: every q continues from the bracket the last one
+    # narrowed, which still isolates the root
+    p, factors, qs = problem
+    sf = square_free(integral(p))
+    for lo, hi in isolate_roots(sf):
+        minimal = _minimal_factor(factors, lo, hi)
+        bracket = Bracket(sf, lo, hi)
+        for q in qs:
+            got = sign_at_root(integral(q), bracket)
+            assert got == sign_at_root(integral(q), Bracket(sf, lo, hi))
+            assert got == oracle_sign(q, minimal, lo, hi)
+        a, b = bracket.interval()
+        assert lo <= a <= b <= hi
+        if a == b:
+            assert uni_eval(minimal, a) == 0
+        else:
+            assert _sign(uni_eval(minimal, a)) * _sign(uni_eval(minimal, b)) < 0
+
+
+@given(
+    root_problems(),
+    st.integers(1, 40),
+    st.integers(0, 8),
+    st.integers(-64, 64),
+    st.integers(0, 64),
+)
+def test_exact_f_match_agrees_with_refine_and_overlap(problem, k, shift, offset, width):
+    # refined to width 2^-k, the root overlaps the enclosure exactly when it
+    # lies inside, provided both ends of the enclosure are further than 2^-k
+    # from the root
+    p, _, _, _ = problem
+    sf = square_free(integral(p))
+    intervals = tuple(isolate_roots(sf))
+    tol = Fraction(1, 2**k)
+    unit = tol / 2**shift
+    for idx, (lo, hi) in enumerate(intervals):
+        near_lo, near_hi = refine_root(sf, lo, hi, unit / 2**16)
+        value = Interval(near_lo + offset * unit, near_lo + (offset + width) * unit)
+        if any(near_lo - tol <= e <= near_hi + tol for e in (value.lo, value.hi)):
+            continue
+        selection = RootSelection(tuple(sf), intervals, (idx,))
+        r_lo, r_hi = refine_root(sf, lo, hi, tol)
+        assert selection_matches_f(value, selection) == (r_lo <= value.hi and value.lo <= r_hi)
 
 
 def reference_isolation(sf):
@@ -617,8 +684,68 @@ def test_selection_matches_f():
     sel = root_selection(dp.poly, dp.z, conds, point)
     f = normalize(parse("sqrt(x)"))
     value = eval_numeric(f, {"x": Fraction(9, 4)}, 64)
-    assert selection_matches_f(value, sel, 64)
-    assert not selection_matches_f(Interval.point(Fraction(-3, 2)), sel, 64)
+    assert selection_matches_f(value, sel)
+    assert not selection_matches_f(Interval.point(Fraction(-3, 2)), sel)
+
+
+def test_selection_matches_f_is_exact():
+    # sqrt(2) is the passing root of z^2 - 2 at x = 2.  An enclosure wholly
+    # above it by less than 2^-64 is a mismatch, which refining the root to
+    # 2^-64 and testing overlap would accept
+    dp = defining_polynomial("sqrt(x)")
+    reg = dp.poly.registry
+    conds = (SignCondition(polynomial_from_text("z", reg), ">"),)
+    sel = root_selection(dp.poly, dp.z, conds, {reg.id_of("x"): Fraction(2)})
+    eps = Fraction(1, 2**70)
+    above = (math.isqrt(2 * 4**70) + 1) * eps  # sqrt(2) < above < sqrt(2) + eps
+    value = Interval(above, above + eps)
+    lo, hi = refine_root([-2, 0, 1], Fraction(1), Fraction(2), Fraction(1, 2**64))
+    assert lo <= value.hi and value.lo <= hi
+    assert not selection_matches_f(value, sel)
+    assert selection_matches_f(Interval(above - eps, above), sel)
+    assert not selection_matches_f(Interval(above - 2 * eps, above - eps), sel)
+
+
+def test_root_selection_refines_each_root_once(monkeypatch):
+    # conditions decided at different depths: with one bracket per root, a
+    # root costs the halvings of its deepest condition, not their sum
+    made = []
+
+    class CountingBracket(Bracket):
+        __slots__ = ("halvings",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.halvings = 0
+            made.append(self)
+
+        def halve(self):
+            self.halvings += 1
+            super().halve()
+
+    monkeypatch.setattr(verify_module, "Bracket", CountingBracket)
+    reg = VarRegistry(["z"])
+    z = reg.id_of("z")
+    p = polynomial_from_text("(z^2 - 2)*(z^2 - 3)", reg)
+    conds = [
+        SignCondition(polynomial_from_text(text, reg), rel)
+        for text, rel in [("10*z - 14", ">"), ("1000*z - 1414", ">"), ("z - 5", "<")]
+    ]
+    sel = root_selection(p, z, conds, {})
+    assert len(sel.passing) == 2  # sqrt(2) and sqrt(3)
+    shared = [b.halvings for b in made]
+    sf = square_free(uni_from_poly(p, z, {}))
+    qs = [uni_from_poly(c.poly, z, {}) for c in conds]
+    alone = []
+    for lo, hi in isolate_roots(sf):
+        made.clear()
+        for q in qs:
+            sign_at_root(q, CountingBracket(sf, lo, hi))
+        alone.append([b.halvings for b in made])
+    assert len(shared) == len(alone) == 4
+    for got, each in zip(shared, alone):
+        assert got <= max(each)
+    assert any(got < sum(each) for got, each in zip(shared, alone))
 
 
 def test_verify_certificate_evaluates_f_once_per_sample(monkeypatch):
