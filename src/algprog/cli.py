@@ -323,7 +323,7 @@ def cmd_isolate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             cert.source,
             cert,
             samples_per_component=args.samples,
-            tol_bits=args.precision_bits,
+            precision=args.precision_bits,
             seed=args.seed,
         )
         return _verdict(report)
@@ -400,7 +400,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         cert.source,
         cert,
         samples_per_component=args.samples,
-        tol_bits=args.precision_bits,
+        precision=args.precision_bits,
         seed=args.seed,
     ).checks:
         report.add(line)

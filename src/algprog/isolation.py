@@ -17,7 +17,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from . import radicals
 from .defpoly import DefiningPolynomial
@@ -30,7 +30,7 @@ from .polycore import (
     integer_normalize,
     try_divexact,
 )
-from .radicals import NOT_REAL, EvalDomainError, Expr, eval_numeric, poly_enclosure
+from .radicals import NOT_REAL, EvalDomainError, Expr, Interval, eval_numeric, poly_enclosure
 from .resultants import resultant, resultant_with_constant
 from . import verify as _verify
 
@@ -71,9 +71,6 @@ class SignCondition:
         if poly.terms[grlex_leading(poly.terms)] < 0:
             rel = _verify.RELATIONS[rel].flip
         return SignCondition(integer_normalize(poly), rel)
-
-    def key(self) -> tuple:
-        return (tuple(sorted(self.poly.terms.items())), self.rel)
 
     def text(self) -> str:
         return f"{self.poly.to_text()} {self.rel} 0"
@@ -175,7 +172,10 @@ def certificate_from_json(text: str) -> IsolationCertificate:
     names = obj["variables"]
     valid = _lists_strings(names) and len(set(names)) == len(names)
     _checked(names, valid, "variables must list strings, each once")
-    registry = VarRegistry(names)
+    try:
+        registry = VarRegistry(names)
+    except PolyError as exc:  # an invalid name
+        raise TypeError(f"variables: {exc}") from None
     z = registry.id_of(_checked(obj["z"], obj["z"] in names, "z must name a variable"))
     rows, skipped = obj["entries"], obj.get("skipped", [])
     _checked(rows, isinstance(rows, list), "entries must be a list")
@@ -373,7 +373,7 @@ def _univariate_components(
             points.append((hi + lo) / 2)
         points.append(intervals[-1][1] + 1)
     comps = []
-    seen: dict[tuple, str] = {}
+    seen: dict[tuple[SignCondition, ...], str] = {}
     for i, s in enumerate(points):
         sample = {w: Fraction(0) for w in xvars}
         sample[v] = s
@@ -386,15 +386,14 @@ def _univariate_components(
             label = f"branch {i + 1} of {len(points)} (right half-line)"
         else:
             label = f"branch {i + 1} of {len(points)}"
-        key = tuple(c.key() for c in conditions)
-        if key in seen:
+        if conditions in seen:
             warnings.append(
-                f"components {seen[key]!r} and {label!r} carry identical sign "
+                f"components {seen[conditions]!r} and {label!r} carry identical sign "
                 "conditions; the emitted conditions cover their union"
             )
         else:
-            seen[key] = label
-        comps.append(ComponentDescription(tuple(conditions), sample, label))
+            seen[conditions] = label
+        comps.append(ComponentDescription(conditions, sample, label))
     return comps
 
 
@@ -499,7 +498,7 @@ def _grid_components(
         anchor = min(members)
         comps.append(
             ComponentDescription(
-                tuple(_strict(nonconstant, cells[anchor])),
+                _strict(nonconstant, cells[anchor]),
                 cell_point(anchor),
                 f"grid group {k + 1} of {len(groups)}",
             )
@@ -514,29 +513,14 @@ def _grid_components(
     return comps
 
 
-def _strict(polys: Iterable[MultiPoly], signs: Iterable) -> list[SignCondition]:
+def _strict(polys: Iterable[MultiPoly], signs: Iterable) -> tuple[SignCondition, ...]:
     """`q > 0` or `q < 0` by the sign of the matching value, for each
     nonconstant q, without repeats."""
-    return dedupe(
-        (
-            SignCondition.normalized(q, ">" if s > 0 else "<")
-            for q, s in zip(polys, signs)
-            if not q.is_constant()
-        ),
-        SignCondition.key,
-    )
-
-
-def dedupe(items: Iterable, key: Callable[..., Hashable]) -> list:
-    """The items in order, each dropped whose key an earlier one had."""
-    out = []
-    seen = set()
-    for item in items:
-        k = key(item)
-        if k not in seen:
-            seen.add(k)
-            out.append(item)
-    return out
+    return tuple(dict.fromkeys(
+        SignCondition.normalized(q, ">" if s > 0 else "<")
+        for q, s in zip(polys, signs)
+        if not q.is_constant()
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +567,9 @@ def isolate(
         if value is NOT_REAL:
             skipped.append(comp)
             continue
-        signs = _certified_tower_signs(tower, z, comp, f, named, cfg)
-        conditions = [SignCondition.normalized(p, "="), *_strict(tower, signs)]
-        entries.append(CertEntry(comp, tuple(conditions), tuple(signs)))
+        signs = _certified_tower_signs(tower, z, comp, f, named, cfg, value)
+        conditions = (SignCondition.normalized(p, "="), *_strict(tower, signs))
+        entries.append(CertEntry(comp, conditions, tuple(signs)))
     return IsolationCertificate(
         z=z,
         defining=p,
@@ -604,14 +588,17 @@ def _certified_tower_signs(
     f: Expr,
     named: Mapping[str, Fraction],
     cfg: IsolateConfig,
+    value: Interval,
 ) -> list[int]:
-    """Sign of every p⁽ⁱ⁾ at (f(a), a), certified by interval refinement.
+    """Sign of every p⁽ⁱ⁾ at (f(a), a), certified by interval refinement;
+    `value` is f's enclosure at cfg.precision, the first precision tried.
 
     On a valid component no sign is zero, so refinement terminates; running
     out of budget means the sample sits on (or too close to) a resultant zero
     and is reported as such.
     """
-    values = {}  # f's enclosure at each precision reached, shared by the tower
+    # f's enclosure at each precision reached, shared by the tower
+    values = {cfg.precision: value}
 
     def sign(q: MultiPoly) -> int:
         for bits in radicals.precisions(cfg.precision):
@@ -661,14 +648,10 @@ def merge_components(
     registry = cert.defining.registry
     merged_entries: list[CertEntry] = []
     for vector, members in groups.items():
-        shared = [
-            c
-            for c in members[0].component.conditions
-            if all(
-                c.key() in {d.key() for d in m.component.conditions}
-                for m in members
-            )
-        ]
+        common = set(members[0].component.conditions).intersection(
+            *(m.component.conditions for m in members[1:])
+        )
+        shared = [c for c in members[0].component.conditions if c in common]
         root_conditions = list(members[0].root_conditions)
         if cfg.allow_boundary:
             root_conditions = [
@@ -726,9 +709,7 @@ def _simplify_relaxed(
     cancel a z factor from `z*q >= 0` when `z >= 0` is also present, then drop
     any condition that a kept one implies via a sum-of-even-monomials gap."""
     zp = MultiPoly.var(registry, z)
-    has_z_nonneg = any(
-        c.rel == ">=" and c.poly == zp for c in conditions
-    )
+    has_z_nonneg = SignCondition(zp, ">=") in conditions
     out: list[SignCondition] = []
     for c in conditions:
         if c.rel == ">=" and has_z_nonneg and c.poly != zp:
@@ -737,8 +718,8 @@ def _simplify_relaxed(
                 out.append(SignCondition.normalized(q, ">="))
                 continue
         out.append(c)
-    out = dedupe(out, SignCondition.key)
-    # after dedupe two `>=` conditions differ in their polynomials, so a gap
+    out = list(dict.fromkeys(out))
+    # with repeats gone two `>=` conditions differ in their polynomials, so a gap
     # that is provably nonnegative is nonzero and d >= 0 forces c >= 0
     return [
         c

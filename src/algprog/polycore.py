@@ -268,7 +268,9 @@ class MultiPoly:
             and self.terms == other.terms
         )
 
-    __hash__ = None  # type: ignore[assignment]
+    def __hash__(self) -> int:
+        # equal terms hash alike whatever the registry, which __eq__ checks
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -46,12 +46,11 @@ from .isolation import (
     IsolateConfig,
     IsolationCertificate,
     SignCondition,
-    dedupe,
     isolate,
     merge_components,
     provably_nonneg,
 )
-from .polycore import MultiPoly, VarId, VarRegistry, grlex_key
+from .polycore import MultiPoly, PolyError, VarId, VarRegistry, grlex_key
 from .radicals import (
     NOT_REAL,
     Add,
@@ -61,6 +60,7 @@ from .radicals import (
     Expr,
     Interval,
     Mul,
+    NotPolynomial,
     Root,
     Sub,
     Var,
@@ -197,7 +197,10 @@ def load_program(text: str) -> AlgebraicProgram:
         )
     if sense not in _SENSES:
         raise StructuralError(f"objective sense must be min or max, got {sense!r}")
-    registry = VarRegistry(names)
+    try:
+        registry = VarRegistry(names)
+    except PolyError as exc:  # a repeated or invalid name
+        raise StructuralError(f"variables: {exc}") from None
 
     def read_expr(text: str, where: str) -> Expr:
         e = normalize(parse(text))
@@ -251,22 +254,14 @@ def extract_algebraic_parts(
 
     A part is either a group subexpression (matched verbatim, outermost
     first) or an outermost Root subtree.  Parts are returned in first
-    occurrence order, objective before constraints.  Replacing every part by
-    a fresh variable must leave all program expressions polynomial; if not,
-    the leftover structure is reported so the user can group it away.
+    occurrence order, objective before constraints.
     """
     groups = list(prog.groups)
     matched: set[int] = set()
-    parts: list[Expr] = []
-    occurrences: list[list[str]] = []
+    parts: dict[Expr, list[str]] = {}
 
     def note(e: Expr, where: str) -> None:
-        for j, p in enumerate(parts):
-            if p == e:
-                occurrences[j].append(where)
-                return
-        parts.append(e)
-        occurrences.append([where])
+        parts.setdefault(e, []).append(where)
 
     def scan(e: Expr, where: str) -> None:
         for j, g in enumerate(groups):
@@ -298,34 +293,15 @@ def extract_algebraic_parts(
                 f"group {to_text(part)!r} is already polynomial; "
                 "it does not need a variable"
             )
-
-    # Residual check: with every part replaced, nothing non-polynomial
-    # (an ungrouped denominator, say) may remain.
-    stand_ins: Mapping[Expr, Expr] = {
-        p: Var(f"_part{j}") for j, p in enumerate(parts)
-    }
-    exprs = [("objective", prog.objective[1])] + [
-        (f"constraints[{i}]", e) for i, (e, _) in enumerate(prog.constraints)
-    ]
-    for where, e in exprs:
-        if not is_polynomial(substitute_expr(e, stand_ins)):
-            raise StructuralError(
-                f"{where} stays non-polynomial after replacing the algebraic "
-                "parts; group the offending subexpression"
-            )
-    return [(p, tuple(occ)) for p, occ in zip(parts, occurrences)]
+    return [(p, tuple(occ)) for p, occ in parts.items()]
 
 
 def _program_radicals(prog: AlgebraicProgram) -> list[Root]:
     """Distinct Root subtrees across all program expressions, outermost first
     and objective before constraints: one auxiliary variable each in the
     straightforward reformulation."""
-    rads: list[Root] = []
-    for e in [prog.objective[1]] + [e for e, _ in prog.constraints]:
-        for rad in radicals.distinct_radicals(e):
-            if rad not in rads:
-                rads.append(rad)
-    return rads
+    exprs = [prog.objective[1]] + [e for e, _ in prog.constraints]
+    return list(dict.fromkeys(r for e in exprs for r in radicals.distinct_radicals(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +351,6 @@ def _rebind_domain(domain: DomainSpec, registry: VarRegistry) -> DomainSpec:
     )
 
 
-#: a child constraint with its kind, the entry `constraint_kinds` shows
-Row = tuple[SignCondition, str]
-
-
-def _row_key(row: Row) -> tuple:
-    return row[0].key()
-
-
 def reformulate(
     prog: AlgebraicProgram,
     strategy: str = "univariate",
@@ -399,6 +367,10 @@ def reformulate(
     and root conditions, the parts' component conditions, and the original
     constraints, deduplicated.  A `domain` is required by (and only used
     with) the domain strategy and must be stated over `prog.variables`.
+
+    Replacing every part by its variable must leave all program expressions
+    polynomial; if not, the leftover structure (an ungrouped denominator,
+    say) is a StructuralError, so the user can group it away.
     """
     found = extract_algebraic_parts(prog)
     warnings: list[str] = []
@@ -411,8 +383,30 @@ def reformulate(
     sense, objective_expr = prog.objective
     baseline_count = len(_program_radicals(prog))
 
+    # The children's registry: the problem variables, then one z per part.
+    registry = VarRegistry(prog.variables.names())
+    substitution: dict[Expr, Var] = {}
+    for expr, _ in found:
+        substitution[expr] = Var(registry.fresh("z"))
+        registry.add(substitution[expr].name)
+
+    def convert(e: Expr, where: str) -> MultiPoly:
+        try:
+            return to_polynomial(substitute_expr(e, substitution), registry)
+        except NotPolynomial:
+            raise StructuralError(
+                f"{where} stays non-polynomial after replacing the algebraic "
+                "parts; group the offending subexpression"
+            ) from None
+
+    objective = convert(objective_expr, "objective")
+    original_conds = [
+        SignCondition.normalized(convert(e, f"constraints[{i}]"), rel)
+        for i, (e, rel) in enumerate(prog.constraints)
+    ]
+
     # Pipeline per part, on a scratch registry (defining_polynomial interns
-    # elimination variables there; children get a clean registry below).
+    # elimination variables there; the children's registry stays clean).
     work = VarRegistry(prog.variables.names())
     wdomain = _rebind_domain(domain, work) if domain is not None else None
     reduce_cfg = ReduceConfig(
@@ -420,7 +414,7 @@ def reformulate(
     )
     parts: list[PartReformulation] = []
     for expr, occ in found:
-        z_name = work.fresh("z")
+        z_name = substitution[expr].name
         dp = defining_polynomial(expr, work, z_name=z_name, cfg=reduce_cfg)
         cert = isolate(expr, dp, strategy=strategy, cfg=cfg.isolate, domain=wdomain)
         if cfg.merge:
@@ -449,24 +443,10 @@ def reformulate(
             f"max_children={cfg.max_children}"
         )
 
-    registry = VarRegistry(
-        list(prog.variables.names()) + [p.z_name for p in parts]
-    )
-    substitution: Mapping[Expr, Expr] = {
-        p.expr: Var(p.z_name) for p in parts
-    }
-    objective = to_polynomial(substitute_expr(objective_expr, substitution), registry)
-    original_conds = [
-        SignCondition.normalized(
-            to_polynomial(substitute_expr(e, substitution), registry),
-            rel,
-        )
-        for e, rel in prog.constraints
-    ]
-
     children: list[PolynomialProgram] = []
     for combo in itertools.product(*(range(n) for n in sizes)):
-        rows: list[Row] = []
+        # each constraint once, with the kind of its first occurrence
+        rows: dict[SignCondition, str] = {}
         for p, idx in zip(parts, combo):
             entry = p.certificate.entries[idx]
             for i, rc in enumerate(entry.root_conditions):
@@ -475,15 +455,12 @@ def reformulate(
                     if i == 0 and rc.rel == "="
                     else f"isolating root {p.z_name}"
                 )
-                rows.append((_rebind_condition(rc, registry), kind))
+                rows.setdefault(_rebind_condition(rc, registry), kind)
         for p, idx in zip(parts, combo):
-            entry = p.certificate.entries[idx]
-            rows += [
-                (_rebind_condition(cc, registry), "component")
-                for cc in entry.component.conditions
-            ]
-        rows += [(c, "original constraint") for c in original_conds]
-        rows = dedupe(rows, _row_key)
+            for cc in p.certificate.entries[idx].component.conditions:
+                rows.setdefault(_rebind_condition(cc, registry), "component")
+        for c in original_conds:
+            rows.setdefault(c, "original constraint")
         labels = [
             p.certificate.entries[idx].component.label or f"component {idx + 1}"
             for p, idx in zip(parts, combo)
@@ -492,12 +469,12 @@ def reformulate(
             PolynomialProgram(
                 variables=registry,
                 objective=(sense, objective),
-                constraints=tuple((c.poly, c.rel) for c, _ in rows),
+                constraints=tuple((c.poly, c.rel) for c in rows),
                 provenance={
                     registry.id_of(p.z_name): p.expr for p in parts
                 },
                 component_label="; ".join(labels) or "already polynomial",
-                constraint_kinds=tuple(kind for _, kind in rows),
+                constraint_kinds=tuple(rows.values()),
                 entry_choice=combo,
             )
         )
@@ -580,11 +557,12 @@ def baseline_reformulate(prog: AlgebraicProgram) -> PolynomialProgram:
         if rad.index % 2 == 0
     }
 
-    rows: list[Row] = []
+    # each constraint once, with the kind of its first occurrence
+    rows: dict[SignCondition, str] = {}
 
     def denominator_nonzero(den: MultiPoly) -> None:
         if not den.is_constant() and not _provably_nonzero(den, nonneg):
-            rows.append((SignCondition.normalized(den, "!="), "denominator nonzero"))
+            rows.setdefault(SignCondition.normalized(den, "!="), "denominator nonzero")
 
     def quotient_conditions(
         num: MultiPoly, den: MultiPoly, rel: str, kind: str
@@ -596,13 +574,13 @@ def baseline_reformulate(prog: AlgebraicProgram) -> PolynomialProgram:
                 raise StructuralError("constraint divides by the zero constant")
             if c < 0:
                 rel = _verify.RELATIONS[rel].flip
-            rows.append((SignCondition.normalized(num, rel), kind))
+            rows.setdefault(SignCondition.normalized(num, rel), kind)
             return
         # An equality needs num = 0; otherwise multiplying through by den^2
         # keeps the sign: num/den rel 0 becomes num*den rel 0 away from the
         # zeros of den.
         cleared = num if rel == "=" else num * den
-        rows.append((SignCondition.normalized(cleared, rel), kind))
+        rows.setdefault(SignCondition.normalized(cleared, rel), kind)
         denominator_nonzero(den)
 
     radicand_parts: list[tuple[MultiPoly, MultiPoly]] = []
@@ -613,8 +591,8 @@ def baseline_reformulate(prog: AlgebraicProgram) -> PolynomialProgram:
         )
         radicand_parts.append((num, den))
         # w^r = num/den, cross-multiplied.
-        rows.append(
-            (SignCondition.normalized(w**rad.index * den - num, "="), f"defines {name}")
+        rows.setdefault(
+            SignCondition.normalized(w**rad.index * den - num, "="), f"defines {name}"
         )
         denominator_nonzero(den)
 
@@ -626,15 +604,14 @@ def baseline_reformulate(prog: AlgebraicProgram) -> PolynomialProgram:
         if rad.index % 2:
             continue
         w = MultiPoly.var(registry, registry.id_of(name))
-        rows.append(
-            (SignCondition.normalized(w, ">="), f"{name} is the nonnegative root")
+        rows.setdefault(
+            SignCondition.normalized(w, ">="), f"{name} is the nonnegative root"
         )
         cleared = num if den.is_constant() else num * den
         if den.is_constant() and den.constant_value() < 0:
             cleared = -cleared
         if not provably_nonneg(cleared, nonneg):
             quotient_conditions(num, den, ">=", "radicand nonnegative")
-    rows = dedupe(rows, _row_key)
 
     num, den = _rational_form(
         substitute_expr(objective_expr, substitution), registry
@@ -649,12 +626,12 @@ def baseline_reformulate(prog: AlgebraicProgram) -> PolynomialProgram:
     return PolynomialProgram(
         variables=registry,
         objective=(sense, objective),
-        constraints=tuple((c.poly, c.rel) for c, _ in rows),
+        constraints=tuple((c.poly, c.rel) for c in rows),
         provenance={
             registry.id_of(name): rad for rad, name in zip(rads, aux_names)
         },
         component_label="straightforward",
-        constraint_kinds=tuple(kind for _, kind in rows),
+        constraint_kinds=tuple(rows.values()),
     )
 
 

@@ -532,12 +532,11 @@ def distinct_radicals(e: Expr) -> tuple[Root, ...]:
     this is exactly the number of auxiliary variables the one-root-per-radical
     baseline reformulation introduces.
     """
-    seen: list[Root] = []
+    seen: dict[Root, None] = {}
 
     def walk(node: Expr) -> None:
         if isinstance(node, Root):
-            if node not in seen:
-                seen.append(node)
+            seen.setdefault(node)
             walk(node.radicand)
         elif isinstance(node, (Add, Sub, Mul, Div)):
             walk(node.left)

@@ -398,7 +398,7 @@ def verify_certificate(
     f: Expr | str,
     cert,
     samples_per_component: int = 8,
-    tol_bits: int = 64,
+    precision: int = 64,
     seed: int = 0,
 ) -> VerifyReport:
     """Re-check an isolation certificate from scratch, exactly.
@@ -406,7 +406,8 @@ def verify_certificate(
     For every entry, sample points satisfying the component conditions, then
     isolate all real roots of the defining polynomial at each point and decide
     every sign condition with rational arithmetic.  Exactly one root may pass,
-    and it must lie in an enclosure of f at the sample.
+    and it must lie in an enclosure of f at the sample, computed at
+    `precision` bits.
     The certificate object is duck-typed (attributes `defining`, `z`,
     `entries`, and per-entry `component` / `root_conditions`), so this module
     never imports the code it is auditing.
@@ -419,7 +420,7 @@ def verify_certificate(
     def value_at(named):
         # a point where f cannot be evaluated counts as one where it is not real
         try:
-            return eval_numeric(f, named, tol_bits)
+            return eval_numeric(f, named, precision)
         except EvalDomainError:
             return NOT_REAL
 

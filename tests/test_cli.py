@@ -325,6 +325,9 @@ def test_reformulate_bad_program_is_exit_3(capsys, tmp_path):
     [
         (lambda obj: obj.update(variables=5), "variables"),
         (lambda obj: obj.update(variables=["x", 5]), "variables"),
+        (lambda obj: obj.update(variables=["x", "x"]), "variables"),
+        (lambda obj: obj.update(variables=["1x"]), "variables"),
+        (lambda obj: obj.update(variables=[""]), "variables"),
         (lambda obj: obj.update(objective="x"), "objective"),
         (lambda obj: obj["objective"].update(expr=5), "objective expr"),
         (lambda obj: obj.update(constraints=5), "constraints"),
@@ -333,7 +336,8 @@ def test_reformulate_bad_program_is_exit_3(capsys, tmp_path):
         (lambda obj: obj.update(groups=5), "groups"),
     ],
     ids=[
-        "variables", "variable-name", "objective", "objective-expr",
+        "variables", "variable-name", "variable-twice", "variable-1x",
+        "variable-empty", "objective", "objective-expr",
         "constraints", "constraint-item", "constraint-expr", "groups",
     ],
 )
@@ -436,6 +440,7 @@ def test_verify_unreadable_sample_is_exit_3(capsys, tmp_path, value):
         ("skipped", "sample", "abc", "sample must be an object"),
         (None, "variables", "xz", "variables must list strings"),
         (None, "variables", ["x", "z", "x"], "variables must list strings, each once"),
+        (None, "variables", ["x", "z", "1x"], "invalid variable name '1x'"),
         ("entries", "sign_vector", "ab", "sign_vector must list -1s and 1s"),
         ("entries", "label", 3, "label must be a string"),
         (None, "entries", [5], "not subscriptable"),
@@ -455,7 +460,7 @@ def test_verify_unreadable_sample_is_exit_3(capsys, tmp_path, value):
     ],
     ids=[
         "entries-value0", "entries-abc", "skipped-value0", "skipped-abc",
-        "variables-xz", "variables-x-twice", "sign_vector-ab", "label-3", "entry-5",
+        "variables-xz", "variables-x-twice", "variables-1x", "sign_vector-ab", "label-3", "entry-5",
         "entries-object", "skipped-object", "strategy-5", "warnings-abc",
         "z-5", "z-w", "condition-q", "defining-q", "source-q", "sample-empty",
         "sample-x-z", "skipped-sample-q",

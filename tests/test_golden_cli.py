@@ -23,6 +23,9 @@ HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 PROBLEMS = HERE.parent / "problems"
 POLYNOMIAL = GOLDEN / "polynomial.json"  # radical-free, one constraint twice
+# a part in the objective and a constraint, a radical inside another part,
+# a constraint repeated up to scale
+REPEATS = GOLDEN / "repeats.json"
 
 _EXTENSIONS = {"json": "json", "smtlib": "smt2", "human": "txt"}
 
@@ -41,6 +44,11 @@ def _reformulate_cases():
         yield f"polynomial-{fmt}", [[
             "reformulate", str(POLYNOMIAL), "--verify", "--baseline",
             "--format", fmt, "--out", f"<tmp>/out.{ext}",
+        ]]
+    for fmt in ("human", "json"):
+        yield f"repeats-{fmt}", [[
+            "reformulate", str(REPEATS), "--verify", "--baseline",
+            "--format", fmt, "--out", f"<tmp>/out.{_EXTENSIONS[fmt]}",
         ]]
     yield "rosenbrock-grid", [[
         "reformulate", str(PROBLEMS / "rosenbrock.json"), "--strategy", "grid",

@@ -24,7 +24,7 @@ from algprog.isolation import (
     merge_components,
 )
 from algprog.polycore import MultiPoly, VarRegistry
-from algprog.radicals import normalize, parse, polynomial_from_text
+from algprog.radicals import eval_numeric, normalize, parse, polynomial_from_text
 from algprog.verify import verify_certificate
 from conftest import strip_factor
 from test_acceptance import DOMAIN_CORPUS, GRID_CORPUS, UNIVARIATE_CORPUS
@@ -136,6 +136,24 @@ def test_grid_certificate_merges_to_reference_conditions():
     ).passed
 
 
+def test_merge_keeps_shared_conditions_in_the_first_members_order():
+    dp = defining_polynomial("sqrt(x) + sqrt(y)")
+    cert = isolate("sqrt(x) + sqrt(y)", dp, strategy="grid", cfg=GRID_CFG)
+    assert len({e.sign_vector for e in cert.entries}) == 1 < len(cert.entries)
+    reg = dp.poly.registry
+    x_pos, y_pos = (SignCondition(polynomial_from_text(t, reg), ">") for t in "xy")
+    entries = []
+    for i, e in enumerate(cert.entries):
+        # each member lists the shared two in turn, around one of its own
+        own = SignCondition(polynomial_from_text(f"x + {i + 1}", reg), ">")
+        first, second = (y_pos, x_pos) if i % 2 == 0 else (x_pos, y_pos)
+        component = dataclasses.replace(e.component, conditions=(first, own, second))
+        entries.append(dataclasses.replace(e, component=component))
+    merged = merge_components(dataclasses.replace(cert, entries=tuple(entries)), GRID_CFG)
+    assert merged.warnings == cert.warnings
+    assert [e.component.conditions for e in merged.entries] == [(y_pos, x_pos)]
+
+
 def test_merge_preserves_singleton():
     dp = defining_polynomial("sqrt(x)")
     cert = isolate("sqrt(x)", dp, cfg=IsolateConfig(samples=8))
@@ -187,9 +205,9 @@ def _tower_signs(texts, x):
     tower = [polynomial_from_text(t, reg) for t in texts]
     comp = ComponentDescription((), {reg.id_of("x"): x}, "at the sample")
     f = normalize(parse("sqrt(x)"))
-    return _certified_tower_signs(
-        tower, reg.id_of("z"), comp, f, {"x": x}, IsolateConfig()
-    )
+    cfg = IsolateConfig()
+    value = eval_numeric(f, {"x": x}, cfg.precision)
+    return _certified_tower_signs(tower, reg.id_of("z"), comp, f, {"x": x}, cfg, value)
 
 
 def test_tower_signs_refuse_an_exact_zero():
@@ -318,7 +336,7 @@ def test_sign_condition_normalization():
     p = polynomial_from_text("-2*x + 4", reg)
     c = SignCondition.normalized(p, ">")
     assert c.text() == "x - 2 < 0"
-    assert SignCondition.normalized(p, ">").key() == c.key()
+    assert SignCondition.normalized(p, ">") == c
 
 
 def test_simplify_relaxed_cancels_z_and_drops_implied_conditions():

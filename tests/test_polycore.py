@@ -176,6 +176,19 @@ def test_content_does_not_depend_on_term_order(p, rng):
         assert content_in(shuffled, v) == content_in(p, v)
 
 
+@given(polys(), polys(), st.randoms(use_true_random=False))
+def test_equal_polynomials_hash_alike(p, q, rng):
+    items = list(p.terms.items())
+    rng.shuffle(items)
+    shuffled = MultiPoly(REG, dict(items))
+    cancelled = (p + q) - q  # built through a sum whose q terms cancel
+    other = VarRegistry(REG.names())  # the hash ignores the registry
+    for same in (shuffled, cancelled, MultiPoly(other, p.terms)):
+        assert hash(same) == hash(p)
+    assert shuffled == p and cancelled == p
+    assert len({p, shuffled, cancelled}) == 1
+
+
 @given(polys(max_terms=3, max_exp=2), polys(max_terms=2, max_exp=1))
 def test_square_free_part_is_coprime_to_its_derivative(p, q):
     v = REG.id_of("z")

@@ -120,7 +120,7 @@ def test_non_polynomial_residual_rejected():
     # replacing sqrt(x) leaves 1/part, which no polynomial program can hold
     prog = mini("1/sqrt(x)")
     with pytest.raises(StructuralError) as err:
-        extract_algebraic_parts(prog)
+        reformulate(prog)
     assert "group" in str(err.value)
 
 
