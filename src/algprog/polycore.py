@@ -161,8 +161,9 @@ class _Plan:
 class MultiPoly:
     """Immutable-by-convention sparse polynomial tied to a registry.
 
-    `eval`, `split` and the callers built on them (interval enclosure, the
-    univariate coefficient lists of `verify`) read one lazily built `_Plan`.
+    `scaled_value`, `split` and the callers built on them (`eval`,
+    `sign_at`, interval enclosure, the univariate coefficient lists of
+    `verify`) read one lazily built `_Plan`.
     """
 
     __slots__ = ("registry", "terms", "_plan")
@@ -332,25 +333,25 @@ class MultiPoly:
         scale times d^D for each variable v = n/d of top degree D, so that
         v^e contributes n^e * d^(D - e).  One `Fraction` is built at the end.
         """
-        return Fraction(*self._scaled_value(point))
+        return Fraction(*self.scaled_value(point))
 
     def sign_at(self, point: Mapping[VarId, Fraction]) -> int:
         """The sign of `eval(point)`, read off the integer sum without a
         `Fraction`: its common denominator is positive."""
-        total = self._scaled_value(point)[0]
+        total = self.scaled_value(point)[0]
         return (total > 0) - (total < 0)
 
-    def _scaled_value(self, point: Mapping[VarId, Fraction]) -> tuple[int, int]:
-        # `eval`'s integer sum and common denominator; point values are ints
-        # or Fractions, read through .numerator and .denominator.
+    def scaled_value(self, point: Mapping[VarId, Fraction]) -> tuple[int, int]:
+        """`eval`'s integer sum and its positive common denominator, not
+        reduced; point values are ints or Fractions, read through
+        ``as_integer_ratio``."""
         plan = self._compiled()
         den = plan.scale
         powers = []
         for v, top in plan.tops.items():
             if v not in point:
                 raise PolyError(f"no value for variable {self.registry.name_of(v)!r}")
-            a = point[v]
-            n, d = a.numerator, a.denominator
+            n, d = point[v].as_integer_ratio()
             den *= d**top
             powers.append([n**e * d ** (top - e) for e in range(top + 1)])
         total = 0

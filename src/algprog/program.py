@@ -871,6 +871,12 @@ def check_substitution(
 
     _, objective_expr = prog.objective
     registry = result.parts[0].certificate.defining.registry
+    # Program variables that occur outside every algebraic part are in no
+    # component's sample: they enter each anchor at 0 and are drawn around it.
+    occurring = variables_of(objective_expr).union(
+        *(variables_of(e) for e, _ in prog.constraints)
+    )
+    program_ids = [registry.id_of(n) for n in prog.variables.names() if n in occurring]
     rng = random.Random(seed)
     for ci, child in enumerate(result.children):
         child_vars = child.variables
@@ -886,6 +892,8 @@ def check_substitution(
         for comp in comps[1:]:
             for v, val in comp.sample.items():
                 anchor.setdefault(v, val)
+        for v in program_ids:
+            anchor.setdefault(v, Fraction(0))
         region = dataclasses.replace(comps[0], sample=anchor)
         zids = [child_vars.id_of(p.z_name) for p in result.parts]
         child_ids = {
@@ -945,7 +953,7 @@ def check_substitution(
                 break
             target = eval_numeric(objective_expr, named, precision)
             got = radicals.poly_enclosure(child.objective[1], exact, box)
-            if target is NOT_REAL or not (got - target).contains_zero():
+            if target is NOT_REAL or not (got.lo <= target.hi and target.lo <= got.hi):
                 failure = f"child {ci + 1}: objective mismatch at {named}"
                 break
             if used == samples:

@@ -566,6 +566,11 @@ def substitute_expr(e: Expr, mapping: Mapping[Expr, Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 # exact interval arithmetic
 # ---------------------------------------------------------------------------
+#
+# The kernel works in integers: an exact value is a pair ``(num, den)`` and
+# an interval a triple ``(lo, hi, den)``, numerators over one positive
+# denominator, neither reduced by a gcd on the way.  A `Fraction` `Interval`
+# is built only where a value leaves `poly_enclosure` or `eval_numeric`.
 
 
 @dataclass(frozen=True)
@@ -585,35 +590,41 @@ class Interval:
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
-    def __add__(self, other: Interval) -> Interval:
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: Interval) -> Interval:
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __mul__(self, other: Interval) -> Interval:
-        a, b = (other, self) if other.lo == other.hi else (self, other)
-        if a.lo == a.hi:
-            # a point scales the other operand: two products ordered by its
-            # sign give the same endpoints as all four
-            c = a.lo
-            if c >= 0:
-                return Interval(b.lo * c, b.hi * c)
-            return Interval(b.hi * c, b.lo * c)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(products), max(products))
-
-    def __neg__(self) -> Interval:
-        return Interval(-self.hi, -self.lo)
-
     @classmethod
     def point(cls, c: Fraction) -> Interval:
         return cls(c, c)
+
+
+def _interval(x: tuple[int, ...]) -> Interval:
+    """The `Interval` of a kernel pair or triple."""
+    if len(x) == 2:
+        c = Fraction(*x)
+        return Interval(c, c)
+    lo, hi, den = x
+    return Interval(Fraction(lo, den), Fraction(hi, den))
+
+
+def _add(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    alo, ahi, ad = a
+    blo, bhi, bd = b
+    if ad == bd:
+        return alo + blo, ahi + bhi, ad
+    return alo * bd + blo * ad, ahi * bd + bhi * ad, ad * bd
+
+
+def _mul(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    if b[0] == b[1]:
+        a, b = b, a
+    alo, ahi, ad = a
+    blo, bhi, bd = b
+    if alo == ahi:
+        # a point scales the other operand: two products ordered by its
+        # sign give the same endpoints as all four
+        if alo >= 0:
+            return blo * alo, bhi * alo, bd * ad
+        return bhi * alo, blo * alo, bd * ad
+    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return min(products), max(products), ad * bd
 
 
 def poly_enclosure(
@@ -623,25 +634,36 @@ def poly_enclosure(
 
     Horner in each box variable, in ascending id order, with the
     coefficients enclosed recursively; a coefficient free of every box
-    variable is evaluated exactly at `point` and enters as a point interval.
-    By subdistributivity the enclosure is never wider than term-by-term
-    interval evaluation, and exact quantities stay exact.  The nesting is
-    `MultiPoly.split`, built once per polynomial and box variable set.
+    variable is evaluated exactly at `point` (`MultiPoly.scaled_value`) and
+    enters as a point interval.  By subdistributivity the enclosure is never
+    wider than term-by-term interval evaluation, and exact quantities stay
+    exact.  The nesting is `MultiPoly.split`, built once per polynomial and
+    box variable set; the box is taken to one common denominator first.
     """
-    return _enclose(p.split(frozenset(box)), point, box)
+    den = math.lcm(*(c.denominator for iv in box.values() for c in (iv.lo, iv.hi)))
+    ibox = {
+        v: (
+            iv.lo.numerator * (den // iv.lo.denominator),
+            iv.hi.numerator * (den // iv.hi.denominator),
+            den,
+        )
+        for v, iv in box.items()
+    }
+    return _interval(_enclose(p.split(frozenset(box)), point, ibox))
 
 
-def _enclose(node, point: Mapping[VarId, Fraction], box: Mapping[VarId, Interval]) -> Interval:
+def _enclose(node, point: Mapping[VarId, Fraction], box) -> tuple[int, int, int]:
     if isinstance(node, MultiPoly):
-        return Interval.point(node.eval(point))
+        num, den = node.scaled_value(point)
+        return num, num, den
     v, coeffs = node
     iv = box[v]
     top = max(coeffs)
     acc = _enclose(coeffs[top], point, box)
     for e in range(top - 1, -1, -1):
-        acc = acc * iv
+        acc = _mul(acc, iv)
         if e in coeffs:
-            acc = acc + _enclose(coeffs[e], point, box)
+            acc = _add(acc, _enclose(coeffs[e], point, box))
     return acc
 
 
@@ -691,86 +713,105 @@ def _iroot(n: int, r: int) -> int:
     return x
 
 
+def _rat_root(num: int, den: int, r: int, bits: int) -> tuple[int, int, int]:
+    """Enclose (num/den)^(1/r) within 2^-bits, for odd r or num >= 0.
+
+    The pair is put in lowest terms by one gcd first: the perfect-power
+    test reads both parts, so a perfect power reached through an unreduced
+    pair stays exact.
+    """
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    if num < 0:
+        lo, hi, d = _rat_root(-num, den, r, bits)
+        return -hi, -lo, d
+    if num == 0:
+        return 0, 0, 1
+    rn, rd = _iroot(num, r), _iroot(den, r)
+    if rn**r == num and rd**r == den:
+        return rn, rn, rd
+    scale = 1 << (r * bits)
+    lo = _iroot((num * scale) // den, r)
+    hi = _iroot(-(-(num * scale) // den), r) + 1
+    return lo, hi, 1 << bits
+
+
 def rat_root_enclosure(a: Fraction, r: int, bits: int) -> Interval:
     """Enclose a^(1/r) for a >= 0 within 2^-bits; exact for perfect powers."""
     if a < 0:
         raise ExprError("rat_root_enclosure needs a non-negative radicand")
-    if a == 0:
-        return Interval.point(Fraction(0))
-    rn, rd = _iroot(a.numerator, r), _iroot(a.denominator, r)
-    if rn**r == a.numerator and rd**r == a.denominator:
-        return Interval.point(Fraction(rn, rd))
-    scale = 1 << (r * bits)
-    lo_int = _iroot((a.numerator * scale) // a.denominator, r)
-    hi_int = _iroot(-(-(a.numerator * scale) // a.denominator), r) + 1
-    return Interval(Fraction(lo_int, 1 << bits), Fraction(hi_int, 1 << bits))
+    return _interval(_rat_root(a.numerator, a.denominator, r, bits))
 
 
-def _root_value(x: Fraction | Interval, r: int, bits: int) -> NumericValue:
-    if type(x) is Fraction:
-        if x >= 0:
-            return rat_root_enclosure(x, r, bits)
-        return NOT_REAL if r % 2 == 0 else -rat_root_enclosure(-x, r, bits)
-    if r % 2 == 0:
-        if x.hi < 0:
+def _root_value(x: tuple[int, ...], r: int, bits: int):
+    if len(x) == 2:
+        num, den = x
+        if num < 0 and r % 2 == 0:
             return NOT_REAL
-        if x.lo < 0:
+        return _rat_root(num, den, r, bits)
+    lo, hi, den = x
+    if r % 2 == 0:
+        if hi < 0:
+            return NOT_REAL
+        if lo < 0:
             raise _NeedsPrecision("even root of an interval straddling zero")
-        lo = rat_root_enclosure(x.lo, r, bits)
-        hi = rat_root_enclosure(x.hi, r, bits)
-        return Interval(lo.lo, hi.hi)
-    # odd roots are monotone over all reals
-    def one(a: Fraction) -> Interval:
-        if a >= 0:
-            return rat_root_enclosure(a, r, bits)
-        return -rat_root_enclosure(-a, r, bits)
-
-    return Interval(one(x.lo).lo, one(x.hi).hi)
+    # roots are monotone on their domain: enclose each endpoint's root
+    alo, _, ad = _rat_root(lo, den, r, bits)
+    _, bhi, bd = _rat_root(hi, den, r, bits)
+    if ad == bd:
+        return alo, bhi, ad
+    return alo * bd, bhi * ad, ad * bd
 
 
-def _as_interval(x: Fraction | Interval) -> Interval:
-    return x if type(x) is Interval else Interval(x, x)
-
-
-def _eval_interval(
-    e: Expr, point: Mapping[str, Fraction], bits: int
-) -> Fraction | NumericValue:
-    # Exact first: a subtree without roots evaluates to a plain Fraction, and
-    # becomes a point interval only where it meets an interval operand or a
-    # root.  Arithmetic on point intervals is exact, so every enclosure is
-    # the one evaluating each node as an interval gives.
+def _eval_interval(e: Expr, point: Mapping[str, Fraction], bits: int):
+    # Exact first: a subtree without roots evaluates to an exact pair, and
+    # becomes a point triple only where it meets an interval operand.
+    # Arithmetic on points is exact, so every enclosure is the one
+    # evaluating each node as an interval gives.
     t = type(e)
-    if t is Const:
-        value = e.value
-        return value if type(value) is Fraction else Fraction(value)
-    if t is Var:
-        if e.name not in point:
+    if t is Const or t is Var:
+        if t is Var and e.name not in point:
             raise ExprError(f"no value given for variable {e.name!r}")
-        value = point[e.name]
-        return value if type(value) is Fraction else Fraction(value)
+        value = e.value if t is Const else point[e.name]
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        return value.as_integer_ratio()
     if t is Add or t is Sub or t is Mul or t is Div:
         l = _eval_interval(e.left, point, bits)
         r = _eval_interval(e.right, point, bits)
         if l is NOT_REAL or r is NOT_REAL:
             return NOT_REAL
-        if type(l) is not type(r):
-            l, r = _as_interval(l), _as_interval(r)
+        if len(l) == len(r) == 2:
+            a, b = l
+            c, d = r
+            if t is Mul:
+                return a * c, b * d
+            if t is Div:
+                if not c:
+                    raise EvalDomainError("division by zero")
+                return (a * d, b * c) if c > 0 else (-a * d, -b * c)
+            if t is Sub:
+                c = -c
+            if b == d:
+                return a + c, b
+            return a * d + c * b, b * d
+        if len(l) == 2:
+            l = l[0], l[0], l[1]
+        if len(r) == 2:
+            r = r[0], r[0], r[1]
         if t is Add:
-            return l + r
+            return _add(l, r)
         if t is Sub:
-            return l - r
+            return _add(l, (-r[1], -r[0], r[2]))
         if t is Mul:
-            return l * r
-        if type(r) is Fraction:
-            if not r:
-                raise EvalDomainError("division by zero")
-            return l / r
-        if r.contains_zero():
-            if r.lo == r.hi:
+            return _mul(l, r)
+        rlo, rhi, rd = r
+        if rlo <= 0 <= rhi:
+            if rlo == rhi:
                 raise EvalDomainError("division by zero")
             raise _NeedsPrecision("denominator interval straddles zero")
-        inverses = (1 / r.lo, 1 / r.hi)
-        return l * Interval(min(inverses), max(inverses))
+        # 1/r is [rd/rhi, rd/rlo], over the positive rlo*rhi
+        return _mul(l, (rd * rlo, rd * rhi, rlo * rhi))
     if t is Root:
         inner = _eval_interval(e.radicand, point, bits)
         if inner is NOT_REAL:
@@ -809,7 +850,7 @@ def eval_numeric(
             value = _eval_interval(e, point, bits)
         except _NeedsPrecision:
             continue
-        return NOT_REAL if value is NOT_REAL else _as_interval(value)
+        return NOT_REAL if value is NOT_REAL else _interval(value)
     raise EvalDomainError(
         "refinement budget exhausted: a denominator or even-root radicand is "
         "numerically indistinguishable from zero"

@@ -17,7 +17,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import radicals
@@ -40,16 +40,20 @@ def uni_from_poly(
 ) -> list[int]:
     """Integer coefficient list of `p` viewed as univariate in `v`, every
     other variable set from `point`, scaled by the lcm of the denominators.
+    Each coefficient is read as `MultiPoly.scaled_value` gives it and put in
+    lowest terms by one gcd.
 
     Raises PolyError when a coefficient involves a variable `point` lacks.
     """
     node = p.split(frozenset((v,)))
     coeffs = {0: node} if isinstance(node, MultiPoly) else node[1]
-    values = [Fraction(0)] * (max(coeffs) + 1)
+    values = [(0, 1)] * (max(coeffs) + 1)
     for e, q in coeffs.items():
-        values[e] = q.eval(point)
-    den = lcm(*(x.denominator for x in values))
-    return trim([x.numerator * (den // x.denominator) for x in values])
+        num, den = q.scaled_value(point)
+        g = gcd(num, den)
+        values[e] = num // g, den // g
+    den = lcm(*(d for _, d in values))
+    return trim([num * (den // d) for num, d in values])
 
 
 def _sign(x: Fraction) -> int:

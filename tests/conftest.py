@@ -7,12 +7,15 @@ equality for resultant-derived polynomials, so `proportional` is used
 throughout instead of `==` where a scalar factor is immaterial.
 """
 
+from __future__ import annotations
+
 from fractions import Fraction
 from math import lcm
 
 from hypothesis import settings
 
 from algprog.polycore import MultiPoly
+from algprog.radicals import Interval
 from algprog.uni import trim
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -68,3 +71,34 @@ def uni_eval(c, x: Fraction) -> Fraction:
     for coeff in reversed(c):
         acc = acc * x + coeff
     return acc
+
+
+class RefInterval(Interval):
+    """`Interval` with Fraction arithmetic: the oracle that the integer
+    kernel of `algprog.radicals` must reproduce endpoint for endpoint."""
+
+    def __add__(self, other: Interval) -> RefInterval:
+        return RefInterval(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other: Interval) -> RefInterval:
+        return RefInterval(self.lo - other.hi, self.hi - other.lo)
+
+    def __mul__(self, other: Interval) -> RefInterval:
+        a, b = (other, self) if other.lo == other.hi else (self, other)
+        if a.lo == a.hi:
+            # a point scales the other operand: two products ordered by its
+            # sign give the same endpoints as all four
+            c = a.lo
+            if c >= 0:
+                return RefInterval(b.lo * c, b.hi * c)
+            return RefInterval(b.hi * c, b.lo * c)
+        products = (
+            self.lo * other.lo,
+            self.lo * other.hi,
+            self.hi * other.lo,
+            self.hi * other.hi,
+        )
+        return RefInterval(min(products), max(products))
+
+    def __neg__(self) -> RefInterval:
+        return RefInterval(-self.hi, -self.lo)

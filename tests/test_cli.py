@@ -229,6 +229,31 @@ def test_reformulate_verify_accepts_a_constraint_false_at_the_anchor(capsys, tmp
     assert report["passed"] and report["checks"][0]["samples_used"] == 8
 
 
+@pytest.mark.parametrize(
+    "variables, objective, constraints",
+    [
+        (["x", "y"], "y + sqrt(x)", []),
+        (["x", "z"], "z + sqrt(x + 1)", []),
+        (["x", "y"], "sqrt(x)", [{"expr": "y - x", "rel": ">="}]),
+    ],
+    ids=["objective", "named-z", "constraint"],
+)
+def test_reformulate_verify_with_a_variable_outside_every_part(
+    capsys, tmp_path, variables, objective, constraints
+):
+    # the variable is in no certificate's sample; it is drawn around 0
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps({
+        "variables": variables,
+        "objective": {"sense": "min", "expr": objective},
+        "constraints": constraints,
+    }))
+    code, _, err = run(capsys, "reformulate", str(prob), "--verify", "--samples", "8")
+    assert code == 0
+    report = json.loads(err[err.index("verify: ") + len("verify: "):])
+    assert report["passed"] and report["checks"][0]["samples_used"] == 8
+
+
 def test_reformulate_human_format(capsys, tmp_path):
     out_file = tmp_path / "rb.txt"
     args = reformulate_args(RB, RB_DOMAIN, out_file) + ["--format", "human"]

@@ -42,6 +42,7 @@ from algprog.radicals import (
     to_text,
     variables_of,
 )
+from conftest import RefInterval
 
 
 # -- parser ---------------------------------------------------------------------
@@ -406,17 +407,17 @@ def intervals(draw):
 
 def mul4(a, b):
     products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return Interval(min(products), max(products))
+    return RefInterval(min(products), max(products))
 
 
 def reference_horner(q, z, point, ziv):
     """Interval Horner in one variable with four-product multiplication."""
     coeffs = q.coeffs_in(z)
-    acc = Interval.point(Fraction(0))
+    acc = RefInterval.point(Fraction(0))
     for e in range(max(coeffs, default=0), -1, -1):
         acc = mul4(acc, ziv)
         if e in coeffs:
-            acc = acc + Interval.point(coeffs[e].eval(point))
+            acc = acc + RefInterval.point(coeffs[e].eval(point))
     return acc
 
 
@@ -456,7 +457,7 @@ def reference_enclosure(p, point, box):
     present = p.vars_present()
     inner = sorted(v for v in box if v in present)
     if not inner:
-        return Interval.point(p.eval(point))
+        return RefInterval.point(p.eval(point))
     iv = box[inner[0]]
     coeffs = p.coeffs_in(inner[0])
     top = max(coeffs)
@@ -500,8 +501,12 @@ point_intervals = st.one_of(
 
 @given(point_intervals, st.one_of(intervals(), point_intervals))
 def test_point_product_matches_four_products(pt, other):
+    # x*y over a box encloses by one product of the two intervals, the
+    # point one scaling the other whichever variable it is
     want = mul4(pt, other)
-    for got in (pt * other, other * pt):
+    xy = MultiPoly(KREG, {((0, 1), (1, 1)): Fraction(1)})
+    for box in ({0: pt, 1: other}, {0: other, 1: pt}):
+        got = poly_enclosure(xy, {}, box)
         assert (got.lo, got.hi) == (want.lo, want.hi)
 
 
@@ -520,22 +525,23 @@ def reference_eval(e, point, precision):
                 raise radicals._NeedsPrecision("even root of an interval straddling zero")
             lo = rat_root_enclosure(iv.lo, r, bits)
             hi = rat_root_enclosure(iv.hi, r, bits)
-            return Interval(lo.lo, hi.hi)
+            return RefInterval(lo.lo, hi.hi)
 
         def one(a):
             if a >= 0:
                 return rat_root_enclosure(a, r, bits)
-            return -rat_root_enclosure(-a, r, bits)
+            neg = rat_root_enclosure(-a, r, bits)
+            return -RefInterval(neg.lo, neg.hi)
 
-        return Interval(one(iv.lo).lo, one(iv.hi).hi)
+        return RefInterval(one(iv.lo).lo, one(iv.hi).hi)
 
     def walk(e, bits):
         if isinstance(e, Const):
-            return Interval.point(e.value)
+            return RefInterval.point(e.value)
         if isinstance(e, Var):
             if e.name not in point:
                 raise ExprError(f"no value given for variable {e.name!r}")
-            return Interval.point(Fraction(point[e.name]))
+            return RefInterval.point(Fraction(point[e.name]))
         if isinstance(e, (Add, Sub, Mul, Div)):
             l = walk(e.left, bits)
             r = walk(e.right, bits)
@@ -552,7 +558,7 @@ def reference_eval(e, point, precision):
                     raise EvalDomainError("division by zero")
                 raise radicals._NeedsPrecision("denominator interval straddles zero")
             inverses = (1 / r.lo, 1 / r.hi)
-            return l * Interval(min(inverses), max(inverses))
+            return l * RefInterval(min(inverses), max(inverses))
         inner = walk(e.radicand, bits)
         if inner is NOT_REAL:
             return NOT_REAL
@@ -646,3 +652,84 @@ def test_exact_first_eval_cases(text, point, want):
         # the divisor straddles zero at 65 bits, so the precision doubles
         lo, hi = got
         assert lo > 0 and hi > 0
+
+
+# -- hazards of the integer kernel ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, point, want",
+    [
+        # perfect powers reached through pairs no gcd has reduced
+        ("sqrt(x + x)", {"x": Fraction(2)}, (Fraction(2), Fraction(2))),
+        ("sqrt(x + x)", {"x": Fraction(1, 2)}, (Fraction(1), Fraction(1))),
+        ("sqrt(8/2)", {}, (Fraction(2), Fraction(2))),
+        (
+            "sqrt((x*x)/(y*y))",
+            {"x": Fraction(3, 2), "y": Fraction(-5, 7)},
+            (Fraction(21, 10), Fraction(21, 10)),
+        ),
+        ("root(3, -8*x/x)", {"x": Fraction(5, 3)}, (Fraction(-2), Fraction(-2))),
+        # divisor intervals wholly below zero
+        ("1/(sqrt(x) - 3)", {"x": Fraction(2)}, None),
+        ("(y + sqrt(x))/(sqrt(x) - 3)", {"x": Fraction(7, 3), "y": Fraction(-2)}, None),
+        # an odd root of an interval that straddles zero
+        ("root(3, sqrt(x)*sqrt(x) - x)", {"x": Fraction(2)}, None),
+        # exact zero divisors, as a pair and as a point interval
+        ("sqrt(x)/(x*x - 4)", {"x": Fraction(2)}, (EvalDomainError, "division by zero")),
+        ("1/(sqrt(x) - 2)", {"x": Fraction(4)}, (EvalDomainError, "division by zero")),
+        # NOT_REAL on the left wins over a division error to its right ...
+        ("(sqrt(-x) + 1)/(x - x)", {"x": Fraction(2)}, NOT_REAL),
+        ("(sqrt(-x) + sqrt(x))/(sqrt(x)*sqrt(x) - x)", {"x": Fraction(2)}, NOT_REAL),
+        # ... and an error on the left wins over NOT_REAL to its right
+        (
+            "1/(x - x) + sqrt(-x)",
+            {"x": Fraction(2)},
+            (EvalDomainError, "division by zero"),
+        ),
+    ],
+)
+def test_integer_kernel_hazards_match_the_reference(text, point, want):
+    e = normalize(parse(text))
+    got = outcome(lambda: eval_numeric(e, point))
+    assert got == outcome(lambda: reference_eval(e, point, 64))
+    if want is not None:
+        assert got == want
+
+
+def test_integer_kernel_hazards_have_the_expected_shape():
+    # the intervals the cases above compare are what they claim to be
+    x = {"x": Fraction(2)}
+    below = eval_numeric(normalize(parse("sqrt(x) - 3")), x)
+    assert below.hi < 0
+    straddling = eval_numeric(normalize(parse("sqrt(x)*sqrt(x) - x")), x)
+    assert straddling.lo < 0 < straddling.hi
+    root = eval_numeric(normalize(parse("root(3, sqrt(x)*sqrt(x) - x)")), x)
+    assert root.lo < 0 < root.hi
+
+
+@given(kernel_polys(3), small_fractions, point_intervals, intervals())
+def test_poly_enclosure_with_a_point_in_a_two_variable_box(p, x, pt, iv):
+    for box in ({1: pt, 2: iv}, {1: iv, 2: pt}):
+        got = poly_enclosure(p, {0: x}, box)
+        want = reference_enclosure(p, {0: x}, box)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+def test_long_exact_sum_keeps_the_reference_enclosure():
+    # Exact pairs are not reduced per operation, so the denominator of a sum
+    # of x/k over 200 distinct k grows; the value, and a root of it, must
+    # still be the reference's.
+    total = Div(Var("x"), Const(Fraction(1)))
+    for k in range(2, 201):
+        total = Add(total, Div(Var("x"), Const(Fraction(k))))
+    point = {"x": Fraction(3, 7)}
+    start = time.perf_counter()
+    got = eval_numeric(total, point)
+    assert time.perf_counter() - start < 1.0
+    want = Fraction(3, 7) * sum(Fraction(1, k) for k in range(1, 201))
+    assert got.lo == got.hi == want
+    for e in (total, Root(2, total), Root(3, Sub(Const(Fraction(0)), total))):
+        assert outcome(lambda: eval_numeric(e, point)) == outcome(
+            lambda: reference_eval(e, point, 64)
+        )
