@@ -14,6 +14,7 @@ stdout (or `--out`); verification reports and progress notes go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -120,7 +121,11 @@ def _add_isolation_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-res", type=positive_int, default=8, metavar="N")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged (each call gets a fresh namespace, and every default
+    is immutable), so successive `main` calls share it."""
     parser = argparse.ArgumentParser(
         prog="algprog",
         description="Reformulate optimization over radical expressions into "

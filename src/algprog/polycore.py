@@ -1,9 +1,15 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A polynomial is a map from monomials to nonzero `Fraction` coefficients.
+A polynomial is a map from monomials to nonzero rational coefficients.
 Monomials are tuples of ``(var_id, exponent)`` pairs, sorted by variable id,
 with zero exponents never stored.  Variable ids index into a shared
 `VarRegistry`; mixing polynomials from different registries is an error.
+
+Each coefficient is stored in one canonical form: an `int` when it is
+integral, a `Fraction` only when its denominator exceeds 1, never a float.
+`Fraction(n) == n` and both hash alike, so equality, hashing and text output
+do not depend on the form, and integer-normalized polynomials, the common
+case, do their ring arithmetic in ints.
 
 Everything here is exact -- no floats anywhere.  The canonical text form
 sorts terms by graded-lexicographic order (total degree first, ties broken so
@@ -25,6 +31,9 @@ from typing import Iterable, Mapping
 from .uni import IMAGE_PRIME, gcd_degree_mod
 
 VarId = int
+
+# A coefficient in canonical form: an int, or a Fraction with denominator > 1.
+Coefficient = int | Fraction
 
 # A monomial: ((var_id, exp), ...) sorted by var_id, every exp > 0.
 Monomial = tuple[tuple[int, int], ...]
@@ -125,7 +134,7 @@ def grlex_key(m: Monomial) -> tuple:
     return (_mono_degree(m), tuple(sorted(m, reverse=True)))
 
 
-def grlex_leading(terms: Mapping[Monomial, Fraction]) -> Monomial:
+def grlex_leading(terms: Mapping[Monomial, Coefficient]) -> Monomial:
     return max(terms, key=grlex_key)
 
 
@@ -142,7 +151,7 @@ class _Plan:
 
     __slots__ = ("tops", "scale", "rows", "splits")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction]) -> None:
+    def __init__(self, terms: Mapping[Monomial, Coefficient]) -> None:
         tops: dict[VarId, int] = {}
         for m in terms:
             for v, e in m:
@@ -168,10 +177,13 @@ class MultiPoly:
 
     __slots__ = ("registry", "terms", "_plan")
 
-    def __init__(self, registry: VarRegistry, terms: Mapping[Monomial, Fraction]):
+    def __init__(self, registry: VarRegistry, terms: Mapping[Monomial, Coefficient]):
         self.registry = registry
-        self.terms: dict[Monomial, Fraction] = {
-            m: c for m, c in terms.items() if c != 0
+        # the canonical form: zeros dropped, an integral Fraction made an int
+        self.terms: dict[Monomial, Coefficient] = {
+            m: c if type(c) is int or c.denominator != 1 else c.numerator
+            for m, c in terms.items()
+            if c
         }
         self._plan: _Plan | None = None
 
@@ -183,14 +195,15 @@ class MultiPoly:
 
     @classmethod
     def const(cls, registry: VarRegistry, c) -> MultiPoly:
-        c = Fraction(c)
+        if type(c) is not int:
+            c = Fraction(c)
         return cls(registry, {_ONE: c} if c else {})
 
     @classmethod
     def var(cls, registry: VarRegistry, vid: VarId) -> MultiPoly:
         if not 0 <= vid < len(registry):
             raise PolyError(f"variable id {vid} not in registry")
-        return cls(registry, {((vid, 1),): Fraction(1)})
+        return cls(registry, {((vid, 1),): 1})
 
     def _check(self, other: MultiPoly) -> None:
         if self.registry is not other.registry:
@@ -223,7 +236,9 @@ class MultiPoly:
 
     def __mul__(self, other) -> MultiPoly:
         if not isinstance(other, MultiPoly):
-            c = Fraction(other)
+            c = other if type(other) is int else Fraction(other)
+            if c.denominator == 1:
+                c = c.numerator
             if c == 1:  # polynomials are immutable, so sharing is safe
                 return self
             if not c:
@@ -234,7 +249,7 @@ class MultiPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coefficient] = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
                 m = _mono_mul(ma, mb)
@@ -284,16 +299,23 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {_ONE}
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coefficient:
         if not self.is_constant():
             raise PolyError("polynomial is not constant")
-        return self.terms.get(_ONE, Fraction(0))
+        return self.terms.get(_ONE, 0)
 
     def degree_in(self, v: VarId) -> int:
         """Degree in variable `v`; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max((dict(m).get(v, 0) for m in self.terms), default=0)
+        d = 0
+        for m in self.terms:
+            for w, e in m:
+                if w == v:
+                    if e > d:
+                        d = e
+                    break
+        return d
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -312,7 +334,7 @@ class MultiPoly:
     # -- calculus / evaluation ------------------------------------------
 
     def derivative(self, v: VarId) -> MultiPoly:
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coefficient] = {}
         for m, c in self.terms.items():
             d = dict(m)
             e = d.get(v, 0)
@@ -341,22 +363,40 @@ class MultiPoly:
         total = self.scaled_value(point)[0]
         return (total > 0) - (total < 0)
 
-    def scaled_value(self, point: Mapping[VarId, Fraction]) -> tuple[int, int]:
+    def point_powers(self, point: Mapping[VarId, Fraction]) -> dict[VarId, list[int]]:
+        """For each variable of `self` with a value n/d in `point`, the list
+        ``n^e * d^(D - e)`` for e = 0..D, D its degree in `self`: what
+        `scaled_value` reads, for `self` or any of its coefficients."""
+        out = {}
+        for v, top in self._compiled().tops.items():
+            if v in point:
+                n, d = point[v].as_integer_ratio()
+                out[v] = [n**e * d ** (top - e) for e in range(top + 1)]
+        return out
+
+    def scaled_value(
+        self, point: Mapping[VarId, Fraction], powers: Mapping[VarId, list[int]] | None = None
+    ) -> tuple[int, int]:
         """`eval`'s integer sum and its positive common denominator, not
         reduced; point values are ints or Fractions, read through
-        ``as_integer_ratio``."""
+        ``as_integer_ratio``.  `powers`, the `point_powers` of this
+        polynomial or of one it is a coefficient of, saves rebuilding them
+        for every coefficient of a `split`.
+        """
+        if powers is None:
+            powers = self.point_powers(point)
         plan = self._compiled()
         den = plan.scale
-        powers = []
-        for v, top in plan.tops.items():
-            if v not in point:
+        table = []
+        for v in plan.tops:
+            if v not in powers:
                 raise PolyError(f"no value for variable {self.registry.name_of(v)!r}")
-            n, d = point[v].as_integer_ratio()
-            den *= d**top
-            powers.append([n**e * d ** (top - e) for e in range(top + 1)])
+            pw = powers[v]
+            den *= pw[0]
+            table.append(pw)
         total = 0
         for acc, exps in plan.rows:
-            for pw, e in zip(powers, exps):
+            for pw, e in zip(table, exps):
                 acc *= pw[e]
             total += acc
         return total, den
@@ -388,19 +428,21 @@ class MultiPoly:
 
     def coeffs_in(self, v: VarId) -> dict[int, MultiPoly]:
         """Coefficients of powers of `v`, each a polynomial free of `v`."""
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
+        buckets: dict[int, dict[Monomial, Coefficient]] = {}
         for m, c in self.terms.items():
-            d = dict(m)
-            e = d.pop(v, 0)
-            mm = tuple(sorted(d.items()))
-            buckets.setdefault(e, {})[mm] = c
+            e = 0
+            for i, (w, k) in enumerate(m):
+                if w == v:  # dropping one pair keeps the monomial sorted
+                    e, m = k, m[:i] + m[i + 1 :]
+                    break
+            buckets.setdefault(e, {})[m] = c
         return {e: MultiPoly(self.registry, t) for e, t in buckets.items()}
 
     @classmethod
     def from_coeffs(
         cls, registry: VarRegistry, v: VarId, coeffs: Mapping[int, MultiPoly]
     ) -> MultiPoly:
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coefficient] = {}
         for e, p in coeffs.items():
             for m, c in p.terms.items():
                 mm = _mono_mul(m, ((v, e),)) if e else m
@@ -483,14 +525,17 @@ def divexact(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if q.is_zero():
         raise PolyError("division by the zero polynomial")
     if q.is_constant():
-        return p * (1 / q.constant_value())
+        c = q.constant_value()
+        return p if c == 1 else p * (1 / Fraction(c))
     dp = math.lcm(*(c.denominator for c in p.terms.values()))
     dq = math.lcm(*(c.denominator for c in q.terms.values()))
     iq = int_terms(q, dq)
     g = math.gcd(*iq.values())
     quo = int_divexact(int_terms(p, dp), {m: k // g for m, k in iq.items()})
-    scale = Fraction(dq, g * dp)
-    return MultiPoly(p.registry, {m: k * scale for m, k in quo.items()})
+    if dq != g * dp:
+        scale = Fraction(dq, g * dp)
+        quo = {m: k * scale for m, k in quo.items()}
+    return MultiPoly(p.registry, quo)
 
 
 def try_divexact(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
@@ -502,7 +547,8 @@ def try_divexact(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
 
 # Integer term dicts {monomial: int}, no zero values: the fraction-free
 # kernels' private working form.  They never leave the function that builds
-# them; results go back into a `MultiPoly` with `Fraction` coefficients.
+# them; results go back into a `MultiPoly`, whose coefficients stay ints
+# unless a denominator remains.
 IntTerms = dict[Monomial, int]
 
 
@@ -561,14 +607,14 @@ def integer_normalize(p: MultiPoly) -> MultiPoly:
     """Scale to coprime integer coefficients with positive leading coefficient."""
     if p.is_zero():
         return p
-    coeffs = p.terms.values()
-    scale = Fraction(
-        math.lcm(*(c.denominator for c in coeffs)),
-        math.gcd(*(c.numerator for c in coeffs)),
-    )
-    if p.terms[grlex_leading(p.terms)] < 0:
-        scale = -scale
-    return p * scale
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    ints = p.terms if den == 1 else int_terms(p, den)
+    g = math.gcd(*ints.values())
+    if ints[grlex_leading(ints)] < 0:
+        g = -g
+    if ints is p.terms and g == 1:  # polynomials are immutable, so sharing is safe
+        return p
+    return MultiPoly(p.registry, {m: k // g for m, k in ints.items()})
 
 
 def _pseudo_rem(p: MultiPoly, q: MultiPoly, v: VarId) -> MultiPoly:
@@ -756,7 +802,7 @@ def homogenize_in_quotient(p: MultiPoly, v: VarId, t: VarId, d: int) -> MultiPol
         raise PolyError("homogenization variable already occurs in the polynomial")
     if d != p.degree_in(v):
         raise PolyError(f"expected degree {p.degree_in(v)} in quotient, got {d}")
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coefficient] = {}
     for m, c in p.terms.items():
         dm = dict(m)
         e = dm.get(v, 0)

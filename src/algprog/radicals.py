@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping
 
 from .polycore import MultiPoly, VarId, VarRegistry
 
@@ -77,7 +77,7 @@ class Root:
     radicand: Expr
 
 
-Expr = Union[Const, Var, Add, Sub, Mul, Div, Pow, Root]
+Expr = Const | Var | Add | Sub | Mul | Div | Pow | Root
 
 
 class ExprError(Exception):
@@ -484,13 +484,15 @@ def _check_degree(what: str, degree: int) -> None:
 
 
 def _nonzero_constant(den: MultiPoly) -> Fraction:
-    """The value of a polynomial that divides: a nonzero constant."""
+    """The value of a polynomial that divides: a nonzero constant, as a
+    `Fraction`, so that dividing by it or raising it to a negative power
+    stays exact when the coefficient is an int."""
     if not den.is_constant():
         raise NotPolynomial("non-constant denominator")
     c = den.constant_value()
     if c == 0:
         raise EvalDomainError("division by the zero constant")
-    return c
+    return Fraction(c)
 
 
 def is_polynomial(e: Expr) -> bool:
@@ -634,11 +636,12 @@ def poly_enclosure(
 
     Horner in each box variable, in ascending id order, with the
     coefficients enclosed recursively; a coefficient free of every box
-    variable is evaluated exactly at `point` (`MultiPoly.scaled_value`) and
-    enters as a point interval.  By subdistributivity the enclosure is never
-    wider than term-by-term interval evaluation, and exact quantities stay
-    exact.  The nesting is `MultiPoly.split`, built once per polynomial and
-    box variable set; the box is taken to one common denominator first.
+    variable is evaluated exactly at `point` (`MultiPoly.scaled_value`, all
+    of them reading one table of coordinate powers) and enters as a point
+    interval.  By subdistributivity the enclosure is never wider than
+    term-by-term interval evaluation, and exact quantities stay exact.  The
+    nesting is `MultiPoly.split`, built once per polynomial and box variable
+    set; the box is taken to one common denominator first.
     """
     den = math.lcm(*(c.denominator for iv in box.values() for c in (iv.lo, iv.hi)))
     ibox = {
@@ -649,21 +652,21 @@ def poly_enclosure(
         )
         for v, iv in box.items()
     }
-    return _interval(_enclose(p.split(frozenset(box)), point, ibox))
+    return _interval(_enclose(p.split(frozenset(box)), point, ibox, p.point_powers(point)))
 
 
-def _enclose(node, point: Mapping[VarId, Fraction], box) -> tuple[int, int, int]:
+def _enclose(node, point: Mapping[VarId, Fraction], box, powers: dict) -> tuple[int, int, int]:
     if isinstance(node, MultiPoly):
-        num, den = node.scaled_value(point)
+        num, den = node.scaled_value(point, powers)
         return num, num, den
     v, coeffs = node
     iv = box[v]
     top = max(coeffs)
-    acc = _enclose(coeffs[top], point, box)
+    acc = _enclose(coeffs[top], point, box, powers)
     for e in range(top - 1, -1, -1):
         acc = _mul(acc, iv)
         if e in coeffs:
-            acc = _add(acc, _enclose(coeffs[e], point, box))
+            acc = _add(acc, _enclose(coeffs[e], point, box, powers))
     return acc
 
 
@@ -683,7 +686,7 @@ class _NotReal:
 
 NOT_REAL = _NotReal()
 
-NumericValue = Union[Interval, _NotReal]
+NumericValue = Interval | _NotReal
 
 
 class _NeedsPrecision(Exception):

@@ -88,7 +88,8 @@ def det_bareiss(m: list[list[MultiPoly]]) -> MultiPoly:
         prev = pivot
     den = math.prod(scales)
     return MultiPoly(
-        first.registry, {mono: Fraction(sign * c, den) for mono, c in a[n - 1][n - 1].items()}
+        first.registry,
+        {m: sign * c if den == 1 else Fraction(sign * c, den) for m, c in a[n - 1][n - 1].items()},
     )
 
 

@@ -48,8 +48,9 @@ def uni_from_poly(
     node = p.split(frozenset((v,)))
     coeffs = {0: node} if isinstance(node, MultiPoly) else node[1]
     values = [(0, 1)] * (max(coeffs) + 1)
+    powers = p.point_powers(point)
     for e, q in coeffs.items():
-        num, den = q.scaled_value(point)
+        num, den = q.scaled_value(point, powers)
         g = gcd(num, den)
         values[e] = num // g, den // g
     den = lcm(*(d for _, d in values))

@@ -29,10 +29,16 @@ def proportional(p: MultiPoly, q: MultiPoly) -> bool:
     if set(p.terms) != set(q.terms):
         return False
     m = next(iter(p.terms))
-    c = p.terms[m] / q.terms[m]
+    c = Fraction(p.terms[m]) / q.terms[m]
     if c == 0:
         return False
     return all(cp == c * q.terms[mm] for mm, cp in p.terms.items())
+
+
+def is_canonical(c) -> bool:
+    """A `MultiPoly` coefficient in canonical form: an int, or a Fraction
+    that is not integral; never zero, never a float."""
+    return (type(c) is int or type(c) is Fraction and c.denominator > 1) and c != 0
 
 
 def divides(d: MultiPoly, p: MultiPoly) -> bool:

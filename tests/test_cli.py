@@ -519,6 +519,35 @@ def test_verbose_echoes_settings(capsys):
     assert "seed=0" in err
 
 
+def test_successive_calls_share_no_state(capsys, tmp_path):
+    """`main` reuses one parser per process: no option, echo or usage error
+    of one call carries over into the next, whose exit code and outputs
+    stay those of a first call."""
+    domain = tmp_path / "domain.json"
+    domain.write_text(json.dumps({
+        "conditions": [{"poly": "x - 1", "rel": ">="}, {"poly": "y - 1", "rel": ">="}],
+        "interior_point": {"x": "3", "y": "2"},
+    }))
+    plain = ("isolate", "sqrt(x)")
+    first = run(capsys, *plain)
+    assert first[0] == 0 and "settings:" not in first[2]
+    code, _, _ = run(
+        capsys, "isolate", "sqrt(x - 1) + sqrt(y - 1)", "--strategy", "domain",
+        "--domain-file", str(domain), "--merge", "--allow-boundary",
+    )
+    assert code == 0
+    assert run(capsys, *plain) == first  # the default strategy, no domain file
+    code, _, err = run(capsys, *plain, "--verbose")
+    assert code == 0 and "settings:" in err
+    assert run(capsys, *plain) == first
+    for _ in range(2):
+        assert run_usage_error("reformulate", RB, "--baseline") == 2
+        assert "--baseline needs --out" in capsys.readouterr().err
+        assert run_usage_error(*plain, "--allow-boundary") == 2
+        assert "--allow-boundary needs --merge" in capsys.readouterr().err
+        assert run(capsys, *plain) == first
+
+
 def test_no_subcommand_is_usage_error():
     assert run_usage_error() == 2
 

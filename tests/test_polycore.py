@@ -26,6 +26,7 @@ from algprog.polycore import (
     subresultant_prs,
     try_divexact,
 )
+from conftest import is_canonical
 
 REG = VarRegistry(["x", "y", "z"])
 X, Y, Z = (MultiPoly.var(REG, REG.id_of(n)) for n in ("x", "y", "z"))
@@ -200,10 +201,12 @@ def test_square_free_part_is_coprime_to_its_derivative(p, q):
 
 
 @given(polys(), polys())
-def test_results_hold_only_nonzero_fraction_coefficients(p, q):
-    """The constructor alone drops zero coefficients: each operation below,
-    several built to cancel terms, leaves that to it."""
+def test_results_hold_only_canonical_coefficients(p, q):
+    """The constructor alone drops zero coefficients and turns integral
+    Fractions into ints: each operation below, several built to cancel terms
+    or to come out integral from Fraction arithmetic, leaves that to it."""
     x = REG.id_of("x")
+    n = integer_normalize(p)
     results = [
         p + q,
         p - q,
@@ -217,11 +220,22 @@ def test_results_hold_only_nonzero_fraction_coefficients(p, q):
         MultiPoly.from_coeffs(REG, x, {1: p, 0: -(p * X)}),
         (p - p.substitute(x, Y)).substitute(x, Y),
         p.substitute(x, q),
+        p * Fraction(1, 2) * 2,
     ]
+    assert results[-1] == p
+    # each of these is n, reached through Fractions that cancel
+    integral = [
+        n,
+        integer_normalize(p * Fraction(2, 3)),
+        divexact(n * Fraction(1, 3), MultiPoly.const(REG, Fraction(1, 3))),
+        n.substitute(x, 2 * X).substitute(x, X * Fraction(1, 2)),
+    ]
+    assert all(r == n for r in integral)
+    assert all(type(c) is int for r in integral for c in r.terms.values())
     if q:
         results.append(divexact(p * q, q))
-    for r in results:
-        assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+    for r in results + integral:
+        assert all(is_canonical(c) for c in r.terms.values())
 
 
 @given(polys(), polys())
@@ -293,7 +307,7 @@ def reference_divexact(p, q):
     """Long division over the rationals in grlex order, the reference for
     the integer quotient of `divexact`."""
     if q.is_constant():
-        return p * (1 / q.constant_value())
+        return p * (1 / Fraction(q.constant_value()))
     rem = dict(p.terms)
     lead_q = grlex_leading(q.terms)
     cq = q.terms[lead_q]
@@ -303,7 +317,7 @@ def reference_divexact(p, q):
         if not polycore._mono_divides(lead_q, lead_r):
             raise InexactDivision("division is not exact")
         m = polycore._mono_div(lead_r, lead_q)
-        c = rem[lead_r] / cq
+        c = Fraction(rem[lead_r]) / cq
         out[m] = out.get(m, Fraction(0)) + c
         for mq, kq in q.terms.items():
             mm = polycore._mono_mul(m, mq)
@@ -329,7 +343,7 @@ def test_divexact_matches_rational_long_division(a, q, r, divisible):
         return
     got = divexact(p, q)
     assert got == want
-    assert all(type(c) is Fraction for c in got.terms.values())
+    assert all(is_canonical(c) for c in got.terms.values())
 
 
 def test_divexact_rejects_inexact():

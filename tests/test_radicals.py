@@ -147,7 +147,7 @@ def recursive_to_polynomial(e, reg):
         raise NotPolynomial("expression contains a root")
     if isinstance(e, Div):
         den = recursive_to_polynomial(e.right, reg).constant_value()
-        return recursive_to_polynomial(e.left, reg) * (1 / den)
+        return recursive_to_polynomial(e.left, reg) * (1 / Fraction(den))
     left, right = recursive_to_polynomial(e.left, reg), recursive_to_polynomial(e.right, reg)
     if isinstance(e, Add):
         return left + right
@@ -231,6 +231,17 @@ def test_polynomial_from_text_single_faults(text, error, message):
 def test_polynomial_from_text_reads_powers_and_trivial_roots(text, want):
     reg = VarRegistry(["x"])
     assert polynomial_from_text(text, reg) == polynomial_from_text(want, reg)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [("x/3", Fraction(1, 3)), ("3^-1*x", Fraction(1, 3)), ("x*(4/2 + 1)^-2", Fraction(1, 9)),
+     ("6*x/2", 3), ("x*(1/3)^-1", 3)],
+)
+def test_division_by_an_integer_constant_is_exact(text, want):
+    # the constant is an int coefficient: a float quotient would show here
+    got = polynomial_from_text(text, VarRegistry(["x"])).terms
+    assert got == {((0, 1),): want} and type(got[((0, 1),)]) is type(want)
 
 
 def test_long_polynomial_text_reads_in_one_pass():

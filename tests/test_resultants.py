@@ -15,7 +15,7 @@ from algprog.resultants import (
     resultant_with_constant,
     sylvester_matrix,
 )
-from conftest import proportional
+from conftest import is_canonical, proportional
 
 REG = VarRegistry(["x", "y", "z"])
 X, Y, Z = (MultiPoly.var(REG, REG.id_of(n)) for n in ("x", "y", "z"))
@@ -122,7 +122,7 @@ def test_det_bareiss_matches_cofactor_expansion(drawn):
     rows, singular = drawn
     got = det_bareiss(rows)
     assert got == det_cofactor(rows)
-    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+    assert all(is_canonical(c) for c in got.terms.values())
     if singular:
         assert got.is_zero()
 
@@ -184,3 +184,17 @@ def test_degree_bound_holds(p, q):
     assert bound == p.degree_in(ZID) * q.degree_in(x) + q.degree_in(ZID) * p.degree_in(
         x
     )
+
+
+@given(bivariate(), bivariate())
+def test_resultant_of_fraction_operands_is_canonical(p, q):
+    # res(p/2, 2q) = 2^(deg p - deg q) res(p, q): integral when deg p >= deg q,
+    # although the Sylvester rows of p/2 carry denominators
+    dp, dq = p.degree_in(ZID), q.degree_in(ZID)
+    if dp < 1 or dq < 1:
+        return
+    got = resultant(p * Fraction(1, 2), q * 2, ZID)
+    assert got == resultant(p, q, ZID) * Fraction(2) ** (dp - dq)
+    assert all(is_canonical(c) for c in got.terms.values())
+    if dp >= dq:
+        assert all(type(c) is int for c in got.terms.values())
