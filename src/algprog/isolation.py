@@ -358,11 +358,7 @@ def _univariate_components(
         sample = {v: Fraction(0) for v in xvars}
         return [ComponentDescription((), sample, "all of space")]
     v = involved.pop()
-    product = nonconstant[0]
-    for r in nonconstant[1:]:
-        product = product * r
-    isolation = _verify.isolate_real_roots(product, v)
-    intervals = isolation.intervals
+    intervals = _verify.isolate_real_roots(*nonconstant, v=v).intervals
     # One rational sample strictly inside each maximal root-free interval.
     points: list[Fraction] = []
     if not intervals:

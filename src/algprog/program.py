@@ -958,6 +958,8 @@ def check_substitution(
                 break
             if used == samples:
                 break
+        if not used and not failure:
+            failure = f"child {ci + 1}: no drawn point satisfies its conditions"
         report.add(
             _verify.CheckLine(
                 check=f"substitution soundness on child {ci + 1}",

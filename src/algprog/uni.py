@@ -21,6 +21,13 @@ which terminates because the root is simple.  A degree-0 gcd of c and c' modulo
 `IMAGE_PRIME` usually proves c square-free; otherwise a primitive remainder
 sequence gives the gcd, by which c is divided exactly (Basu, Pollack & Roy,
 *Algorithms in Real Algebraic Geometry*, ch. 2 and 10).
+
+`isolate_product_roots` cuts the line at the roots of several factors over
+their square-free basis, not over their product: each factor is made
+square-free and coprime to the earlier ones (the same image proof first,
+then an exact gcd), isolated with its own Sturm chain, and the product's
+bisection is replayed with counts read from those roots, so its square-free
+part and intervals are the ones `isolate_roots` gives for the product.
 """
 
 from __future__ import annotations
@@ -42,6 +49,15 @@ def primitive(c: Sequence[int]) -> Sequence[int]:
     """`c` divided by its (positive) content, which changes no sign."""
     g = math.gcd(*c)
     return [n // g for n in c] if g > 1 else c
+
+
+def multiply(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a * b for nonzero `a` and `b`."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def derivative(c: Sequence[int]) -> list[int]:
@@ -210,6 +226,78 @@ def isolate_roots(sf: list[int]) -> list[tuple[Fraction, Fraction]]:
         work.append((m, var_m, hi, var_hi))
     out.sort()
     return out
+
+
+def isolate_product_roots(
+    factors: Sequence[Sequence[int]],
+) -> tuple[list[int], list[tuple[Fraction, Fraction]]]:
+    """The square-free part of the product of nonzero `factors`, primitive
+    with a positive leading coefficient, and the intervals `isolate_roots`
+    gives for it, found without forming or isolating that product.
+
+    Each factor is made square-free and rid of the roots it shares with the
+    earlier ones, so the factors left are pairwise coprime and their product
+    is that part.  Each is isolated with its own Sturm chain; the product's
+    bisection is then replayed step for step (its Cauchy bound, its split
+    points, the same work order), each count read from the factors' roots
+    in the work interval.  A root whose interval straddles a split point m
+    lies left of m when its factor changes sign between the interval's
+    lower end and m; that lower-end sign alternates from the right, since
+    the roots are simple, so one sign test per factor at m decides it.
+    """
+    basis: list[Sequence[int]] = []
+    for c in factors:
+        c = square_free(c)
+        for b in basis:
+            # A degree-0 image gcd proves coprimality, as in `square_free`.
+            if len(c) > 1 and not (c[-1] % IMAGE_PRIME and gcd_degree_mod(c, b) == 0):
+                g = primitive(gcd(c, b))
+                if len(g) > 1:
+                    c = exact_quotient(c, g if g[-1] > 0 else [-n for n in g])
+        if len(c) > 1:
+            basis.append(c if c[-1] > 0 else [-n for n in c])
+    if len(basis) <= 1:
+        sf = basis[0] if basis else [1]
+        return sf, isolate_roots(sf)
+    sf = basis[0]
+    for b in basis[1:]:
+        sf = multiply(sf, b)
+    # A root: its factor's index, its isolating interval, and the factor's
+    # sign at the interval's lower end.
+    roots = []
+    for i, b in enumerate(basis):
+        ivs = isolate_roots(b)
+        for j, (lo, hi) in enumerate(ivs):
+            roots.append((i, lo, hi, (-1) ** (len(ivs) - j)))
+    bound = cauchy_root_bound(sf)
+    out: list[tuple[Fraction, Fraction]] = []
+    work = [(-bound, bound, roots)]
+    while work:
+        lo, hi, inside = work.pop()
+        if len(inside) <= 1:
+            if inside:
+                out.append((lo, hi))
+            continue
+        m = split_point(sf, lo, hi)
+        signs: dict[int, int] = {}
+        left, right = [], []
+        for root in inside:
+            i, a, b, s_a = root
+            if b <= m:
+                left.append(root)
+            elif a >= m:
+                right.append(root)
+            else:
+                if i not in signs:
+                    signs[i] = sign_at(basis[i], m.numerator, m.denominator)
+                if signs[i] == s_a:
+                    right.append((i, m, b, s_a))
+                else:
+                    left.append((i, a, m, s_a))
+        work.append((lo, m, left))
+        work.append((m, hi, right))
+    out.sort()
+    return sf, out
 
 
 class Bracket:

@@ -32,7 +32,15 @@ from .radicals import (
     eval_numeric,
     sample_real_point,
 )
-from .uni import Bracket, isolate_roots, sign_at, sign_at_root, square_free, trim
+from .uni import (
+    Bracket,
+    isolate_product_roots,
+    isolate_roots,
+    sign_at,
+    sign_at_root,
+    square_free,
+    trim,
+)
 
 
 def uni_from_poly(
@@ -61,8 +69,8 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sole_variable(p: MultiPoly) -> VarId:
-    present = p.vars_present()
+def _sole_variable(polys: Iterable[MultiPoly]) -> VarId:
+    present = set().union(*(p.vars_present() for p in polys))
     if len(present) > 1:
         raise PolyError("expected a univariate polynomial")
     return next(iter(present)) if present else 0
@@ -76,24 +84,26 @@ class RootIsolation:
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
 
-def isolate_real_roots(p: MultiPoly, v: VarId | None = None) -> RootIsolation:
-    """Isolate every real root of `p` in disjoint rational intervals.
+def isolate_real_roots(*factors: MultiPoly, v: VarId | None = None) -> RootIsolation:
+    """Isolate every real root of the product of `factors` in disjoint
+    rational intervals.
 
-    The polynomial is reduced to its square-free part first, so multiple roots
-    are isolated once.  Interval endpoints are never roots.
+    The result holds the square-free part of the product, primitive with a
+    positive leading coefficient, so multiple and shared roots are isolated
+    once; `uni.isolate_product_roots` finds it and its intervals factor by
+    factor, and they are the ones the product itself would give.  Interval
+    endpoints are never roots.
     """
-    if p.is_zero():
+    if any(p.is_zero() for p in factors):
         raise PolyError("cannot isolate roots of the zero polynomial")
     if v is None:
-        v = _sole_variable(p)
-    sf = square_free(uni_from_poly(p, v, {}))
-    if sf[-1] < 0:  # positive leading coefficient, as integer_normalize gives
-        sf = [-coeff for coeff in sf]
+        v = _sole_variable(factors)
+    sf, intervals = isolate_product_roots([uni_from_poly(p, v, {}) for p in factors])
     poly = MultiPoly(
-        p.registry,
+        factors[0].registry,
         {((v, e),) if e else (): Fraction(coeff) for e, coeff in enumerate(sf)},
     )
-    return RootIsolation(poly, tuple(isolate_roots(sf)))
+    return RootIsolation(poly, tuple(intervals))
 
 
 # ---------------------------------------------------------------------------

@@ -266,13 +266,13 @@ def test_certified_zero_refuted_once_the_budget_runs_out(monkeypatch):
 # -- golden bytes of the reduction ---------------------------------------------------------
 
 
-def draws_transcript(count: int = 500) -> str:
+def criterion_6_draws(count: int = 500):
     """The first `count` draws of criterion 6 (`random.Random(2024)`, its
-    caps applied): each expression's text, then its defining polynomial and
-    reduction log, or the error it raises."""
+    caps applied): each normalized expression with its defining polynomial,
+    or with the error that raises."""
     rng = random.Random(2024)
-    out = []
-    while len(out) < count:
+    drawn = 0
+    while drawn < count:
         try:
             e = normalize(random_expr(rng, 3))
             if not 1 < root_index_product(e) <= 9 or len(distinct_radicals(e)) > 3:
@@ -282,7 +282,18 @@ def draws_transcript(count: int = 500) -> str:
         try:
             dp = defining_polynomial(e)
         except (DefiningError, SamplingError, ExprError, ZeroDivisionError) as exc:
-            body = [f"error {type(exc).__name__}: {exc}"]
+            dp = exc
+        drawn += 1
+        yield e, dp
+
+
+def draws_transcript(count: int = 500) -> str:
+    """Each of criterion 6's first `count` draws: the expression's text, then
+    its defining polynomial and reduction log, or the error it raises."""
+    out = []
+    for e, dp in criterion_6_draws(count):
+        if isinstance(dp, Exception):
+            body = [f"error {type(dp).__name__}: {dp}"]
         else:
             body = [dp.poly.to_text(), *(f"log {line}" for line in dp.reduction_log)]
         out.append("\n".join([f"expr {to_text(e)}", *body]))

@@ -1,8 +1,17 @@
 """Branch isolation certificates: critical resultants, component strategies,
-merging, and the JSON form."""
+merging, and the JSON form.
+
+`tests/golden/isolate-draws.txt` pins the cut of the line at the critical
+resultants' roots on criterion 6's univariate draws.  After an intended
+change to it, regenerate it with
+
+    PYTHONPATH=src python3 tests/test_isolation.py
+"""
 
 import dataclasses
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,11 +32,21 @@ from algprog.isolation import (
     isolate,
     merge_components,
 )
-from algprog.polycore import MultiPoly, VarRegistry
-from algprog.radicals import eval_numeric, normalize, parse, polynomial_from_text
-from algprog.verify import verify_certificate
+from algprog.polycore import MultiPoly, PolyError, VarRegistry
+from algprog.radicals import (
+    eval_numeric,
+    normalize,
+    parse,
+    polynomial_from_text,
+    to_text,
+    variables_of,
+)
+from algprog.verify import isolate_real_roots, verify_certificate
 from conftest import strip_factor
 from test_acceptance import DOMAIN_CORPUS, GRID_CORPUS, UNIVARIATE_CORPUS
+from test_defpoly import criterion_6_draws
+
+ISOLATE_DRAWS = Path(__file__).resolve().parent / "golden" / "isolate-draws.txt"
 
 
 def zero_set_factors(resultants, factors, registry):
@@ -362,3 +381,40 @@ def test_simplify_relaxed_needs_z_nonneg_to_cancel():
     ]
     kept = _simplify_relaxed(conditions, reg.id_of("z"), reg)
     assert [c.text() for c in kept] == ["x*z >= 0", "x + 1 >= 0"]
+
+
+# -- golden bytes of the univariate cut ---------------------------------------------------
+
+
+def isolate_draws_transcript(count: int = 500) -> str:
+    """The draws in one variable among criterion 6's first `count` that have
+    a defining polynomial: each expression's text, then the square-free part
+    of the product of its critical resultants and that part's isolating
+    intervals (the cut the univariate strategy takes its samples from), or
+    the error the cut raises."""
+    out = []
+    for e, dp in criterion_6_draws(count):
+        names = variables_of(e)
+        if isinstance(dp, Exception) or len(names) != 1:
+            continue
+        v = dp.poly.registry.id_of(next(iter(names)))
+        try:
+            iso = isolate_real_roots(*critical_resultants(dp.poly, dp.z), v=v)
+        except PolyError as exc:
+            body = [f"error {type(exc).__name__}: {exc}"]
+        else:
+            body = [
+                f"square-free {iso.poly.to_text()}",
+                *(f"root ({lo}, {hi})" for lo, hi in iso.intervals),
+            ]
+        out.append("\n".join([f"expr {to_text(e)}", *body]))
+    return "\n\n".join(out) + "\n"
+
+
+def test_cut_of_random_draws_is_golden():
+    assert isolate_draws_transcript() == ISOLATE_DRAWS.read_text()
+
+
+if __name__ == "__main__":
+    ISOLATE_DRAWS.write_text(isolate_draws_transcript())
+    print(f"wrote {ISOLATE_DRAWS}", file=sys.stderr)

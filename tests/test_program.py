@@ -436,6 +436,15 @@ def test_check_substitution_with_two_parts_flags_tampered_constraint():
     assert "constraint" in report.checks[0].witness
 
 
+def test_check_substitution_fails_a_child_it_cannot_sample():
+    # child 2 carries x < 0 and x - 4 > 0: no point satisfies both, so no
+    # sample checks it, and that is a failure, not a pass on 0 samples
+    prog = mini("x^2 + root(3, x)", [("root(3, x - 4) + 1", ">=")], variables=("x",))
+    report = check_substitution(reformulate(prog), prog, samples=8)
+    assert [(c.status, c.samples_used) for c in report.checks] == [("pass", 8), ("fail", 0)]
+    assert report.checks[1].witness == "child 2: no drawn point satisfies its conditions"
+
+
 def test_check_substitution_flags_a_part_not_real_at_the_anchor():
     import dataclasses
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import algprog.verify as verify_module
@@ -38,7 +38,9 @@ from algprog.uni import (
     Bracket,
     cauchy_root_bound,
     derivative,
+    isolate_product_roots,
     isolate_roots,
+    multiply,
     primitive,
     refine_root,
     sign_at,
@@ -507,6 +509,72 @@ def test_square_free_when_the_gcd_is_the_derivative(c, sf):
     # c' divides c, so the integer remainder sequence ends at c' itself, whose
     # content must go before the exact division
     assert square_free(integral(c)) == sf
+
+
+#: building blocks of factor families: linear factors a*x - b (0 among their
+#: roots, the first split point of the symmetric bound), quadratics
+#: c*x^2 + a*x + b with two, one double or no real root, and constants
+family_blocks = st.one_of(
+    st.tuples(st.integers(-4, 4), st.integers(1, 3)).map(lambda t: [-t[0], t[1]]),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 2)).map(list),
+    st.integers(-3, 3).filter(bool).map(lambda n: [n]),
+)
+
+
+@st.composite
+def factor_families(draw):
+    """Up to four factors, each a product of blocks from one small pool, so
+    roots are shared and repeated; a factor may be an earlier one times a
+    further product, so that the earlier one divides it."""
+    pool = draw(st.lists(family_blocks, min_size=1, max_size=4))
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = [1]
+        for block in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)):
+            c = multiply(c, block)
+        if factors and draw(st.booleans()):
+            c = multiply(draw(st.sampled_from(factors)), c)
+        c = c if draw(st.booleans()) else [-n for n in c]
+        factors.append(c)
+    return factors
+
+
+def product_of(factors):
+    c = [1]
+    for f in factors:
+        c = multiply(c, f)
+    return c
+
+
+@given(factor_families())
+@example([[0, 1], [-2, 0, 1], [0, 1], [-1, 1, 1]])  # root 0, shared and repeated
+@example([[-1, 1], [1, -2, 1], [-2, 1, -2, 1]])  # x - 1 divides the others
+@example([[3], [1, 0, 1], [5, 2, 1]])  # a constant; no real root at all
+@example([[-4, -3, 1], [1, 0, 2]])  # the first one's Cauchy bound, 5, exceeds the product's
+@example([[-4, -3, 1], [-4, -3, 1], [0, 1]])
+def test_isolate_product_roots_matches_the_product(factors):
+    sf, intervals = isolate_product_roots(factors)
+    want = square_free(product_of(factors))
+    assert sf == (want if want[-1] > 0 else [-n for n in want])
+    assert intervals == isolate_roots(want)
+
+
+@given(factor_families())
+@example([[-4, -3, 1], [1, 0, 2]])
+def test_isolate_real_roots_of_factors_matches_their_product(factors):
+    polys = [uni_to_poly(f, XID, REG) for f in factors]
+    product = polys[0]
+    for p in polys[1:]:
+        product = product * p
+    got = isolate_real_roots(*polys)
+    want = isolate_real_roots(product)
+    assert got.poly == want.poly and got.intervals == want.intervals
+    assert isolate_real_roots(*polys, v=XID) == want
+
+
+def test_isolate_real_roots_rejects_a_zero_factor():
+    with pytest.raises(PolyError):
+        isolate_real_roots(X - 1, MultiPoly.zero(REG), X**2 - 2)
 
 
 def interval_compatible(iv, rel):
