@@ -417,9 +417,10 @@ def _domain_component(
     checked = 0
     tries = 0
     max_tries = max(4 * cfg.samples, 16)
+    seen: dict = {}
     while checked < cfg.samples and tries < max_tries:
         tries += 1
-        sample = _verify.sample_in_component(comp, rng)
+        sample = _verify.sample_in_component(comp, rng, seen=seen)
         if any(r.eval(sample) == 0 for r in nonconstant):
             zero_hits += 1
             continue

@@ -371,7 +371,12 @@ class MultiPoly:
         for v, top in self._compiled().tops.items():
             if v in point:
                 n, d = point[v].as_integer_ratio()
-                out[v] = [n**e * d ** (top - e) for e in range(top + 1)]
+                # a running product: each entry is the one before times n/d,
+                # and d divides it exactly while e < D
+                row = [d**top]
+                for _ in range(top):
+                    row.append(row[-1] * n // d)
+                out[v] = row
         return out
 
     def scaled_value(

@@ -856,7 +856,9 @@ def check_substitution(
     that every child constraint from the certificates holds, that the child's
     original-constraint rows agree with the original constraints (both hold
     or both fail wherever the enclosures decide), and that the child
-    objective encloses the original objective value.  Returns a VerifyReport.
+    objective encloses the original objective value.  `tally_points` checks
+    each distinct drawn point of a child once; a repeat counts, or is
+    skipped, as the first was.  Returns a VerifyReport.
     """
     report = _verify.VerifyReport()
     if not result.parts:
@@ -901,17 +903,15 @@ def check_substitution(
             for n in map(registry.name_of, anchor)
             if n in child_vars
         }
-        failure: str | None = None
-        used = 0
-        points = _verify.component_points(region, rng, 4 * samples)
-        for i, point in enumerate(points):
+
+        def check(i, point):
             named = {registry.name_of(v): val for v, val in point.items()}
             if not all(
                 _verify.condition_holds(cond, point)
                 for comp in comps
                 for cond in comp.conditions
             ):
-                continue
+                return False, None
 
             box: dict[VarId, Interval] = {}
             for p, zid in zip(result.parts, zids):
@@ -924,10 +924,8 @@ def check_substitution(
                 box[zid] = enclosure
             if len(box) < len(result.parts):
                 if i == 0:
-                    failure = f"a part is not real at the anchor {named}"
-                    break
-                continue
-            used += 1
+                    return False, f"a part is not real at the anchor {named}"
+                return False, None
 
             exact = {child_ids[n]: val for n, val in named.items() if n in child_ids}
             rows = []  # the enclosures of the original-constraint rows
@@ -938,26 +936,25 @@ def check_substitution(
                 if kind == "original constraint":
                     rows.append((enclosure, rel))
                 elif not _verify.relation_possible(enclosure, rel):
-                    failure = (
+                    return True, (
                         f"child {ci + 1}: constraint "
                         f"{p.to_text()} {rel} 0 fails near {named}"
                     )
-                    break
-            if failure:
-                break
             originals = [
                 (eval_numeric(e, named, precision), rel) for e, rel in prog.constraints
             ]
             if not _may_agree(rows, originals):
-                failure = f"child {ci + 1}: original constraints disagree near {named}"
-                break
+                return True, (
+                    f"child {ci + 1}: original constraints disagree near {named}"
+                )
             target = eval_numeric(objective_expr, named, precision)
             got = radicals.poly_enclosure(child.objective[1], exact, box)
             if target is NOT_REAL or not (got.lo <= target.hi and target.lo <= got.hi):
-                failure = f"child {ci + 1}: objective mismatch at {named}"
-                break
-            if used == samples:
-                break
+                return True, f"child {ci + 1}: objective mismatch at {named}"
+            return True, None
+
+        points = _verify.component_points(region, rng, 4 * samples)
+        used, failure = _verify.tally_points(points, check, samples)
         if not used and not failure:
             failure = f"child {ci + 1}: no drawn point satisfies its conditions"
         report.add(

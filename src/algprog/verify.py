@@ -377,6 +377,8 @@ def sample_in_component(
     component,
     rng: random.Random,
     max_tries: int = 500,
+    *,
+    seen: dict | None = None,
 ) -> dict[VarId, Fraction]:
     """A random rational point within 1 of the component's sample in every
     coordinate where all its conditions hold exactly (rejection sampling in
@@ -386,17 +388,31 @@ def sample_in_component(
     resultants) is hit only by the anchor itself, 1 draw in 81; after
     `max_tries` misses the box shrinks by 16 and sampling goes on, up to
     _SAMPLE_SHRINKS times.
+
+    Each draw is keyed by ``(shrink, r_1, ..., r_k)``, its box and its
+    offsets in anchor order, and its point is built and tested only the
+    first time: `seen` (one per sample walk; a fresh one per call when
+    omitted) maps each tested key to its point, or to None where a condition
+    failed.  A known miss is skipped and a known hit returns its point again,
+    so the rng draws, and with them every point returned, are the same as
+    without the memo.
     """
+    if seen is None:
+        seen = {}
     anchor = dict(component.sample)
     for shrink in range(_SAMPLE_SHRINKS + 1):
         box = Fraction(1, 16**shrink)
         for _ in range(max_tries):
-            point = {
-                v: a + box * Fraction(rng.randint(-40, 40), 40)
-                for v, a in anchor.items()
-            }
-            if all(condition_holds(c, point) for c in component.conditions):
-                return point
+            key = (shrink, *[rng.randint(-40, 40) for _ in anchor])
+            if key not in seen:
+                point = {
+                    v: a + box * Fraction(r, 40)
+                    for (v, a), r in zip(anchor.items(), key[1:])
+                }
+                hit = all(condition_holds(c, point) for c in component.conditions)
+                seen[key] = point if hit else None
+            if seen[key] is not None:
+                return dict(seen[key])
     raise SamplingError(
         f"rejection sampling exhausted near {component.label or 'component'}"
     )
@@ -404,9 +420,43 @@ def sample_in_component(
 
 def component_points(component, rng: random.Random, limit: int):
     """The sample walk of every certified check: the component's own sample,
-    then points drawn lazily by sample_in_component, `limit` points in all."""
+    then points drawn lazily by sample_in_component, `limit` points in all.
+    The walk keeps one `seen` memo, so each distinct draw is tested against
+    the conditions once; a point may come out more than once."""
+    seen: dict = {}
     for n in range(limit):
-        yield dict(component.sample) if n == 0 else sample_in_component(component, rng)
+        if n == 0:
+            yield dict(component.sample)
+        else:
+            yield sample_in_component(component, rng, seen=seen)
+
+
+def tally_points(points, check, limit: int) -> tuple[int, str | None]:
+    """Count the samples of a walk: `check(n, point)`, for the walk's n-th
+    point, returns whether the point counts as a sample and a failure
+    message or None.  Stops at the first failure or at `limit` counted
+    points; returns the count, the failing point included, and the failure.
+
+    Each distinct point is checked once.  A repeat counts, or is skipped, as
+    it was the first time, without another check; no failing point repeats,
+    since a failure ends the walk.  Count and failure are those that
+    checking every point would give.
+    """
+    counted: dict[tuple, bool] = {}  # checked point -> whether it counts
+    used = 0
+    for n, point in enumerate(points):
+        # integer pairs hash far faster than Fractions do
+        key = tuple([(v, x.as_integer_ratio()) for v, x in point.items()])
+        if key not in counted:
+            counts, failure = check(n, point)
+            if failure:
+                return used + counts, failure
+            counted[key] = counts
+        if counted[key]:
+            used += 1
+            if used == limit:
+                break
+    return used, None
 
 
 def verify_certificate(
@@ -423,6 +473,10 @@ def verify_certificate(
     every sign condition with rational arithmetic.  Exactly one root may pass,
     and it must lie in an enclosure of f at the sample, computed at
     `precision` bits.
+    The walk may return a point it returned before; `tally_points` checks
+    each distinct point of an entry once, so a repeat of a passing point
+    counts toward `samples_used` again without another root selection, and
+    a repeat of a point where f is not real is skipped again.
     The certificate object is duck-typed (attributes `defining`, `z`,
     `entries`, and per-entry `component` / `root_conditions`), so this module
     never imports the code it is auditing.
@@ -441,36 +495,34 @@ def verify_certificate(
 
     for entry in cert.entries:
         comp = entry.component
-        used = 0
-        failure: str | None = None
-        # Component conditions may hold beyond the component itself (they are
-        # necessary, not sufficient); a drawn point where f is not even real
-        # is certainly outside and is redrawn rather than counted.
-        points = component_points(comp, rng, 4 * samples_per_component)
-        for n, point in enumerate(points):
+
+        def check(n, point):
             named = {registry.name_of(v): val for v, val in point.items()}
             value = value_at(named)
             if value is NOT_REAL:
+                # Component conditions may hold beyond the component itself
+                # (they are necessary, not sufficient); a drawn point where f
+                # is not even real is certainly outside and is redrawn rather
+                # than counted.  The component sample itself must be real.
                 if n == 0:
-                    failure = "f is not real at the component sample "
-                    failure += _point_text(named)
-                    break
-                continue
-            used += 1
+                    return False, (
+                        f"f is not real at the component sample {_point_text(named)}"
+                    )
+                return False, None
             selection = root_selection(
                 cert.defining, cert.z, entry.root_conditions, point
             )
             if len(selection.passing) != 1:
-                failure = (
+                return True, (
                     f"{len(selection.passing)} roots satisfy the conditions at "
                     f"{_point_text(named)}"
                 )
-                break
             if not selection_matches_f(value, selection):
-                failure = f"selected root does not match f at {_point_text(named)}"
-                break
-            if used == samples_per_component:
-                break
+                return True, f"selected root does not match f at {_point_text(named)}"
+            return True, None
+
+        points = component_points(comp, rng, 4 * samples_per_component)
+        used, failure = tally_points(points, check, samples_per_component)
         report.add(
             CheckLine(
                 check=f"unique root selection on {comp.label or 'component'}",

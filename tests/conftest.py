@@ -9,14 +9,16 @@ throughout instead of `==` where a scalar factor is immaterial.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import lcm
 
 from hypothesis import settings
 
 from algprog.polycore import MultiPoly
-from algprog.radicals import Interval
+from algprog.radicals import Interval, SamplingError
 from algprog.uni import trim
+from algprog.verify import condition_holds
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -108,3 +110,56 @@ class RefInterval(Interval):
 
     def __neg__(self) -> RefInterval:
         return RefInterval(-self.hi, -self.lo)
+
+
+def reference_sample_in_component(component, rng: random.Random, max_tries: int = 500):
+    """Rejection sampling in the anchor box as it stood before the walk kept
+    a memo: every draw builds its point and tests every condition.  The
+    oracle that `algprog.verify.sample_in_component` must reproduce draw for
+    draw."""
+    anchor = dict(component.sample)
+    for shrink in range(4 + 1):
+        box = Fraction(1, 16**shrink)
+        for _ in range(max_tries):
+            point = {
+                v: a + box * Fraction(rng.randint(-40, 40), 40)
+                for v, a in anchor.items()
+            }
+            if all(condition_holds(c, point) for c in component.conditions):
+                return point
+    raise SamplingError(
+        f"rejection sampling exhausted near {component.label or 'component'}"
+    )
+
+
+def reference_component_points(component, rng: random.Random, limit: int):
+    """The sample walk without a memo: the component's sample, then
+    `reference_sample_in_component` draws, `limit` points in all."""
+    for n in range(limit):
+        yield (
+            dict(component.sample)
+            if n == 0
+            else reference_sample_in_component(component, rng)
+        )
+
+
+def reference_tally_points(points, check, limit: int):
+    """`algprog.verify.tally_points` without its memo: every point is
+    checked, repeats included."""
+    used = 0
+    for n, point in enumerate(points):
+        counts, failure = check(n, point)
+        used += counts
+        if failure:
+            return used, failure
+        if counts and used == limit:
+            break
+    return used, None
+
+
+def use_walk_without_memo(monkeypatch) -> None:
+    """Make the verifier's sample walks run as before they kept a memo."""
+    import algprog.verify as verify_module
+
+    monkeypatch.setattr(verify_module, "component_points", reference_component_points)
+    monkeypatch.setattr(verify_module, "tally_points", reference_tally_points)

@@ -5,6 +5,7 @@ surface as SystemExit(2), all other failures as documented return codes.
 """
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,15 @@ def test_isolate_and_verify_with_a_skipped_division_by_zero(capsys, tmp_path):
         "--verify", "--out", str(tmp_path / "merged.json"),
     )
     assert code == 0, err
+
+
+def test_isolate_verify_on_narrow_components_is_quick(capsys):
+    # 28 components, most far narrower than the sampling box, verified at
+    # the default 128 samples each
+    start = time.monotonic()
+    assert main(["isolate", "root(3, x)/(3 - 1) - root(3, 4)*x", "--verify"]) == 0
+    assert time.monotonic() - start < 20.0
+    assert '"passed": true' in capsys.readouterr().err
 
 
 def test_isolate_domain_needs_file():

@@ -65,6 +65,8 @@ def _isolate_cases():
         ("skipped", "1/(sqrt(x^2) - x)", ["--allow-boundary"]),
         ("grid", "sqrt(x) + sqrt(y)", grid),
         ("diff", "x^(1/2) - x^(1/3)", []),
+        # 28 branches in narrow components: the walk keeps returning to anchors
+        ("narrow", "root(3, x)/(3 - 1) - root(3, 4)*x", []),
     ]:
         yield f"isolate-{name}", [
             [

@@ -204,7 +204,7 @@ def test_merge_aborts_when_sampling_fails(monkeypatch):
     cfg = IsolateConfig(samples=8, allow_boundary=True)
     cert = isolate("sqrt(x)", dp, cfg=cfg)
 
-    def exhausted(component, rng, max_tries=500):
+    def exhausted(component, rng, max_tries=500, *, seen=None):
         raise SamplingError("rejection sampling exhausted near the branch")
 
     monkeypatch.setattr(verify_module, "sample_in_component", exhausted)

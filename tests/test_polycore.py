@@ -107,6 +107,19 @@ def test_eval_matches_term_by_term_oracle(p, coords):
     assert got == term_by_term(p, point)
 
 
+@given(polys(max_exp=6), st.lists(coordinates, min_size=3, max_size=3))
+def test_point_powers_rows(p, coords):
+    point = dict(enumerate(coords))
+    powers = p.point_powers(point)
+    for v, c in point.items():
+        top = p.degree_in(v)
+        if top <= 0:  # D = 0 (or the zero polynomial): no row
+            assert v not in powers
+            continue
+        n, d = Fraction(c).numerator, Fraction(c).denominator
+        assert powers[v] == [n**e * d ** (top - e) for e in range(top + 1)]
+
+
 def test_eval_rejects_a_missing_variable():
     p = X * Y + Fraction(1, 3)
     with pytest.raises(PolyError, match="no value for variable 'y'"):

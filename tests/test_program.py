@@ -5,6 +5,7 @@ The worked problems in problems/ are the reference inputs; their expected
 children and baselines are frozen here as exact constraint strings.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -26,6 +27,7 @@ from algprog.program import (
     result_from_json,
 )
 from algprog.radicals import polynomial_from_text, structural_key, to_text
+from conftest import use_walk_without_memo
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -443,6 +445,22 @@ def test_check_substitution_fails_a_child_it_cannot_sample():
     report = check_substitution(reformulate(prog), prog, samples=8)
     assert [(c.status, c.samples_used) for c in report.checks] == [("pass", 8), ("fail", 0)]
     assert report.checks[1].witness == "child 2: no drawn point satisfies its conditions"
+
+
+def test_check_substitution_report_matches_the_walk_without_memo(monkeypatch):
+    # each child on its own, so that the later children are checked too
+    golden = Path(__file__).resolve().parent / "golden"
+    prog = load_program((golden / "repeats.json").read_text())
+    res = reformulate(prog)
+    singles = [dataclasses.replace(res, children=(c,)) for c in res.children]
+
+    def reports():
+        return [check_substitution(r, prog, samples=128).to_json() for r in singles]
+
+    memo = reports()
+    use_walk_without_memo(monkeypatch)
+    assert memo == reports()
+    assert ['"passed": true' in r for r in memo] == [False, True, True, True]
 
 
 def test_check_substitution_flags_a_part_not_real_at_the_anchor():

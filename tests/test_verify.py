@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from algprog.polycore import (
 )
 from algprog.radicals import (
     Interval,
+    SamplingError,
     eval_numeric,
     normalize,
     parse,
@@ -70,7 +72,13 @@ from algprog.verify import (
     verify_certificate,
     verify_defining,
 )
-from conftest import integral, uni_eval
+from conftest import (
+    integral,
+    reference_component_points,
+    reference_tally_points,
+    uni_eval,
+    use_walk_without_memo,
+)
 
 REG = VarRegistry(["x"])
 X = MultiPoly.var(REG, 0)
@@ -720,8 +728,8 @@ def test_verify_certificate_redraws_points_where_f_is_not_real(monkeypatch):
     wide = _with_component(cert, ComponentDescription((), {XID: Fraction(1, 3)}))
     draws = []
 
-    def drawing(component, rng, max_tries=500):
-        draws.append(sample_in_component(component, rng, max_tries))
+    def drawing(component, rng, max_tries=500, *, seen=None):
+        draws.append(sample_in_component(component, rng, max_tries, seen=seen))
         return draws[-1]
 
     monkeypatch.setattr(verify_module, "sample_in_component", drawing)
@@ -853,6 +861,163 @@ def test_sample_in_component_narrow_component():
     for seed in range(20):
         pt = sample_in_component(comp, random.Random(seed), max_tries=1)
         assert 0 < pt[XID] < Fraction(1, 100)
+
+
+# -- the sample walk's memo ----------------------------------------------------------
+
+REG2 = VarRegistry(["x", "y"])
+
+
+@st.composite
+def walk_components(draw):
+    """A component in one or two variables around a rational anchor: wide
+    (half-planes well clear of the anchor), narrow (a strip around a line
+    through the anchor, the line itself excluded, so only shrunk boxes hit)
+    or exhausted (the strip too thin for the smallest box, or a condition
+    no draw meets)."""
+    ids = [REG2.id_of(n) for n in ("x", "y")[: draw(st.integers(1, 2))]]
+    anchor = {
+        v: draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+        for v in ids
+    }
+    coeffs = {v: draw(st.integers(-3, 3).filter(bool)) for v in ids}
+    # l vanishes at the anchor and is an integer combination of the offsets
+    line = sum(
+        (c * (MultiPoly.var(REG2, v) - anchor[v]) for v, c in coeffs.items()),
+        MultiPoly.zero(REG2),
+    )
+    kind = draw(st.sampled_from(["wide", "narrow", "exhausted"]))
+    if kind == "wide":
+        t = draw(st.sampled_from([1, 2, 5]))
+        conditions = [SignCondition(line + t, draw(st.sampled_from([">", ">="])))]
+    elif kind == "narrow":
+        eps = Fraction(1, draw(st.sampled_from([100, 3000, 50000, 10**7])))
+        conditions = [
+            SignCondition(line + eps, ">"),
+            SignCondition(line - eps, "<"),
+            SignCondition(line, "!="),
+        ]
+    else:
+        reach = sum(abs(c) for c in coeffs.values()) + 1
+        conditions = [SignCondition(line - reach, ">")]
+    return ComponentDescription(tuple(draw(st.permutations(conditions))), anchor, kind)
+
+
+def _walk(points, component, seed, limit):
+    """Every point of a walk, its SamplingError if it ends in one, and the
+    rng state after it."""
+    rng = random.Random(seed)
+    out = []
+    try:
+        out.extend(points(component, rng, limit))
+    except SamplingError as exc:
+        out.append(str(exc))
+    return out, rng.getstate()
+
+
+@given(walk_components(), st.integers(0, 2**16), st.integers(1, 6))
+def test_component_points_match_the_walk_without_memo(component, seed, limit):
+    got = _walk(verify_module.component_points, component, seed, limit)
+    assert got == _walk(reference_component_points, component, seed, limit)
+
+
+def test_walk_components_cover_shrinks_and_exhaustion():
+    narrow = ComponentDescription(
+        (SignCondition(X + Fraction(1, 3000), ">"),
+         SignCondition(X - Fraction(1, 3000), "<"),
+         SignCondition(X, "!=")),
+        {XID: Fraction(0)},
+    )
+    points, _ = _walk(verify_module.component_points, narrow, 0, 3)
+    # offsets step by 1/40, 1/640, 1/10240, ...: only the third box and
+    # smaller hold a hit
+    assert all(0 < abs(p[XID]) < Fraction(1, 3000) for p in points[1:])
+    thin = dataclasses.replace(
+        narrow,
+        conditions=(SignCondition(X + Fraction(1, 10**7), ">"),
+                    SignCondition(X - Fraction(1, 10**7), "<"),
+                    SignCondition(X, "!=")),
+    )
+    points, _ = _walk(verify_module.component_points, thin, 0, 3)
+    assert points[1] == "rejection sampling exhausted near component"
+
+
+class CountingRandom(random.Random):
+    """A Random that counts its `randint` calls."""
+
+    draws = 0
+
+    def randint(self, a, b):
+        self.draws += 1
+        return super().randint(a, b)
+
+
+def test_sample_walk_tests_each_draw_once(monkeypatch):
+    # only the anchor lies inside the first box, so nearly every draw misses
+    anchor = Fraction(1, 200)
+    comp = ComponentDescription(
+        conditions=(SignCondition(X, ">"), SignCondition(100 * X - 1, "<")),
+        sample={XID: anchor},
+    )
+    calls = Counter()
+    holds = verify_module.condition_holds
+
+    def counting(cond, point):
+        calls[cond, point[XID]] += 1
+        return holds(cond, point)
+
+    monkeypatch.setattr(verify_module, "condition_holds", counting)
+    rng, seen = CountingRandom(0), {}
+    for _ in range(24):
+        assert sample_in_component(comp, rng, seen=seen) == {XID: anchor}
+    # (shrink, offset) keys can meet in one point: offset 0 is the anchor
+    # in every box
+    keys_at = Counter(anchor + Fraction(r, 40 * 16**shrink) for shrink, r in seen)
+    assert calls and all(n <= keys_at[x] for (_, x), n in calls.items())
+    assert sum(n for (cond, _), n in calls.items() if cond.rel == ">") == len(seen)
+    assert rng.draws > 10 * len(seen)
+
+
+@pytest.mark.parametrize("tamper", [False, True])
+def test_verify_certificate_report_matches_the_walk_without_memo(monkeypatch, tamper):
+    # most entries of this certificate are narrow: their walks come back to
+    # the anchor again and again
+    f = "x^(1/2) - x^(1/3)"
+    cert = isolate(f, defining_polynomial(f), cfg=IsolateConfig(samples=8))
+    if tamper:  # flip the sign of z in a later entry
+        entry = cert.entries[4]
+        *rest, cond = entry.root_conditions
+        flipped = SignCondition(cond.poly, RELATIONS[cond.rel].flip)
+        entry = dataclasses.replace(entry, root_conditions=(*rest, flipped))
+        cert = dataclasses.replace(
+            cert, entries=(*cert.entries[:4], entry, *cert.entries[5:])
+        )
+
+    def reports():
+        return [verify_certificate(f, cert, 8, seed=s).to_json() for s in range(3)]
+
+    memo = reports()
+    use_walk_without_memo(monkeypatch)
+    assert memo == reports()
+    assert ('"passed": false' in memo[0]) == tamper
+
+
+@given(
+    st.lists(st.integers(0, 5), max_size=40),
+    st.dictionaries(st.integers(0, 5), st.sampled_from(["count", "skip", "fail"])),
+    st.booleans(),
+    st.integers(1, 8),
+)
+def test_tally_points_matches_checking_every_point(walk, verdicts, first_fails, limit):
+    def check(n, point):
+        verdict = verdicts.get(point["p"], "count")
+        if n == 0 and first_fails:
+            verdict = "fail"
+        return verdict != "skip", f"fails at {point}" if verdict == "fail" else None
+
+    points = [{"p": p} for p in walk]
+    got = verify_module.tally_points(points, check, limit)
+    assert got == reference_tally_points(points, check, limit)
 
 
 # -- independence from the audited code ---------------------------------------------
