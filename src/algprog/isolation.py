@@ -17,7 +17,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import radicals
 from .defpoly import DefiningPolynomial
@@ -28,6 +28,7 @@ from .polycore import (
     VarRegistry,
     grlex_leading,
     integer_normalize,
+    provably_nonneg,
     try_divexact,
 )
 from .radicals import NOT_REAL, EvalDomainError, Expr, Interval, eval_numeric, poly_enclosure
@@ -727,13 +728,3 @@ def _simplify_relaxed(
             for d in out
         )
     ]
-
-
-def provably_nonneg(p: MultiPoly, nonneg: Collection[VarId] = ()) -> bool:
-    """Sound, syntactic: every term has a positive coefficient and each
-    variable occurs to an even power unless it is in `nonneg`, the variables
-    known nonnegative; then p >= 0 wherever those are."""
-    return all(
-        c > 0 and all(e % 2 == 0 or v in nonneg for v, e in m)
-        for m, c in p.terms.items()
-    )

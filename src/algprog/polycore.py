@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .uni import IMAGE_PRIME, gcd_degree_mod
 
@@ -548,6 +548,16 @@ def try_divexact(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
         return divexact(p, q)
     except InexactDivision:
         return None
+
+
+def provably_nonneg(p: MultiPoly, nonneg: Collection[VarId] = ()) -> bool:
+    """Sound, syntactic: every term has a positive coefficient and each
+    variable occurs to an even power unless it is in `nonneg`, the variables
+    known nonnegative; then p >= 0 wherever those are."""
+    return all(
+        c > 0 and all(e % 2 == 0 or v in nonneg for v, e in m)
+        for m, c in p.terms.items()
+    )
 
 
 # Integer term dicts {monomial: int}, no zero values: the fraction-free

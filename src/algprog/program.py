@@ -48,9 +48,15 @@ from .isolation import (
     SignCondition,
     isolate,
     merge_components,
+)
+from .polycore import (
+    MultiPoly,
+    PolyError,
+    VarId,
+    VarRegistry,
+    grlex_key,
     provably_nonneg,
 )
-from .polycore import MultiPoly, PolyError, VarId, VarRegistry, grlex_key
 from .radicals import (
     NOT_REAL,
     Add,
@@ -858,7 +864,8 @@ def check_substitution(
     or both fail wherever the enclosures decide), and that the child
     objective encloses the original objective value.  `tally_points` checks
     each distinct drawn point of a child once; a repeat counts, or is
-    skipped, as the first was.  Returns a VerifyReport.
+    skipped, as the first was.  Every child is checked and reported, also
+    after one fails.  Returns a VerifyReport.
     """
     report = _verify.VerifyReport()
     if not result.parts:
@@ -965,8 +972,6 @@ def check_substitution(
                 samples_used=used,
             )
         )
-        if failure:
-            break
     return report
 
 

@@ -8,7 +8,9 @@ lists; only interval endpoints are `Fraction`s.
 
 The sign of c at a rational a/b is read off b^n * c(a/b), computed by
 homogeneous integer Horner.  Real roots are isolated with Sturm chains
-(integer pseudo-remainders, each made primitive).  A `Bracket` holds one
+(integer pseudo-remainders, each made primitive); the counts at the ends of
+the Cauchy bound, beyond every root, are read from the chain's leading
+coefficients and degrees, not evaluated.  A `Bracket` holds one
 isolating interval as integers over a doubling denominator and halves it in
 place; `refine_root` and `sign_at_root` both bisect through it, and a caller
 that passes one bracket to several `sign_at_root` calls refines the root
@@ -168,6 +170,17 @@ def variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def variations_at_infinity(chain: Sequence[Sequence[int]], side: int) -> int:
+    """Sign variations of the chain beyond all roots of its first element,
+    toward +infinity (`side` 1) or -infinity (`side` -1): each element has
+    the sign of its leading coefficient there, times `side` to its degree.
+    A Sturm chain's variations change only at roots of its first element,
+    so this is also the count at any point beyond them, such as +/- the
+    Cauchy bound."""
+    signs = [c[-1] * side ** (len(c) - 1) > 0 for c in chain]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
 def sturm_count(chain: Sequence[Sequence[int]], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in the open interval (lo, hi).
 
@@ -211,7 +224,9 @@ def isolate_roots(sf: list[int]) -> list[tuple[Fraction, Fraction]]:
     out: list[tuple[Fraction, Fraction]] = []
     # Each work item carries the sign variations at both of its ends, so a
     # split point's count is computed once and serves both halves.
-    work = [(-bound, variations(chain, -bound), bound, variations(chain, bound))]
+    work = [
+        (-bound, variations_at_infinity(chain, -1), bound, variations_at_infinity(chain, 1))
+    ]
     while work:
         lo, var_lo, hi, var_hi = work.pop()
         n = var_lo - var_hi

@@ -4,7 +4,10 @@ Everything in this module is exact: real roots of univariate polynomials are
 isolated with Sturm sequences, signs of polynomials at algebraic roots are
 decided exactly, and certificates are re-checked from scratch rather than by
 trusting any interval the isolation code produced.  That makes these checks
-usable as oracles for the modules they audit.
+usable as oracles for the modules they audit.  Where an entry's root
+conditions fix the sign of every derivative of the defining polynomial,
+Thom's lemma lets one root, the one in f's enclosure, stand for all of them
+(`verify_certificate`).
 
 The univariate kernel is `uni`, on integer coefficient lists;
 `uni_from_poly` is where a polynomial at a sample point becomes one, scaled
@@ -21,7 +24,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import radicals
-from .polycore import MultiPoly, PolyError, VarId
+from .polycore import MultiPoly, PolyError, VarId, provably_nonneg, try_divexact
 from .radicals import (
     NOT_REAL,
     EvalDomainError,
@@ -34,6 +37,8 @@ from .radicals import (
 )
 from .uni import (
     Bracket,
+    derivative,
+    interval_sign,
     isolate_product_roots,
     isolate_roots,
     sign_at,
@@ -260,16 +265,19 @@ def _point_text(point: Mapping[str, Fraction]) -> str:
 class Relation(NamedTuple):
     test: Callable[[int], bool]  # whether `p rel 0` holds where p has sign s
     flip: str  # the relation that says the same of -p
+    # an inequality's s with s*p >= 0 wherever `p rel 0` holds; 0 for `=`
+    # and `!=`, which forced_sign does not count
+    weak: int
 
 
 #: the sign conditions `p rel 0` this package reads and writes
 RELATIONS = {
-    ">": Relation(lambda s: s > 0, "<"),
-    "<": Relation(lambda s: s < 0, ">"),
-    ">=": Relation(lambda s: s >= 0, "<="),
-    "<=": Relation(lambda s: s <= 0, ">="),
-    "=": Relation(lambda s: s == 0, "="),
-    "!=": Relation(lambda s: s != 0, "!="),
+    ">": Relation(lambda s: s > 0, "<", 1),
+    "<": Relation(lambda s: s < 0, ">", -1),
+    ">=": Relation(lambda s: s >= 0, "<=", 1),
+    "<=": Relation(lambda s: s <= 0, ">=", -1),
+    "=": Relation(lambda s: s == 0, "=", 0),
+    "!=": Relation(lambda s: s != 0, "!=", 0),
 }
 
 
@@ -302,7 +310,8 @@ def relation_certain(iv: Interval, rel: str) -> bool:
 
 @dataclass(frozen=True)
 class RootSelection:
-    """Roots of the defining polynomial at one sample, tagged by condition."""
+    """Roots of the defining polynomial at one sample, tagged by condition:
+    every real root, or the one `root_selection` proved alone in `alone_in`."""
 
     square_free: tuple[int, ...]
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -314,6 +323,8 @@ def root_selection(
     z: VarId,
     root_conditions: Iterable,
     point: Mapping[VarId, Fraction],
+    *,
+    alone_in: Interval | None = None,
 ) -> RootSelection:
     """Isolate the real roots of p(z, a) and test every sign condition exactly.
 
@@ -324,6 +335,12 @@ def root_selection(
     selection's intervals are the brackets as the conditions left them,
     still isolating, with non-root endpoints unless the root is rational
     and they meet in it.
+
+    `alone_in` is for a caller that knows at most one root can satisfy the
+    conditions at any point (`forced_sign`).  When p(z, a) provably has
+    exactly one root in that interval (`lone_root`) and the root passes, the
+    selection is that root alone, and the other roots are neither isolated
+    nor tested; otherwise every root is, as without it.
     """
     c = uni_from_poly(defining, z, point)
     if len(c) <= 1:
@@ -335,6 +352,12 @@ def root_selection(
         for cond in root_conditions
         if cond.rel != "="
     ]
+    if alone_in is not None:
+        bracket = lone_root(sf, alone_in)
+        if bracket is not None and all(
+            test(sign_at_root(cq, bracket)) for test, cq in strict
+        ):
+            return RootSelection(tuple(sf), (bracket.interval(),), (0,))
     intervals = []
     passing = []
     for idx, (lo, hi) in enumerate(isolate_roots(sf)):
@@ -343,6 +366,27 @@ def root_selection(
             passing.append(idx)
         intervals.append(bracket.interval())
     return RootSelection(tuple(sf), tuple(intervals), tuple(passing))
+
+
+def lone_root(sf: list[int], value: Interval) -> Bracket | None:
+    """A bracket of the one root of the square-free `sf` in `value`, when
+    that root is provably alone there, else None.
+
+    A point `value` must be a root.  Otherwise `sf` must have strictly
+    opposite signs at the ends, so a root lies between them, and its
+    derivative one strict sign on the whole interval (interval Horner), so
+    no second root does.
+    """
+    bracket = Bracket(sf, value.lo, value.hi)
+    if bracket.a == bracket.b:
+        return None if bracket.s_lo else bracket
+    if (
+        bracket.s_lo
+        and sign_at(sf, bracket.b, bracket.d) == -bracket.s_lo
+        and interval_sign(derivative(sf), bracket.a, bracket.b, bracket.d)
+    ):
+        return bracket
+    return None
 
 
 def selection_matches_f(value: Interval, selection: RootSelection) -> bool:
@@ -366,6 +410,58 @@ def selection_matches_f(value: Interval, selection: RootSelection) -> bool:
         * sign_at(p, hi.numerator, hi.denominator)
         <= 0
     )
+
+
+def forced_sign(d: MultiPoly, conditions: Iterable) -> int:
+    """A sign s with s*d >= 0 wherever every condition holds, or 0 when no
+    rule shows one.  The conditions are duck-typed (`poly`, `rel`); only
+    `>`, `<`, `>=` and `<=` count, each giving its polynomial q a sign s_q
+    with s_q*q >= 0.  Two exact rules are tried in order, c a nonzero
+    rational:
+
+    (1) d = c*q + g, with c fixed by a term of q in which some variable has
+        an odd exponent (by each term of q when none has), and g a sum of
+        terms with even exponents only, each of the coefficient sign
+        sign(c)*s_q, so g has that sign everywhere; g = 0 is d = c*q;
+    (2) d = q1*r, q1 found by exact division, and r covered by (1) with
+        sign s, giving s_q1*s.
+
+    They undo `isolation._simplify_relaxed`'s two steps, a condition
+    dropped for an even gap and the z factor cancelled against `z >= 0`.
+    """
+    signed = [
+        (c.poly, RELATIONS[c.rel].weak)
+        for c in conditions
+        if RELATIONS[c.rel].weak and not c.poly.is_zero()
+    ]
+    sign = _gap_sign(d, signed)
+    for q1, s1 in signed:
+        if sign:
+            break
+        rest = try_divexact(d, q1)
+        if rest is not None:
+            sign = s1 * _gap_sign(rest, signed)
+    return sign
+
+
+def _gap_sign(d: MultiPoly, signed: list[tuple[MultiPoly, int]]) -> int:
+    """Rule (1) of `forced_sign` against each (q, s_q) of `signed`."""
+    for q, s in signed:
+        odd = [m for m in q.terms if any(e % 2 for _, e in m)]
+        for m in odd[:1] or q.terms:
+            c = Fraction(d.terms.get(m, 0)) / q.terms[m]
+            sign = s if c > 0 else -s
+            if c and provably_nonneg((d - q * c) * sign):
+                return sign
+    return 0
+
+
+def derivatives_in(p: MultiPoly, z: VarId) -> list[MultiPoly]:
+    """The derivatives of `p` in z of order 1 ... deg_z(p) - 1."""
+    out: list[MultiPoly] = []
+    for _ in range(p.degree_in(z) - 1):
+        out.append((out[-1] if out else p).derivative(z))
+    return out
 
 
 #: times sample_in_component divides its box radius (first 1) by 16 after
@@ -469,10 +565,23 @@ def verify_certificate(
     """Re-check an isolation certificate from scratch, exactly.
 
     For every entry, sample points satisfying the component conditions, then
-    isolate all real roots of the defining polynomial at each point and decide
-    every sign condition with rational arithmetic.  Exactly one root may pass,
-    and it must lie in an enclosure of f at the sample, computed at
-    `precision` bits.
+    select the roots of the defining polynomial p that pass the root
+    conditions at each point (`root_selection`) with rational arithmetic.
+    Exactly one root may pass, and it must lie in an enclosure J of f at the
+    sample, computed at `precision` bits (`selection_matches_f`).
+
+    Once per entry, `forced_sign` decides whether the root conditions force
+    a weak sign on every z-derivative of p of order 1 ... deg_z(p) - 1.
+    Where they do, at most one root can pass at any point (Thom's lemma with
+    weak signs: the z where every derivative has its sign form an interval,
+    on which p is strictly monotone; Coste & Roy 1988, Basu, Pollack & Roy,
+    *Algorithms in Real Algebraic Geometry*, ch. 2), so the entry's
+    selections are made `alone_in` J: a root proved alone in J that passes
+    is the only passing root, and no other root is isolated.  Everything
+    else (an entry not covered, a condition that fails there, no root
+    provably alone in J) isolates every root and decides every condition at
+    each, as without the proof; only that path fails a check, so reports
+    are the ones it alone would give.
     The walk may return a point it returned before; `tally_points` checks
     each distinct point of an entry once, so a repeat of a passing point
     counts toward `samples_used` again without another root selection, and
@@ -493,8 +602,10 @@ def verify_certificate(
         except EvalDomainError:
             return NOT_REAL
 
+    derivatives = derivatives_in(cert.defining, cert.z)
     for entry in cert.entries:
         comp = entry.component
+        covered = all(forced_sign(d, entry.root_conditions) for d in derivatives)
 
         def check(n, point):
             named = {registry.name_of(v): val for v, val in point.items()}
@@ -510,7 +621,11 @@ def verify_certificate(
                     )
                 return False, None
             selection = root_selection(
-                cert.defining, cert.z, entry.root_conditions, point
+                cert.defining,
+                cert.z,
+                entry.root_conditions,
+                point,
+                alone_in=value if covered else None,
             )
             if len(selection.passing) != 1:
                 return True, (

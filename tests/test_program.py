@@ -442,9 +442,22 @@ def test_check_substitution_fails_a_child_it_cannot_sample():
     # child 2 carries x < 0 and x - 4 > 0: no point satisfies both, so no
     # sample checks it, and that is a failure, not a pass on 0 samples
     prog = mini("x^2 + root(3, x)", [("root(3, x - 4) + 1", ">=")], variables=("x",))
-    report = check_substitution(reformulate(prog), prog, samples=8)
-    assert [(c.status, c.samples_used) for c in report.checks] == [("pass", 8), ("fail", 0)]
+    res = reformulate(prog)
+    report = check_substitution(res, prog, samples=8)
+    assert len(report.checks) == len(res.children) == 4
+    assert [(c.status, c.samples_used) for c in report.checks[:2]] == [("pass", 8), ("fail", 0)]
     assert report.checks[1].witness == "child 2: no drawn point satisfies its conditions"
+
+
+def test_check_substitution_reports_every_child_after_a_failure():
+    golden = Path(__file__).resolve().parent / "golden"
+    prog = load_program((golden / "repeats.json").read_text())
+    res = reformulate(prog)
+    report = check_substitution(res, prog, samples=32)
+    assert [c.check for c in report.checks] == [
+        f"substitution soundness on child {k}" for k in range(1, len(res.children) + 1)
+    ]
+    assert [c.status for c in report.checks] == ["fail", "pass", "pass", "pass"]
 
 
 def test_check_substitution_report_matches_the_walk_without_memo(monkeypatch):

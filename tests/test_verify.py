@@ -3,6 +3,7 @@ certificate re-checks.  Everything here runs in exact rational arithmetic."""
 
 import ast
 import dataclasses
+import json
 import math
 import random
 from collections import Counter
@@ -19,7 +20,9 @@ from algprog.isolation import (
     ComponentDescription,
     IsolateConfig,
     SignCondition,
+    certificate_from_json,
     isolate,
+    merge_components,
 )
 from algprog.polycore import (
     MultiPoly,
@@ -53,6 +56,7 @@ from algprog.uni import (
     sturm_count,
     trim,
     variations,
+    variations_at_infinity,
 )
 from algprog.verify import (
     ENDPOINT_BITS,
@@ -61,7 +65,9 @@ from algprog.verify import (
     _endpoint_text,
     _sign,
     audit_degrees,
+    forced_sign,
     isolate_real_roots,
+    lone_root,
     relation_certain,
     relation_holds,
     relation_possible,
@@ -79,6 +85,7 @@ from conftest import (
     uni_eval,
     use_walk_without_memo,
 )
+from test_isolation import ROUND_TRIP, domain_for
 
 REG = VarRegistry(["x"])
 X = MultiPoly.var(REG, 0)
@@ -502,6 +509,16 @@ def test_square_free_and_isolation_match_references(c, roots):
         square_free_part(p, XID) if len(trimmed) > 1 else integer_normalize(p)
     )
     assert list(iso.intervals) == reference_isolation(uni_from_poly(iso.poly, XID, {}))
+
+
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=7))
+def test_variations_beyond_the_cauchy_bound_are_read_off_the_leading_terms(c):
+    sf = square_free(trim(c))
+    assume(len(sf) > 1)
+    chain = sturm_chain(sf)
+    bound = cauchy_root_bound(sf)
+    assert variations_at_infinity(chain, 1) == variations(chain, bound)
+    assert variations_at_infinity(chain, -1) == variations(chain, -bound)
 
 
 @pytest.mark.parametrize(
@@ -1018,6 +1035,241 @@ def test_tally_points_matches_checking_every_point(walk, verdicts, first_fails, 
     points = [{"p": p} for p in walk]
     got = verify_module.tally_points(points, check, limit)
     assert got == reference_tally_points(points, check, limit)
+
+
+# -- one proof per sample: the root in f's enclosure, and Thom's lemma --------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+def _golden_certificates() -> dict[str, str]:
+    out = {}
+    for path in sorted(GOLDEN.glob("isolate-*.txt")):
+        _, found, doc = path.read_text().partition("--- file cert.json\n")
+        if found:
+            out[path.stem] = doc
+    return out
+
+
+def _tampered(doc: str, entries):
+    """`doc` cut down to one of the given entries with one edit: each
+    single root condition deleted, each relation flipped, and each condition
+    other than an equation set to `!=`; then the whole `doc` with
+    `defining + 1`."""
+    obj = json.loads(doc)
+    for i in entries:
+        conds = obj["entries"][i]["root_conditions"]
+        for j, cond in enumerate(conds):
+            edits = [conds[:j] + conds[j + 1:]]
+            if cond["rel"] != "=":
+                for rel in (RELATIONS[cond["rel"]].flip, "!="):
+                    edits.append([*conds[:j], {**cond, "rel": rel}, *conds[j + 1:]])
+            for edit in edits:
+                entry = {**obj["entries"][i], "root_conditions": edit}
+                yield json.dumps({**obj, "entries": [entry]})
+    yield json.dumps({**obj, "defining": obj["defining"] + " + 1"})
+
+
+def _with_and_without_the_proof(run):
+    """`run()` as it is, and with no derivative ever covered, which makes
+    every selection isolate every root; also how often a root was proved
+    alone in f's enclosure."""
+    proved = []
+
+    def counting(sf, value):
+        found = lone_root(sf, value)
+        proved.append(found is not None)
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify_module, "lone_root", counting)
+        on = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify_module, "forced_sign", lambda d, conditions: 0)
+        off = run()
+    return on, off, sum(proved)
+
+
+def _verify_text(doc: str, seed: int) -> str:
+    cert = certificate_from_json(doc)
+    return verify_certificate(cert.source, cert, 8, seed=seed).to_json()
+
+
+@pytest.mark.parametrize("name", sorted(_golden_certificates()))
+def test_proof_per_sample_keeps_every_report_of_a_golden_certificate(name):
+    doc = _golden_certificates()[name]
+    n = len(json.loads(doc)["entries"])
+    # the narrow certificate's entries are slow to sample: its first and last
+    tampered = list(_tampered(doc, {0, n - 1} if name == "isolate-narrow" else range(n)))
+
+    def run():
+        return [_verify_text(doc, seed) for seed in range(3)] + [
+            _verify_text(d, 0) for d in tampered
+        ]
+
+    on, off, proved = _with_and_without_the_proof(run)
+    assert on == off
+    assert '"passed": true' in on[0] and proved
+    assert '"passed": false' in on[-1]  # defining + 1
+
+
+def test_proof_per_sample_keeps_every_report_of_the_certify_corpus():
+    built = [
+        (text, strategy, cfg, defining_polynomial(text), dom)
+        for text, strategy, cfg, dom in ROUND_TRIP
+    ]
+
+    def run():
+        out = []
+        for seed in range(10):
+            for text, strategy, cfg, dp, dom in built:
+                cfg = dataclasses.replace(cfg, samples=4, seed=seed)
+                domain = None if dom is None else domain_for(dp, *dom)
+                cert = merge_components(isolate(text, dp, strategy, cfg, domain), cfg)
+                report = verify_certificate(cert.source, cert, 4, seed=seed)
+                out += [cert.to_json(), report.to_json()]
+        return out
+
+    on, off, proved = _with_and_without_the_proof(run)
+    assert on == off and proved
+
+
+def test_lone_root_only_on_a_proved_single_root():
+    sf = [-6, 11, -6, 1]  # (z - 1)(z - 2)(z - 3)
+
+    def alone(lo, hi):
+        bracket = lone_root(sf, Interval(Fraction(lo), Fraction(hi)))
+        return bracket and bracket.interval()
+
+    near3 = Fraction(29, 10), Fraction(31, 10)
+    assert alone(*near3) == near3
+    assert alone(3, 3) == (3, 3)  # a point J is a root
+    # opposite signs at the ends, but three roots inside: nothing is proved
+    assert alone(0, 4) is None
+    # one root, but p' vanishes at 2 + 1/sqrt(3) inside
+    assert alone(Fraction(5, 2), 4) is None
+    assert alone(3, 4) is None  # an end is a root
+    assert alone(Fraction(7, 2), 4) is None  # no root in J
+    assert alone(Fraction(5, 2), Fraction(5, 2)) is None
+
+
+def test_root_selection_alone_in_selects_only_a_proved_passing_root():
+    reg = VarRegistry(["z"])
+    z = reg.id_of("z")
+    p = polynomial_from_text("(z - 1)*(z - 2)*(z - 3)", reg)
+
+    def select(j, *conds, alone=True):
+        conditions = [SignCondition(polynomial_from_text(t, reg), r) for t, r in conds]
+        j = Interval(Fraction(j[0]), Fraction(j[1]))
+        return root_selection(p, z, conditions, {}, alone_in=j if alone else None)
+
+    near3 = Fraction(29, 10), Fraction(31, 10)
+    selection = select(near3, ("2*z - 5", ">"))
+    assert len(selection.intervals) == 1 and selection.passing == (0,)
+    assert selection_matches_f(Interval(*near3), selection)
+    assert select((3, 3), ("2*z - 5", ">"), ("z - 3", "=")).intervals == ((3, 3),)
+    # the root in J fails a condition, or is not proved alone: every root
+    for j, cond in [
+        (near3, ("2*z - 5", "<")),
+        ((0, 4), ("z", ">")),
+        ((Fraction(5, 2), 4), ("2*z - 5", ">")),
+        ((3, 4), ("2*z - 5", ">")),
+    ]:
+        full = select(j, cond, alone=False)
+        assert select(j, cond) == full and len(full.intervals) == 3
+    with pytest.raises(PolyError, match="degenerates"):
+        root_selection(
+            polynomial_from_text("7", reg), z, [], {},
+            alone_in=Interval(Fraction(0), Fraction(1)),
+        )
+
+
+def test_forced_sign_covers_the_relaxed_goldstein_price_child():
+    # the domain certificate's root conditions z^2 - s >= 0 and z >= 0, s
+    # standing for x + y - 2, and a quartic of the same tower
+    reg = VarRegistry(["s", "z"])
+    z = reg.id_of("z")
+    conds = [
+        SignCondition(polynomial_from_text("z^2 - s", reg), ">="),
+        SignCondition(polynomial_from_text("z", reg), ">="),
+    ]
+    p = polynomial_from_text("(z^2 - s)^2 - 4*s", reg)
+    d1, d2, d3 = verify_module.derivatives_in(p, z)
+    assert d1 == polynomial_from_text("4*z*(z^2 - s)", reg)  # rule (2)
+    assert d2 == polynomial_from_text("4*(z^2 - s) + 8*z^2", reg)  # rule (1)
+    assert d3 == polynomial_from_text("24*z", reg)  # rule (1), no gap
+    assert [forced_sign(d, conds) for d in (d1, d2, d3)] == [1, 1, 1]
+    assert [forced_sign(-d, conds) for d in (d1, d2, d3)] == [-1, -1, -1]
+    flipped = [SignCondition(conds[0].poly, "<="), conds[1]]
+    assert [forced_sign(d, flipped) for d in (d1, d3)] == [-1, 1]
+
+
+@pytest.mark.parametrize("d, conditions", [
+    # a derivative with no condition of its own: 24z without z >= 0
+    ("24*z", [("z^2 - s", ">=")]),
+    ("4*z*(z^2 - s)", [("z^2 - s", ">=")]),
+    # the gap 8z has an odd exponent, and -8z^2 has the wrong sign
+    ("4*(z^2 - s) + 8*z", [("z^2 - s", ">="), ("z", ">=")]),
+    ("4*(z^2 - s) - 8*z^2", [("z^2 - s", ">="), ("z", ">=")]),
+    # `!=` and `=` give no sign
+    ("24*z", [("z", "!=")]),
+    ("24*z", [("z", "=")]),
+    ("4*z*(z^2 - s)", [("z^2 - s", "!="), ("z", ">=")]),
+])
+def test_forced_sign_finds_no_cover(d, conditions):
+    reg = VarRegistry(["s", "z"])
+    conds = [SignCondition(polynomial_from_text(t, reg), rel) for t, rel in conditions]
+    assert forced_sign(polynomial_from_text(d, reg), conds) == 0
+
+
+XZ = VarRegistry(["x", "z"])
+
+
+@st.composite
+def xz_polys(draw, max_terms=3, even=False, sign=0):
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        ex, ez = (draw(st.integers(0, 2)) for _ in range(2))
+        if even:
+            ex, ez = 2 * ex, 2 * ez
+        c = draw(st.integers(1, 3)) * (sign or draw(st.sampled_from([1, -1])))
+        mono = tuple((v, e) for v, e in ((0, ex), (1, ez)) if e)
+        terms[mono] = terms.get(mono, 0) + c
+    return MultiPoly(XZ, terms)
+
+
+@st.composite
+def covers(draw):
+    """Conditions and a d that is often, not always, covered by them."""
+    conds = [
+        SignCondition(draw(xz_polys()), draw(st.sampled_from(sorted(RELATIONS))))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    q1, q2 = (draw(st.sampled_from(conds)).poly for _ in range(2))
+    c = Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3)))
+    rule = draw(st.sampled_from("abcr"))
+    if rule == "a":
+        d = q1 * c
+    elif rule == "b":
+        d = q1 * q2 * c
+    elif rule == "c":
+        d = q1 * c + draw(xz_polys(even=True, sign=draw(st.sampled_from([1, -1]))))
+    else:
+        d = draw(xz_polys(max_terms=4))
+    return d, conds
+
+
+@given(covers(), st.integers(0, 2**16))
+def test_forced_sign_holds_where_the_conditions_do(problem, seed):
+    d, conds = problem
+    s = forced_sign(d, conds)
+    assume(s)
+    rng = random.Random(seed)
+    for _ in range(200):
+        point = {
+            v: Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for v in (0, 1)
+        }
+        if all(verify_module.condition_holds(c, point) for c in conds):
+            assert s * d.sign_at(point) >= 0
 
 
 # -- independence from the audited code ---------------------------------------------
