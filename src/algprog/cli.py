@@ -24,7 +24,6 @@ from typing import Collection, Sequence
 from .defpoly import (
     DefiningError,
     DefiningPolynomial,
-    ReduceConfig,
     defining_polynomial,
     root_index_product,
 )
@@ -51,7 +50,6 @@ from .program import (
     reformulate,
 )
 from .radicals import (
-    Expr,
     ExprError,
     ExprSyntaxError,
     PowerBudgetError,
@@ -75,15 +73,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+def rational(text: str) -> Fraction:
+    """argparse type of the grid bounds: a rational such as `-4` or `1/3`."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational") from None
+
+
 def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument(
-        "--precision-bits",
-        type=positive_int,
-        default=64,
-        metavar="B",
-        help="interval refinement target 2^-B (default 64)",
-    )
     p.add_argument(
         "--samples",
         type=positive_int,
@@ -116,8 +115,8 @@ def _add_isolation_flags(p: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help="JSON domain {conditions: [{poly, rel}], interior_point: {var: q}}",
     )
-    p.add_argument("--grid-min", type=Fraction, default=Fraction(-4), metavar="Q")
-    p.add_argument("--grid-max", type=Fraction, default=Fraction(4), metavar="Q")
+    p.add_argument("--grid-min", type=rational, default=Fraction(-4), metavar="Q")
+    p.add_argument("--grid-max", type=rational, default=Fraction(4), metavar="Q")
     p.add_argument("--grid-res", type=positive_int, default=8, metavar="N")
 
 
@@ -266,7 +265,6 @@ def _load_domain(
 def _isolate_config(args: argparse.Namespace) -> IsolateConfig:
     return IsolateConfig(
         samples=args.samples,
-        precision=args.precision_bits,
         seed=args.seed,
         allow_boundary=args.allow_boundary,
         grid_min=args.grid_min,
@@ -275,13 +273,8 @@ def _isolate_config(args: argparse.Namespace) -> IsolateConfig:
     )
 
 
-def _defining(expr: Expr, args: argparse.Namespace) -> DefiningPolynomial:
-    cfg = ReduceConfig(precision=args.precision_bits, seed=args.seed)
-    return defining_polynomial(expr, z_name=args.z, cfg=cfg)
-
-
 def cmd_defpoly(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    dp = _defining(parse(args.expr), args)
+    dp = defining_polynomial(parse(args.expr), z_name=args.z, seed=args.seed)
     bounds = degree_bounds(dp.source)
     registry = dp.poly.registry
     lines = [dp.poly.to_text()]
@@ -304,7 +297,6 @@ def cmd_defpoly(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             dp.source,
             dp,
             samples=args.samples,
-            precision=args.precision_bits,
             seed=args.seed,
         )
         for line in audit_degrees(dp).checks:
@@ -316,7 +308,7 @@ def cmd_defpoly(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 def cmd_isolate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     expr = parse(args.expr)
     cfg = _isolate_config(args)
-    dp = _defining(expr, args)
+    dp = defining_polynomial(expr, z_name=args.z, seed=args.seed)
     domain = _load_domain(args.domain_file, dp.poly.registry, variables_of(dp.source))
     cert = isolate(expr, dp, strategy=args.strategy, cfg=cfg, domain=domain)
     if args.merge:
@@ -328,7 +320,6 @@ def cmd_isolate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             cert.source,
             cert,
             samples_per_component=args.samples,
-            precision=args.precision_bits,
             seed=args.seed,
         )
         return _verdict(report)
@@ -373,7 +364,6 @@ def cmd_reformulate(
             result,
             prog,
             samples=args.samples,
-            precision=args.precision_bits,
             seed=args.seed,
         )
         return _verdict(report)
@@ -398,14 +388,12 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         cert.source,
         dp,
         samples=args.samples,
-        precision=args.precision_bits,
         seed=args.seed,
     )
     for line in verify_certificate(
         cert.source,
         cert,
         samples_per_component=args.samples,
-        precision=args.precision_bits,
         seed=args.seed,
     ).checks:
         report.add(line)

@@ -69,14 +69,6 @@ class DefiningError(PolyError):
 
 
 @dataclass(frozen=True)
-class ReduceConfig:
-    """Knobs for the probabilistic factor filtering inside `reduce_defining`."""
-
-    precision: int = 64
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class DefiningPolynomial:
     poly: MultiPoly
     z: VarId
@@ -100,15 +92,14 @@ def _certified_zero_at(
     registry: VarRegistry,
     z: VarId,
     point: Mapping[str, Fraction],
-    precision: int,
 ) -> bool:
-    """True if q(f(a), a) is certified to enclose 0 below 2^-precision,
+    """True if q(f(a), a) is certified to enclose 0 below 2^-PRECISION,
     re-confirmed at two further precision doublings; False once any
     enclosure excludes 0 (that answer is exact)."""
     by_id = {registry.id_of(n): v for n, v in point.items()}
-    target = Fraction(1, 2**precision)
+    target = Fraction(1, 2**radicals.PRECISION)
     confirmations = 0
-    for work in radicals.precisions(precision):
+    for work in radicals.precisions(radicals.PRECISION):
         value = eval_numeric(f, point, work)
         assert isinstance(value, Interval)
         enclosure = poly_enclosure(q, by_id, {z: value})
@@ -126,15 +117,14 @@ def probabilistic_zero_test(
     f: Expr,
     registry: VarRegistry,
     z: VarId,
-    precision: int = 64,
     seed: int = 0,
 ) -> bool:
     """Does q(f(x), x) vanish identically?  False answers are certain;
     True answers hold with high probability over the random samples."""
     rng = random.Random(seed)
     for _ in range(_ZERO_TEST_TRIALS):
-        point = sample_real_point(f, rng, precision)
-        if not _certified_zero_at(q, f, registry, z, point, precision):
+        point = sample_real_point(f, rng)
+        if not _certified_zero_at(q, f, registry, z, point):
             return False
     return True
 
@@ -172,13 +162,13 @@ def reduce_defining(
     f: Expr,
     registry: VarRegistry,
     z: VarId,
-    cfg: ReduceConfig = ReduceConfig(),
+    seed: int = 0,
     log: list[str] | None = None,
 ) -> MultiPoly:
     """Shrink a defining polynomial: square-free part, then drop candidate
     factors that provably do not vanish on f.  Falls back to the square-free
     part whenever the filtering is inconclusive, so the result always
-    defines f."""
+    defines f.  `seed` seeds the zero test's sample points."""
     if p.degree_in(z) < 1:
         raise DefiningError("defining polynomial must have positive degree in z")
     before = p.degree_in(z)
@@ -202,7 +192,7 @@ def reduce_defining(
         passing = [
             q
             for q in factors
-            if probabilistic_zero_test(q, f, registry, z, cfg.precision, cfg.seed)
+            if probabilistic_zero_test(q, f, registry, z, seed)
         ]
     except SamplingError:
         return note(integer_normalize(sf), "square-free only; sampling failed")
@@ -226,7 +216,7 @@ def defining_polynomial(
     f: Expr | str,
     registry: VarRegistry | None = None,
     z_name: str = "z",
-    cfg: ReduceConfig = ReduceConfig(),
+    seed: int = 0,
 ) -> DefiningPolynomial:
     """Defining polynomial of a radical expression, reduced at every level.
 
@@ -249,7 +239,7 @@ def defining_polynomial(
     z = registry.add(z_name)
     zp = MultiPoly.var(registry, z)
     log: list[str] = []
-    poly = _build(f, registry, z, zp, cfg, log)
+    poly = _build(f, registry, z, zp, seed, log)
     return DefiningPolynomial(
         poly=poly,
         z=z,
@@ -265,7 +255,7 @@ def _build(
     registry: VarRegistry,
     z: VarId,
     zp: MultiPoly,
-    cfg: ReduceConfig,
+    seed: int,
     log: list[str],
 ) -> MultiPoly:
     try:
@@ -276,16 +266,16 @@ def _build(
         return integer_normalize(zp - base)
 
     if isinstance(e, Root):
-        pg = _build(e.radicand, registry, z, zp, cfg, log)
+        pg = _build(e.radicand, registry, z, zp, seed, log)
         t = registry.add(registry.fresh("t"))
         tp = MultiPoly.var(registry, t)
         a = zp**e.index - tp
         b = pg.substitute(z, tp)
-        return _combine(a, b, t, e, registry, z, cfg, log)
+        return _combine(a, b, t, e, registry, z, seed, log)
 
     if isinstance(e, (Add, Sub, Mul, Div)):
-        pf = _build(e.left, registry, z, zp, cfg, log)
-        pg = _build(e.right, registry, z, zp, cfg, log)
+        pf = _build(e.left, registry, z, zp, seed, log)
+        pg = _build(e.right, registry, z, zp, seed, log)
         t = registry.add(registry.fresh("t"))
         tp = MultiPoly.var(registry, t)
         if isinstance(e, Add):
@@ -304,7 +294,7 @@ def _build(
             if pg.degree_in(z) < 1:
                 raise _degenerated(e)
         b = pg.substitute(z, tp)
-        return _combine(a, b, t, e, registry, z, cfg, log)
+        return _combine(a, b, t, e, registry, z, seed, log)
 
     raise DefiningError(f"cannot build a defining polynomial for {e!r}")
 
@@ -316,7 +306,7 @@ def _combine(
     e: Expr,
     registry: VarRegistry,
     z: VarId,
-    cfg: ReduceConfig,
+    seed: int,
     log: list[str] | None = None,
 ) -> MultiPoly:
     res = resultant_with_constant(a, b, t)
@@ -324,7 +314,7 @@ def _combine(
         raise DefiningError("internal error: elimination variable survived")
     if res.degree_in(z) < 1:
         raise _degenerated(e)
-    return reduce_defining(res, e, registry, z, cfg, log)
+    return reduce_defining(res, e, registry, z, seed, log)
 
 
 def _degenerated(e: Expr) -> DefiningError:

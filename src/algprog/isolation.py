@@ -243,10 +243,9 @@ def certificate_from_json(text: str) -> IsolationCertificate:
 
 @dataclass(frozen=True)
 class IsolateConfig:
-    """Shared knobs for component construction, isolation and merging."""
+    """Settings of component construction, isolation and merging."""
 
     samples: int = 32
-    precision: int = 64
     seed: int = 0
     allow_boundary: bool = False
     grid_min: Fraction = Fraction(-4)
@@ -555,7 +554,7 @@ def isolate(
     for comp in comps:
         named = {registry.name_of(v): val for v, val in comp.sample.items()}
         try:
-            value = eval_numeric(f, named, cfg.precision)
+            value = eval_numeric(f, named)
         except EvalDomainError:
             warnings.append(
                 f"evaluation failed on {comp.label!r}; component skipped"
@@ -565,7 +564,7 @@ def isolate(
         if value is NOT_REAL:
             skipped.append(comp)
             continue
-        signs = _certified_tower_signs(tower, z, comp, f, named, cfg, value)
+        signs = _certified_tower_signs(tower, z, comp, f, named, value)
         conditions = (SignCondition.normalized(p, "="), *_strict(tower, signs))
         entries.append(CertEntry(comp, conditions, tuple(signs)))
     return IsolationCertificate(
@@ -585,21 +584,20 @@ def _certified_tower_signs(
     comp: ComponentDescription,
     f: Expr,
     named: Mapping[str, Fraction],
-    cfg: IsolateConfig,
     value: Interval,
 ) -> list[int]:
     """Sign of every p⁽ⁱ⁾ at (f(a), a), certified by interval refinement;
-    `value` is f's enclosure at cfg.precision, the first precision tried.
+    `value` is f's enclosure at `radicals.PRECISION`, the first tried.
 
     On a valid component no sign is zero, so refinement terminates; running
     out of budget means the sample sits on (or too close to) a resultant zero
     and is reported as such.
     """
     # f's enclosure at each precision reached, shared by the tower
-    values = {cfg.precision: value}
+    values = {radicals.PRECISION: value}
 
     def sign(q: MultiPoly) -> int:
-        for bits in radicals.precisions(cfg.precision):
+        for bits in radicals.precisions(radicals.PRECISION):
             value = values.get(bits)
             if value is None:
                 value = values[bits] = eval_numeric(f, named, bits)
@@ -682,7 +680,7 @@ def merge_components(
     )
     try:
         report = _verify.verify_certificate(
-            cert.source, merged, max(cfg.samples, 1), cfg.precision, cfg.seed
+            cert.source, merged, max(cfg.samples, 1), seed=cfg.seed
         )
     except radicals.SamplingError as exc:
         failure = str(exc)

@@ -40,7 +40,7 @@ from typing import Mapping
 
 from . import radicals
 from . import verify as _verify
-from .defpoly import DefiningPolynomial, ReduceConfig, defining_polynomial
+from .defpoly import DefiningPolynomial, defining_polynomial
 from .isolation import (
     DomainSpec,
     IsolateConfig,
@@ -415,13 +415,10 @@ def reformulate(
     # elimination variables there; the children's registry stays clean).
     work = VarRegistry(prog.variables.names())
     wdomain = _rebind_domain(domain, work) if domain is not None else None
-    reduce_cfg = ReduceConfig(
-        precision=cfg.isolate.precision, seed=cfg.isolate.seed
-    )
     parts: list[PartReformulation] = []
     for expr, occ in found:
         z_name = substitution[expr].name
-        dp = defining_polynomial(expr, work, z_name=z_name, cfg=reduce_cfg)
+        dp = defining_polynomial(expr, work, z_name=z_name, seed=cfg.isolate.seed)
         cert = isolate(expr, dp, strategy=strategy, cfg=cfg.isolate, domain=wdomain)
         if cfg.merge:
             cert = merge_components(cert, cfg.isolate)
@@ -852,7 +849,7 @@ def check_substitution(
     result: ReformulationResult,
     prog: AlgebraicProgram,
     samples: int = 32,
-    precision: int = 64,
+    *,
     seed: int = 0,
 ):
     """Spot-check each child against the original program by sampling.
@@ -923,7 +920,7 @@ def check_substitution(
             box: dict[VarId, Interval] = {}
             for p, zid in zip(result.parts, zids):
                 try:
-                    enclosure = eval_numeric(p.expr, named, precision)
+                    enclosure = eval_numeric(p.expr, named)
                 except EvalDomainError:
                     break
                 if enclosure is NOT_REAL:
@@ -948,13 +945,13 @@ def check_substitution(
                         f"{p.to_text()} {rel} 0 fails near {named}"
                     )
             originals = [
-                (eval_numeric(e, named, precision), rel) for e, rel in prog.constraints
+                (eval_numeric(e, named), rel) for e, rel in prog.constraints
             ]
             if not _may_agree(rows, originals):
                 return True, (
                     f"child {ci + 1}: original constraints disagree near {named}"
                 )
-            target = eval_numeric(objective_expr, named, precision)
+            target = eval_numeric(objective_expr, named)
             got = radicals.poly_enclosure(child.objective[1], exact, box)
             if target is NOT_REAL or not (got.lo <= target.hi and target.lo <= got.hi):
                 return True, f"child {ci + 1}: objective mismatch at {named}"

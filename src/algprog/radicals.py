@@ -5,15 +5,17 @@ field operations, rational powers, and explicit roots.  ``sqrt(e)`` is sugar
 for ``root(2, e)``.  Normalization removes every ``Pow`` node: integer powers
 unfold into products, ``g^(r/s)`` becomes ``root(s, g^r)``, and negative
 exponents turn into divisions, so downstream code only ever sees
-``Const/Var/Add/Sub/Mul/Div/Root``.  Polynomial text is read without
+``Const/Var/Add/Sub/Mul/Div/Root``; an exponent above `MAX_POWER` raises
+PowerBudgetError before it unfolds.  Polynomial text is read without
 normalizing: `to_polynomial` raises integer powers itself.
 
 Numeric evaluation is exact: a subtree without roots is a rational, and
 only roots (and the nodes they reach) are intervals with rational endpoints.
 Roots are enclosed by binary-scaled integer root extraction, refined until
-the enclosure is narrower than ``2^-precision``.  An even root of a provably
-negative radicand yields the distinguished ``NOT_REAL`` value; division by an
-exact zero raises ``EvalDomainError`` (a different thing entirely).
+the enclosure is narrower than ``2^-PRECISION``, the working precision, or
+a doubling of it (`precisions`).  An even root of a provably negative
+radicand yields the distinguished ``NOT_REAL`` value; division by an exact
+zero raises ``EvalDomainError`` (a different thing entirely).
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ MAX_NESTING = 100
 
 #: highest degree a product or power may reach in any one variable, and
 #: highest exponent of a constant, when `polynomial_from_text` multiplies it
-#: out; `x^1000` still reads
+#: out; also the highest exponent `normalize` unfolds; `x^1000` still reads
 MAX_POWER = 1000
 
 #: most terms a power may expand to when `polynomial_from_text` raises it,
@@ -359,6 +361,7 @@ def normalize(e: Expr) -> Expr:
     if isinstance(e, Pow):
         base = normalize(e.base)
         r, s = e.exponent.numerator, e.exponent.denominator
+        _check_degree("power", abs(r))  # before x^99999999 unfolds
         if r == 0:
             if base == Const(Fraction(0)):
                 raise ExprError("0^0 is undefined")
@@ -825,6 +828,9 @@ def _eval_interval(e: Expr, point: Mapping[str, Fraction], bits: int):
     raise ExprError(f"unknown node {e!r}")
 
 
+#: the working precision in bits: where every refinement ladder starts
+PRECISION = 64
+
 #: how many times the working precision may double before giving up
 MAX_PRECISION_DOUBLINGS = 64
 
@@ -838,14 +844,16 @@ def precisions(bits: int):
 
 
 def eval_numeric(
-    e: Expr, point: Mapping[str, Fraction], precision: int = 64
+    e: Expr, point: Mapping[str, Fraction], precision: int | None = None
 ) -> NumericValue:
     """Evaluate at a rational point: a real enclosure or NOT_REAL.
 
-    Each root is enclosed within 2^-(precision+1); ambiguous denominators and
-    even-root radicands trigger automatic refinement, and exhausting the
-    refinement budget raises EvalDomainError rather than guessing.
+    Each root is enclosed within 2^-(precision+1), PRECISION by default;
+    ambiguous denominators and even-root radicands trigger refinement, and
+    an exhausted budget raises EvalDomainError rather than guessing.
     """
+    if precision is None:
+        precision = PRECISION
     if precision < 1:
         raise ExprError("precision must be positive")
     for bits in precisions(precision + 1):
@@ -877,11 +885,7 @@ SAMPLE_DENOMINATOR_MAX = 8
 _SAMPLE_TRIES = 400
 
 
-def sample_real_point(
-    f: Expr,
-    rng: random.Random,
-    precision: int,
-) -> dict[str, Fraction]:
+def sample_real_point(f: Expr, rng: random.Random) -> dict[str, Fraction]:
     """A random rational point where `f` evaluates to a real interval."""
     names = sorted(variables_of(f))
     for _ in range(_SAMPLE_TRIES):
@@ -893,7 +897,7 @@ def sample_real_point(
             for name in names
         }
         try:
-            value = eval_numeric(f, point, precision)
+            value = eval_numeric(f, point)
         except EvalDomainError:
             continue
         if value is not NOT_REAL:

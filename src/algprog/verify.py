@@ -163,16 +163,12 @@ def _as_expr(f: Expr | str) -> Expr:
     return radicals.normalize(f)
 
 
-def _zero_enclosure_at(
-    dp,
-    point: Mapping[str, Fraction],
-    precision: int,
-) -> Interval | None:
-    """Enclose p(f(a), a) with width below 2^-precision, or None if not real."""
+def _zero_enclosure_at(dp, point: Mapping[str, Fraction]) -> Interval | None:
+    """Enclose p(f(a), a) with width below 2^-PRECISION, or None if not real."""
     registry = dp.poly.registry
     by_id = {registry.id_of(n): v for n, v in point.items()}
-    target = Fraction(1, 2 ** precision)
-    for bits in radicals.precisions(precision + 1):
+    target = Fraction(1, 2 ** radicals.PRECISION)
+    for bits in radicals.precisions(radicals.PRECISION + 1):
         value = eval_numeric(dp.source, point, bits)
         if value is NOT_REAL:
             return None
@@ -186,13 +182,13 @@ def verify_defining(
     f: Expr | str,
     dp,
     samples: int = 32,
-    precision: int = 64,
+    *,
     seed: int = 0,
 ) -> VerifyReport:
     """Certify p(f(a), a) = 0 at random real-valued rational points.
 
     Each sample produces an interval around p(f(a), a) of width at most
-    2^-precision; the check fails the moment one such interval excludes zero.
+    2^-PRECISION; the check fails the moment one such interval excludes zero.
     The defining polynomial is duck-typed (attributes `poly`, `z` and
     `source`), as certificates are.
     """
@@ -201,8 +197,8 @@ def verify_defining(
     report = VerifyReport()
     widest: Interval | None = None
     for i in range(samples):
-        point = sample_real_point(f, rng, precision)
-        enclosure = _zero_enclosure_at(dp, point, precision)
+        point = sample_real_point(f, rng)
+        enclosure = _zero_enclosure_at(dp, point)
         if enclosure is None:  # pragma: no cover - sampler filters these
             continue
         if widest is None or enclosure.width() > widest.width():
@@ -559,7 +555,7 @@ def verify_certificate(
     f: Expr | str,
     cert,
     samples_per_component: int = 8,
-    precision: int = 64,
+    *,
     seed: int = 0,
 ) -> VerifyReport:
     """Re-check an isolation certificate from scratch, exactly.
@@ -568,7 +564,7 @@ def verify_certificate(
     select the roots of the defining polynomial p that pass the root
     conditions at each point (`root_selection`) with rational arithmetic.
     Exactly one root may pass, and it must lie in an enclosure J of f at the
-    sample, computed at `precision` bits (`selection_matches_f`).
+    sample, computed at `radicals.PRECISION` bits (`selection_matches_f`).
 
     Once per entry, `forced_sign` decides whether the root conditions force
     a weak sign on every z-derivative of p of order 1 ... deg_z(p) - 1.
@@ -598,7 +594,7 @@ def verify_certificate(
     def value_at(named):
         # a point where f cannot be evaluated counts as one where it is not real
         try:
-            return eval_numeric(f, named, precision)
+            return eval_numeric(f, named)
         except EvalDomainError:
             return NOT_REAL
 

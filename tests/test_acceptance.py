@@ -343,7 +343,7 @@ def test_criterion_5_oracle_suite():
 
     def run_item(text, cert):
         nonlocal checked
-        if not verify_defining(text, defining_polynomial(text), 128, 64).passed:
+        if not verify_defining(text, defining_polynomial(text), 128).passed:
             report(5, False, f"verify_defining rejected {text!r}")
         if not verify_certificate(text, cert, samples_per_component=128).passed:
             report(5, False, f"verify_certificate rejected {text!r}")
@@ -377,7 +377,7 @@ def test_criterion_5_oracle_suite():
     controls = []
     controls.append(
         not verify_defining(
-            "sqrt(x)", dataclasses.replace(dp, poly=dp.poly + 1), 128, 64
+            "sqrt(x)", dataclasses.replace(dp, poly=dp.poly + 1), 128
         ).passed
     )
     entry = cert.entries[0]

@@ -566,14 +566,32 @@ def test_no_subcommand_is_usage_error():
     "argv",
     [
         ["isolate", "sqrt(x)", "--verify", "--samples", "0"],
-        ["defpoly", "sqrt(x)", "--precision-bits", "-1"],
         ["reformulate", RB, "--max-children", "0"],
         ["isolate", "sqrt(x)", "--strategy", "grid", "--grid-res", "0"],
     ],
-    ids=["samples", "precision-bits", "max-children", "grid-res"],
+    ids=["samples", "max-children", "grid-res"],
 )
 def test_counts_must_be_positive(argv):
     assert run_usage_error(*argv) == 2
+
+
+@pytest.mark.parametrize("flag", ["--grid-min", "--grid-max"])
+@pytest.mark.parametrize("command", [("isolate", "sqrt(x)"), ("reformulate", RB)])
+def test_grid_bound_with_a_zero_denominator_is_usage_error(capsys, command, flag):
+    assert run_usage_error(*command, "--strategy", "grid", flag, "1/0") == 2
+    assert "'1/0' is not a rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("defpoly", "sqrt(x)"), ("isolate", "sqrt(x)"), ("reformulate", RB),
+     ("verify", "cert.json")],
+    ids=lambda argv: argv[0],
+)
+def test_precision_bits_is_gone(capsys, argv):
+    # the working precision is the one constant radicals.PRECISION
+    assert run_usage_error(*argv, "--precision-bits", "64") == 2
+    assert "unrecognized arguments: --precision-bits" in capsys.readouterr().err
 
 
 def test_verify_without_samples_is_usage_error(capsys, tmp_path):
@@ -607,6 +625,29 @@ def test_too_deep_input_is_exit_5(capsys, tmp_path, case):
     code, _, err = run(capsys, *argv)
     assert code == 5
     assert "input too deep" in err
+
+
+@pytest.mark.parametrize("case", ["defpoly", "reformulate", "verify-source"])
+def test_power_above_the_cap_is_exit_5_at_once(capsys, tmp_path, case):
+    # normalize refuses the exponent before it unfolds 10^8 products
+    cert_file, prog_file = tmp_path / "cert.json", tmp_path / "prog.json"
+    assert run(capsys, "isolate", "sqrt(x)", "--out", str(cert_file))[0] == 0
+    obj = json.loads(cert_file.read_text())
+    cert_file.write_text(json.dumps({**obj, "source": "x^99999999"}))
+    objective = {"sense": "min", "expr": "x^99999999 + sqrt(x)"}
+    prog_file.write_text(
+        json.dumps({"variables": ["x"], "objective": objective, "constraints": []})
+    )
+    argv = {
+        "defpoly": ["defpoly", "x^99999999"],
+        "reformulate": ["reformulate", str(prog_file)],
+        "verify-source": ["verify", str(cert_file)],
+    }[case]
+    t0 = time.monotonic()
+    code, _, err = run(capsys, *argv)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 5
+    assert "power of degree 99999999 is above the cap of 1000" in err
 
 
 @pytest.mark.parametrize("defining", ["z^1000*z - x", "z^1000*z^1000 - x"])

@@ -19,7 +19,6 @@ import pytest
 
 from algprog.defpoly import (
     DefiningError,
-    ReduceConfig,
     SamplingError,
     _certified_zero_at,
     defining_polynomial,
@@ -202,8 +201,8 @@ def test_explicit_registry_is_extended():
 
 
 def test_reduce_config_determinism():
-    a = defining_polynomial("sqrt(x) + sqrt(y)", cfg=ReduceConfig(seed=5))
-    b = defining_polynomial("sqrt(x) + sqrt(y)", cfg=ReduceConfig(seed=5))
+    a = defining_polynomial("sqrt(x) + sqrt(y)", seed=5)
+    b = defining_polynomial("sqrt(x) + sqrt(y)", seed=5)
     assert a.poly.to_text() == b.poly.to_text()
     assert a.reduction_log == b.reduction_log
 
@@ -227,7 +226,8 @@ def test_probabilistic_zero_test_rejects_wrong_poly():
 
 def _zero_at(monkeypatch, enclosures):
     """`_certified_zero_at` for q = z, the enclosures of f served in turn;
-    returns the answer and the precisions asked for."""
+    returns the answer and the precisions asked for, the working precision
+    set to 8."""
     calls = []
 
     def fake_eval(f, point, precision):
@@ -235,10 +235,11 @@ def _zero_at(monkeypatch, enclosures):
         return enclosures(len(calls))
 
     monkeypatch.setattr("algprog.defpoly.eval_numeric", fake_eval)
+    monkeypatch.setattr("algprog.radicals.PRECISION", 8)
     reg = VarRegistry(["x", "z"])
     q = polynomial_from_text("z", reg)
     f = normalize(parse("sqrt(x)"))
-    got = _certified_zero_at(q, f, reg, reg.id_of("z"), {"x": Fraction(2)}, 8)
+    got = _certified_zero_at(q, f, reg, reg.id_of("z"), {"x": Fraction(2)})
     return got, calls
 
 

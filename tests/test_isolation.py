@@ -224,9 +224,8 @@ def _tower_signs(texts, x):
     tower = [polynomial_from_text(t, reg) for t in texts]
     comp = ComponentDescription((), {reg.id_of("x"): x}, "at the sample")
     f = normalize(parse("sqrt(x)"))
-    cfg = IsolateConfig()
-    value = eval_numeric(f, {"x": x}, cfg.precision)
-    return _certified_tower_signs(tower, reg.id_of("z"), comp, f, {"x": x}, cfg, value)
+    value = eval_numeric(f, {"x": x})
+    return _certified_tower_signs(tower, reg.id_of("z"), comp, f, {"x": x}, value)
 
 
 def test_tower_signs_refuse_an_exact_zero():

@@ -656,6 +656,30 @@ def test_verify_defining_passes_and_reports_interval():
     assert line.widest_interval is not None
 
 
+def test_one_working_precision_sets_every_ladder(monkeypatch):
+    # radicals.PRECISION is read at call time by each ladder that starts there
+    import algprog.defpoly as defpoly_module
+
+    monkeypatch.setattr("algprog.radicals.PRECISION", 32)
+    dp = defining_polynomial("sqrt(1 + x^2)")
+    lo, hi = verify_defining("sqrt(1 + x^2)", dp, samples=32).checks[0].widest_interval
+    assert Fraction(1, 2**64) < Fraction(hi) - Fraction(lo) <= Fraction(1, 2**32)
+
+    calls = []
+
+    def recording_eval(f, point, precision=None):
+        calls.append(precision)
+        return eval_numeric(f, point, precision)
+
+    monkeypatch.setattr(defpoly_module, "eval_numeric", recording_eval)
+    f = normalize(parse("sqrt(x)"))
+    reg = VarRegistry(["x", "z"])
+    q = polynomial_from_text("z^2 - x", reg)
+    assert defpoly_module._certified_zero_at(q, f, reg, reg.id_of("z"), {"x": Fraction(2)})
+    assert calls[:3] == [32, 64, 128]
+    assert calls == [32 * 2**k for k in range(len(calls))]
+
+
 def test_verify_defining_rejects_corruption():
     dp = defining_polynomial("sqrt(x)")
     bad = dataclasses.replace(dp, poly=dp.poly + 1)
