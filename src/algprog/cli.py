@@ -418,7 +418,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ResourceError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except (RecursionError, PowerBudgetError) as exc:
+    except PowerBudgetError as exc:
+        print(f"error: resource budget exceeded: {exc}", file=sys.stderr)
+        return 5
+    except RecursionError as exc:
         msg = "input too deep for the recursive expression layer"
         print(f"error: {msg}{': ' + str(exc) if str(exc) else ''}", file=sys.stderr)
         return 5

@@ -154,6 +154,25 @@ def test_reduction_equals_reduction_of_the_primitive_part(text):
     assert got_log == want_log
 
 
+def test_high_root_index_builds_no_sylvester_matrix(monkeypatch):
+    # root(200, x) is res_t(z^200 - t, t - x), linear in t; for the sum,
+    # (z - t)^200 - x mod t^2 - x is linear in t.  The golden
+    # defpoly-root200 pins the text.
+    import algprog.resultants as resultants
+
+    built = []
+    sylvester = resultants.sylvester_matrix
+
+    def spy(*args):
+        built.append(args)
+        return sylvester(*args)
+
+    monkeypatch.setattr(resultants, "sylvester_matrix", spy)
+    dp = defining_polynomial("root(200, x) + sqrt(x)")
+    assert dp.poly.degree_in(dp.z) == 400
+    assert not built
+
+
 def test_polynomial_input_gives_linear_z():
     dp = defining_polynomial("x^2 - 3*x + 1")
     reg = dp.poly.registry

@@ -86,6 +86,8 @@ CASES = dict(
         ("defpoly-factor-filter", [
             ["defpoly", "sqrt(2)*sqrt(x) - sqrt(2*x)", "--verify"],
         ]),
+        # root(200, .) substitutes z^200: a degree-400 polynomial, no --verify
+        ("defpoly-root200", [["defpoly", "root(200, x) + sqrt(x)"]]),
     ]
 )
 

@@ -198,3 +198,80 @@ def test_resultant_of_fraction_operands_is_canonical(p, q):
     assert all(is_canonical(c) for c in got.terms.values())
     if dp >= dq:
         assert all(type(c) is int for c in got.terms.values())
+
+
+# -- closed forms against the determinant -----------------------------------------
+
+
+@st.composite
+def xy_coeff(draw, constant=False):
+    """A nonzero x, y polynomial of degree <= 1 with `Fraction` coefficients;
+    with `constant`, a nonzero number, often a non-unit or a `Fraction`."""
+    frac = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 1, 2, 3]))
+    if constant:
+        return MultiPoly.const(REG, draw(frac.filter(bool)))
+    c = draw(frac) + draw(frac) * X + draw(frac) * Y
+    return c or MultiPoly.const(REG, 1)
+
+
+@st.composite
+def z_poly(draw, degree, lead=None):
+    """Degree `degree` in z over `xy_coeff`, with leading coefficient `lead`
+    (drawn when None); lower coefficients may be zero."""
+    out = (lead if lead is not None else draw(xy_coeff())) * Z**degree
+    for k in range(degree):
+        if draw(st.booleans()):
+            out = out + draw(xy_coeff()) * Z**k
+    return out
+
+
+PATHS = ["linear", "constant lead", "common factor", "constant remainder", "determinant"]
+
+
+@st.composite
+def closed_form_pairs(draw, path):
+    """(p, q) taking `path` through `resultant` when p comes first."""
+    nonconstant = xy_coeff().filter(lambda c: not c.is_constant())
+    if path == "linear":
+        # c1 non-constant or a Fraction, c0 possibly zero
+        c0 = draw(st.one_of(st.just(MultiPoly.zero(REG)), xy_coeff()))
+        p = draw(st.one_of(nonconstant, xy_coeff(constant=True))) * Z + c0
+        return p, draw(z_poly(draw(st.integers(1, 4))))
+    if path == "determinant":  # both leading coefficients non-constant
+        p = draw(z_poly(draw(st.integers(2, 3)), draw(nonconstant)))
+        return p, draw(z_poly(draw(st.integers(2, 3)), draw(nonconstant)))
+    # the rest divide by q, whose leading coefficient is a constant
+    q = draw(z_poly(draw(st.integers(2, 3)), draw(xy_coeff(constant=True))))
+    if path == "constant lead":
+        return draw(z_poly(draw(st.integers(q.degree_in(ZID), 4)))), q
+    if path == "common factor":  # a zero remainder
+        return q * draw(z_poly(draw(st.integers(0, 2)))), q * draw(xy_coeff(constant=True))
+    # a remainder of degree 0 in z
+    return q * draw(z_poly(draw(st.integers(0, 2)))) + draw(xy_coeff()), q
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["p-first", "q-first"])
+@pytest.mark.parametrize("path", PATHS)
+@given(data=st.data())
+def test_resultant_equals_the_sylvester_determinant(path, swap, data):
+    # exactly, sign included: the closed forms and Euclid's steps change no term
+    p, q = data.draw(closed_form_pairs(path))
+    if swap:
+        p, q = q, p
+    got = resultant(p, q, ZID)
+    assert got == det_bareiss(sylvester_matrix(p, q, ZID))
+    assert all(is_canonical(c) for c in got.terms.values())
+
+
+def test_a_linear_side_builds_no_sylvester_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Sylvester matrix built")
+
+    p = (X + 2) * Z**3 - Y * Z + Fraction(1, 3)
+    linear = (X - Y) * Z + Fraction(2, 5)
+    want = det_bareiss(sylvester_matrix(p, linear, ZID))
+    monkeypatch.setattr("algprog.resultants.sylvester_matrix", refuse)
+    assert resultant(p, linear, ZID) == want
+    assert resultant(linear, p, ZID) == -want  # (-1)^(3 * 1)
+    with pytest.raises(AssertionError, match="Sylvester matrix built"):
+        resultant(p, (X + 1) * Z**2 + Y, ZID)
