@@ -38,7 +38,7 @@ from .isolation import (
     isolate,
     merge_components,
 )
-from .polycore import PolyError, VarRegistry
+from .polycore import PolyError, VarRegistry, is_variable_name
 from .program import (
     ReformulateConfig,
     ResourceError,
@@ -79,6 +79,13 @@ def rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational") from None
+
+
+def variable_name(text: str) -> str:
+    """argparse type of `--z`: a name the expression parser reads back."""
+    if not is_variable_name(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a variable name")
+    return text
 
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
@@ -136,7 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
         "defpoly", help="defining polynomial of a radical expression"
     )
     p_def.add_argument("expr", help="expression, e.g. 'sqrt(1 + x^2)'")
-    p_def.add_argument("--z", default="z", help="name of the root variable")
+    p_def.add_argument(
+        "--z", type=variable_name, default="z", help="name of the root variable"
+    )
     p_def.add_argument(
         "--verify",
         action="store_true",
@@ -149,7 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
         "isolate", help="root-isolation certificate for an expression"
     )
     p_iso.add_argument("expr")
-    p_iso.add_argument("--z", default="z", help="name of the root variable")
+    p_iso.add_argument(
+        "--z", type=variable_name, default="z", help="name of the root variable"
+    )
     p_iso.add_argument(
         "--verify", action="store_true", help="re-check the certificate exactly"
     )

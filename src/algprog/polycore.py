@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping
 
@@ -39,6 +40,18 @@ Coefficient = int | Fraction
 Monomial = tuple[tuple[int, int], ...]
 
 _ONE: Monomial = ()
+
+#: A name as the expression parser reads it: word characters (`str.isalnum`
+#: or "_"), the first of them no decimal digit.
+IDENTIFIER = re.compile(r"[^\W\d]\w*")
+
+#: Names the parser reads as functions, so no variable may take them.
+FUNCTION_NAMES = frozenset({"sqrt", "root"})
+
+
+def is_variable_name(name: str) -> bool:
+    """Whether the expression parser reads `name` back as a variable."""
+    return IDENTIFIER.fullmatch(name) is not None and name not in FUNCTION_NAMES
 
 
 class PolyError(Exception):
@@ -58,7 +71,7 @@ class VarRegistry:
         """Register a new variable; adding the same name twice is an error."""
         if name in self._ids:
             raise PolyError(f"variable {name!r} already registered")
-        if not name or not (name[0].isalpha() or name[0] == "_"):
+        if not is_variable_name(name):
             raise PolyError(f"invalid variable name {name!r}")
         vid = len(self._names)
         self._names.append(name)

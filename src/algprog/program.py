@@ -386,7 +386,7 @@ def reformulate(
             "density unchecked: non-strict constraints may meet the deleted "
             "resultant zeros; pass a domain or inspect the resultants"
         )
-    sense, objective_expr = prog.objective
+    sense = prog.objective[0]
     baseline_count = len(_program_radicals(prog))
 
     # The children's registry: the problem variables, then one z per part.
@@ -396,20 +396,7 @@ def reformulate(
         substitution[expr] = Var(registry.fresh("z"))
         registry.add(substitution[expr].name)
 
-    def convert(e: Expr, where: str) -> MultiPoly:
-        try:
-            return to_polynomial(substitute_expr(e, substitution), registry)
-        except NotPolynomial:
-            raise StructuralError(
-                f"{where} stays non-polynomial after replacing the algebraic "
-                "parts; group the offending subexpression"
-            ) from None
-
-    objective = convert(objective_expr, "objective")
-    original_conds = [
-        SignCondition.normalized(convert(e, f"constraints[{i}]"), rel)
-        for i, (e, rel) in enumerate(prog.constraints)
-    ]
+    objective, original_conds = _replaced_program(prog, substitution, registry)
 
     # Pipeline per part, on a scratch registry (defining_polynomial interns
     # elimination variables there; the children's registry stays clean).
@@ -671,6 +658,18 @@ def _emit_json(obj: ReformulationResult | PolynomialProgram) -> bytes:
     return (json.dumps(record, indent=2, sort_keys=True) + "\n").encode()
 
 
+#: SMT-LIB 2.6 reserved words and the Core theory's symbols; a variable so
+#: named is written as a quoted symbol
+_SMT_RESERVED = frozenset(
+    "_ as exists forall let match par BINARY DECIMAL HEXADECIMAL NUMERAL STRING "
+    "true false not and or xor ite distinct".split()
+)
+
+
+def _smt_symbol(name: str) -> str:
+    return f"|{name}|" if name in _SMT_RESERVED else name
+
+
 def _smt_number(c: Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator) if c >= 0 else f"(- {-c.numerator})"
@@ -690,7 +689,7 @@ def _smt_poly(p: MultiPoly) -> str:
         c = p.terms[m]
         factors = []
         for v, e in m:
-            factors.extend([p.registry.name_of(v)] * e)
+            factors.extend([_smt_symbol(p.registry.name_of(v))] * e)
         if abs(c) != 1 or not factors:
             factors.insert(0, _smt_number(abs(c)))
         term = factors[0] if len(factors) == 1 else "(* " + " ".join(factors) + ")"
@@ -733,7 +732,9 @@ def _emit_smtlib(obj: ReformulationResult | PolynomialProgram) -> bytes:
             f"; objective ({sense}imized, not encoded): {poly.to_text()}",
             "(set-logic QF_NRA)",
         ]
-        lines += [f"(declare-const {n} Real)" for n in _used_variables(child)]
+        lines += [
+            f"(declare-const {_smt_symbol(n)} Real)" for n in _used_variables(child)
+        ]
         lines += [_smt_assertion(p, rel) for p, rel in child.constraints]
         lines.append("(check-sat)")
         scripts.append("\n".join(lines) + "\n")
@@ -852,17 +853,29 @@ def check_substitution(
     *,
     seed: int = 0,
 ):
-    """Spot-check each child against the original program by sampling.
+    """Check each child against the original program: exact identities,
+    and the certificates' root rows at sample points.
 
-    At points of the child's component (anchored at the certificate samples),
-    set each auxiliary z to an enclosure of its radical expression and check
-    that every child constraint from the certificates holds, that the child's
-    original-constraint rows agree with the original constraints (both hold
-    or both fail wherever the enclosures decide), and that the child
-    objective encloses the original objective value.  `tally_points` checks
-    each distinct drawn point of a child once; a repeat counts, or is
-    skipped, as the first was.  Every child is checked and reported, also
-    after one fails.  Returns a VerifyReport.
+    Proved once per child, as polynomial identities: the child's objective
+    is the program's objective with every part replaced by its variable,
+    with the same sense; every program constraint, so replaced and
+    normalized, is a row; the other rows are exactly the root and component
+    conditions of the certificate entries the child's `entry_choice` names;
+    and every row labelled "original constraint" is a replaced program
+    constraint.  An expression that is not polynomial after the replacement
+    fails the identity.
+
+    Sampled: at points of the child's component (anchored at the
+    certificate samples), the exact test of the chosen components'
+    conditions decides whether a point counts; there each auxiliary z is set
+    to an enclosure of its part, and every root row (the defining polynomial
+    and the isolating conditions, taken from the certificates) must hold
+    somewhere on the enclosures.  `tally_points` checks each distinct drawn
+    point of a child once; a repeat counts, or is skipped, as the first was.
+    Every child is walked and reported, also after one fails or when its
+    identity fails, so the draws do not depend on the verdicts.  A child
+    that passes the walk but fails an identity has that identity's
+    mismatch as its witness.  Returns a VerifyReport.
     """
     report = _verify.VerifyReport()
     if not result.parts:
@@ -875,8 +888,10 @@ def check_substitution(
         )
         return report
 
-    _, objective_expr = prog.objective
+    sense, objective_expr = prog.objective
     registry = result.parts[0].certificate.defining.registry
+    substitution = {p.expr: Var(p.z_name) for p in result.parts}
+    expected: dict = {}  # registry -> the replaced program, or why none
     # Program variables that occur outside every algebraic part are in no
     # component's sample: they enter each anchor at 0 and are drawn around it.
     occurring = variables_of(objective_expr).union(
@@ -886,10 +901,27 @@ def check_substitution(
     rng = random.Random(seed)
     for ci, child in enumerate(result.children):
         child_vars = child.variables
-        comps = [
-            p.certificate.entries[idx].component
+        if child_vars not in expected:
+            try:
+                expected[child_vars] = _replaced_program(prog, substitution, child_vars)
+            except StructuralError as exc:
+                expected[child_vars] = exc
+        entries = [
+            p.certificate.entries[idx]
             for p, idx in zip(result.parts, child.entry_choice)
         ]
+        comps = [entry.component for entry in entries]
+        root_rows = dict.fromkeys(
+            _rebind_condition(rc, child_vars)
+            for entry in entries
+            for rc in entry.root_conditions
+        )
+        certificate_rows = root_rows | dict.fromkeys(
+            _rebind_condition(cc, child_vars)
+            for comp in comps
+            for cc in comp.conditions
+        )
+        mismatch = _identity_mismatch(child, sense, expected[child_vars], certificate_rows)
         # Sample inside the first part's component, around its sample with
         # the variables it lacks taken from the other parts' samples; other
         # parts' entries must cover the same point for the child to be
@@ -932,34 +964,19 @@ def check_substitution(
                 return False, None
 
             exact = {child_ids[n]: val for n, val in named.items() if n in child_ids}
-            rows = []  # the enclosures of the original-constraint rows
-            for (p, rel), kind in itertools.zip_longest(
-                child.constraints, child.constraint_kinds
-            ):
-                enclosure = radicals.poly_enclosure(p, exact, box)
-                if kind == "original constraint":
-                    rows.append((enclosure, rel))
-                elif not _verify.relation_possible(enclosure, rel):
+            for cond in root_rows:
+                enclosure = radicals.poly_enclosure(cond.poly, exact, box)
+                if not _verify.relation_possible(enclosure, cond.rel):
                     return True, (
-                        f"child {ci + 1}: constraint "
-                        f"{p.to_text()} {rel} 0 fails near {named}"
+                        f"child {ci + 1}: constraint {cond.text()} fails near {named}"
                     )
-            originals = [
-                (eval_numeric(e, named), rel) for e, rel in prog.constraints
-            ]
-            if not _may_agree(rows, originals):
-                return True, (
-                    f"child {ci + 1}: original constraints disagree near {named}"
-                )
-            target = eval_numeric(objective_expr, named)
-            got = radicals.poly_enclosure(child.objective[1], exact, box)
-            if target is NOT_REAL or not (got.lo <= target.hi and target.lo <= got.hi):
-                return True, f"child {ci + 1}: objective mismatch at {named}"
             return True, None
 
         points = _verify.component_points(region, rng, 4 * samples)
         used, failure = _verify.tally_points(points, check, samples)
-        if not used and not failure:
+        if not failure and mismatch:
+            failure = f"child {ci + 1}: {mismatch}"
+        elif not used and not failure:
             failure = f"child {ci + 1}: no drawn point satisfies its conditions"
         report.add(
             _verify.CheckLine(
@@ -972,8 +989,65 @@ def check_substitution(
     return report
 
 
-def _may_agree(rows, originals) -> bool:
-    """Whether two conjunctions of `enclosure rel 0` can both hold or both fail."""
-    can_hold = all(_verify.relation_possible(*t) for t in rows + originals)
-    held = [all(_verify.relation_certain(*t) for t in ts) for ts in (rows, originals)]
-    return can_hold or not any(held)
+def _replaced_program(
+    prog: AlgebraicProgram, substitution: Mapping[Expr, Var], registry: VarRegistry
+) -> tuple[MultiPoly, dict[SignCondition, str]]:
+    """The program with every part replaced by its variable, over `registry`:
+    the objective, and each constraint as its normalized row, keyed to where
+    it stands.  StructuralError names an expression that stays no polynomial
+    over `registry`."""
+
+    def replaced(e: Expr, where: str) -> MultiPoly:
+        try:
+            return to_polynomial(substitute_expr(e, substitution), registry)
+        except (NotPolynomial, PolyError):  # a leftover root, a lost name
+            raise StructuralError(
+                f"{where} stays non-polynomial after replacing the algebraic "
+                "parts; group the offending subexpression"
+            ) from None
+
+    objective = replaced(prog.objective[1], "objective")
+    rows: dict[SignCondition, str] = {}
+    for i, (e, rel) in enumerate(prog.constraints):
+        where = f"constraints[{i}]"
+        rows.setdefault(SignCondition.normalized(replaced(e, where), rel), where)
+    return objective, rows
+
+
+def _identity_mismatch(
+    child: PolynomialProgram,
+    sense: str,
+    replaced: tuple[MultiPoly, dict[SignCondition, str]] | StructuralError,
+    certificate_rows: dict[SignCondition, None],
+) -> str | None:
+    """What differs between a child and the replaced program, or None."""
+    if isinstance(replaced, StructuralError):
+        return str(replaced)
+    objective, originals = replaced
+    got_sense, got = child.objective
+    if got_sense != sense:
+        return f"objective sense {got_sense} is not the program's {sense}"
+    if got != objective:
+        return (
+            f"objective {got.to_text()} is not {objective.to_text()}, "
+            "the program's with the parts replaced"
+        )
+    rows = [SignCondition(p, rel) for p, rel in child.constraints]
+    present = set(rows)
+    wanted = originals | dict.fromkeys(certificate_rows, "the certificates")
+    for cond, source in wanted.items():
+        if cond not in present:
+            return f"constraint {cond.text()} from {source} is missing"
+    for cond in rows:
+        if cond not in wanted:
+            return (
+                f"constraint {cond.text()} is from neither the program "
+                "nor the certificates"
+            )
+    for cond, kind in zip(rows, child.constraint_kinds):
+        if kind == "original constraint" and cond not in originals:
+            return (
+                f"constraint {cond.text()} is labelled original "
+                "but is no program constraint"
+            )
+    return None

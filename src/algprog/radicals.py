@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .polycore import MultiPoly, VarId, VarRegistry
+from .polycore import IDENTIFIER, MultiPoly, VarId, VarRegistry
 
 # ---------------------------------------------------------------------------
 # syntax trees
@@ -148,20 +148,20 @@ class _Scanner:
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == digits:
             raise ExprSyntaxError("expected an integer", start)
         return int(self.text[start : self.pos])
 
     def ident(self) -> str:
+        """The name at the cursor (`polycore.IDENTIFIER`), or "" if none."""
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start : self.pos]
+        m = IDENTIFIER.match(self.text, self.pos)
+        if m is None:
+            return ""
+        self.pos = m.end()
+        return m.group()
 
 
 def parse(text: str) -> Expr:
@@ -238,14 +238,14 @@ def _parse_primary(sc: _Scanner) -> Expr:
         e = _parse_sum(sc)
         sc.expect(")")
         return e
-    if ch.isdigit():
+    if ch.isdecimal():
         num = sc.integer()
         # a '/' here binds as term-level division, not a rational literal;
         # rational constants come from context like 3/4 where the parser's
         # Div(Const, Const) folds during normalization.
         return Const(Fraction(num))
-    if ch.isalpha() or ch == "_":
-        name = sc.ident()
+    name = sc.ident()
+    if name:
         if name == "sqrt":
             sc.expect("(")
             e = _parse_sum(sc)

@@ -147,6 +147,17 @@ def test_allow_boundary_needs_merge(command):
     assert run_usage_error(command, target, "--allow-boundary") == 2
 
 
+@pytest.mark.parametrize("command", ["defpoly", "isolate"])
+@pytest.mark.parametrize("name", ["a-b", "a b", "1z", "sqrt"])
+def test_a_root_name_the_parser_cannot_read_is_usage_error(
+    capsys, tmp_path, command, name
+):
+    out = tmp_path / "out.txt"
+    assert run_usage_error(command, "sqrt(x)", "--z", name, "--out", str(out)) == 2
+    assert f"argument --z: {name!r} is not a variable name" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_isolate_unknown_flag_is_usage_error():
     assert run_usage_error("isolate", "sqrt(x)", "--wat") == 2
 
@@ -363,6 +374,10 @@ def test_reformulate_bad_program_is_exit_3(capsys, tmp_path):
         (lambda obj: obj.update(variables=["x", "x"]), "variables"),
         (lambda obj: obj.update(variables=["1x"]), "variables"),
         (lambda obj: obj.update(variables=[""]), "variables"),
+        (
+            lambda obj: obj.update(variables=["x y"]),
+            "variables: invalid variable name 'x y'",
+        ),
         (lambda obj: obj.update(objective="x"), "objective"),
         (lambda obj: obj["objective"].update(expr=5), "objective expr"),
         (lambda obj: obj.update(constraints=5), "constraints"),
@@ -372,7 +387,7 @@ def test_reformulate_bad_program_is_exit_3(capsys, tmp_path):
     ],
     ids=[
         "variables", "variable-name", "variable-twice", "variable-1x",
-        "variable-empty", "objective", "objective-expr",
+        "variable-empty", "variable-space", "objective", "objective-expr",
         "constraints", "constraint-item", "constraint-expr", "groups",
     ],
 )
@@ -476,6 +491,7 @@ def test_verify_unreadable_sample_is_exit_3(capsys, tmp_path, value):
         (None, "variables", "xz", "variables must list strings"),
         (None, "variables", ["x", "z", "x"], "variables must list strings, each once"),
         (None, "variables", ["x", "z", "1x"], "invalid variable name '1x'"),
+        (None, "variables", ["x", "z", "a-b"], "invalid variable name 'a-b'"),
         ("entries", "sign_vector", "ab", "sign_vector must list -1s and 1s"),
         ("entries", "label", 3, "label must be a string"),
         (None, "entries", [5], "not subscriptable"),
@@ -495,7 +511,8 @@ def test_verify_unreadable_sample_is_exit_3(capsys, tmp_path, value):
     ],
     ids=[
         "entries-value0", "entries-abc", "skipped-value0", "skipped-abc",
-        "variables-xz", "variables-x-twice", "variables-1x", "sign_vector-ab", "label-3", "entry-5",
+        "variables-xz", "variables-x-twice", "variables-1x", "variables-a-b",
+        "sign_vector-ab", "label-3", "entry-5",
         "entries-object", "skipped-object", "strategy-5", "warnings-abc",
         "z-5", "z-w", "condition-q", "defining-q", "source-q", "sample-empty",
         "sample-x-z", "skipped-sample-q",

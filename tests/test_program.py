@@ -361,6 +361,25 @@ def test_emit_human_annotates_kinds():
     assert "auxiliary variables: 1 here, 2 in the straightforward" in text
 
 
+def test_emit_smtlib_quotes_reserved_names():
+    import re
+
+    prog = mini(
+        "let + and^2 + x",
+        [("let - 1", ">="), ("sqrt(and) - x", "<=")],
+        variables=("let", "and", "x"),
+    )
+    for obj in (reformulate(prog), baseline_reformulate(prog)):
+        text = emit(obj, format="smtlib").decode()
+        assert "(declare-const |let| Real)\n(declare-const |and| Real)\n" in text
+        assert "(declare-const x Real)" in text
+        assert "(assert (>= (- |let| 1) 0))" in text
+        code = [line for line in text.splitlines() if not line.startswith(";")]
+        symbols = {s for line in code for s in re.findall(r"[^\s()]+", line)}
+        assert {"let", "and"}.isdisjoint(symbols)
+        assert {"|let|", "|and|", "x"} <= symbols
+
+
 def test_emit_unknown_format_rejected():
     from algprog.program import ProgramError
 
@@ -519,6 +538,164 @@ def test_check_substitution_flags_a_flipped_original_constraint():
     bad = dataclasses.replace(res, children=(bad_child,))
     report = check_substitution(bad, prog, samples=8)
     assert not report.passed
-    assert report.checks[0].witness.startswith(
-        "child 1: original constraints disagree near {'x': "
+    assert report.checks[0].witness == (
+        "child 1: constraint x - 5 >= 0 from constraints[0] is missing"
     )
+
+
+def _branches():
+    # two children, one per sign of x: each carries z's defining polynomial,
+    # its isolating rows, its component rows and the original constraint
+    prog = mini("root(3, x) + x", [("x - 5", "<=")], variables=("x",))
+    res = reformulate(prog)
+    assert constraint_texts(res.children[0]) == [
+        "z^3 - x = 0", "z^2 > 0", "z < 0", "x^2 > 0", "x < 0", "x - 5 <= 0",
+    ]
+    assert "x > 0" in constraint_texts(res.children[1])
+    return prog, res
+
+
+def _edit_rows(child, edit):
+    rows = [edit(p.to_text(), p, rel) for p, rel in child.constraints]
+    kept = [(r, k) for r, k in zip(rows, child.constraint_kinds) if r is not None]
+    return dataclasses.replace(
+        child,
+        constraints=tuple(r for r, _ in kept),
+        constraint_kinds=tuple(k for _, k in kept),
+    )
+
+
+def _tampered(name, res):
+    child, other = res.children
+    sense, objective = child.objective
+    if name == "objective coefficient":
+        return dataclasses.replace(child, objective=(sense, objective + objective))
+    if name == "objective sense":
+        return dataclasses.replace(child, objective=("max", objective))
+    if name == "original relation":
+        return _edit_rows(child, lambda t, p, rel: (p, ">=" if t == "x - 5" else rel))
+    if name == "dropped certificate row":
+        return _edit_rows(child, lambda t, p, rel: None if t == "z" else (p, rel))
+    if name == "component row of another entry":
+        (x_positive,) = [(p, rel) for p, rel in other.constraints if p.to_text() == "x"]
+        return _edit_rows(child, lambda t, p, rel: x_positive if t == "x" else (p, rel))
+    if name == "added row":
+        added = (polynomial_from_text("x - 7", child.variables), "<=")
+        return dataclasses.replace(
+            child,
+            constraints=child.constraints + (added,),
+            constraint_kinds=child.constraint_kinds + ("original constraint",),
+        )
+    assert name == "relabelled row"
+    kinds = tuple(
+        "original constraint" if (p.to_text(), rel) == ("x", "<") else kind
+        for (p, rel), kind in zip(child.constraints, child.constraint_kinds)
+    )
+    return dataclasses.replace(child, constraint_kinds=kinds)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "name, witness",
+    [
+        ("objective coefficient", "objective 2*z + 2*x is not z + x, the program's with the parts replaced"),
+        ("objective sense", "objective sense max is not the program's min"),
+        ("original relation", "constraint x - 5 <= 0 from constraints[0] is missing"),
+        ("dropped certificate row", "constraint z < 0 from the certificates is missing"),
+        ("component row of another entry", "constraint x < 0 from the certificates is missing"),
+        ("relabelled row", "constraint x < 0 is labelled original but is no program constraint"),
+        ("added row", "constraint x - 7 <= 0 is from neither the program nor the certificates"),
+    ],
+)
+def test_check_substitution_proves_the_substitution_identities(name, witness, seed):
+    # every tampering leaves the sampled root rows alone, so only the
+    # identity can catch it; the walk still runs, and the other child passes
+    prog, res = _branches()
+    honest = check_substitution(res, prog, samples=8, seed=seed)
+    assert honest.passed
+    bad = dataclasses.replace(res, children=(_tampered(name, res), res.children[1]))
+    report = check_substitution(bad, prog, samples=8, seed=seed)
+    assert [c.status for c in report.checks] == ["fail", "pass"]
+    assert report.checks[0].witness == f"child 1: {witness}"
+    assert [c.samples_used for c in report.checks] == [
+        c.samples_used for c in honest.checks
+    ]
+
+
+def test_check_substitution_samples_the_root_rows_of_the_certificates():
+    # the other branch, z < 0, in the certificate and the child alike: the
+    # identities hold, and only the sampled root rows see that z = sqrt(x)
+    # fails it
+    prog = mini("sqrt(x) + x", variables=("x",))
+    res = reformulate(prog)
+    (part,) = res.parts
+    (entry,) = part.certificate.entries
+    defining, positive = entry.root_conditions
+    negative = SignCondition(positive.poly, "<")
+    cert = dataclasses.replace(
+        part.certificate,
+        entries=(dataclasses.replace(entry, root_conditions=(defining, negative)),),
+    )
+    (child,) = res.children
+    rows = tuple(
+        (p, "<" if (p, rel) == (positive.poly, ">") else rel)
+        for p, rel in child.constraints
+    )
+    bad = dataclasses.replace(
+        res,
+        children=(dataclasses.replace(child, constraints=rows),),
+        parts=(dataclasses.replace(part, certificate=cert),),
+    )
+    report = check_substitution(bad, prog, samples=8)
+    assert not report.passed
+    assert report.checks[0].witness == (
+        "child 1: constraint z < 0 fails near {'x': Fraction(2, 1)}"
+    )
+
+
+def test_check_substitution_fails_a_program_that_stays_radical():
+    # checked against a program whose sqrt(x) no part replaces: a failed
+    # identity on every child, not a crash
+    prog, res = _branches()
+    other = mini("root(3, x) + sqrt(x)", [("x - 5", "<=")], variables=("x",))
+    report = check_substitution(res, other, samples=8)
+    assert [c.status for c in report.checks] == ["fail", "fail"]
+    assert report.checks[0].witness == (
+        "child 1: objective stays non-polynomial after replacing the algebraic "
+        "parts; group the offending subexpression"
+    )
+
+
+def test_check_substitution_samples_only_parts_and_root_rows(monkeypatch):
+    import algprog.program as program_module
+    import algprog.radicals as radicals_module
+
+    prog = load("goldstein_price.json")
+    dom = domain_from_file(prog, "goldstein_price.domain.json")
+    res = reformulate(prog, strategy="domain", cfg=MERGE_CFG, domain=dom)
+    parts = {p.expr for p in res.parts}
+    root_rows = {
+        rc.poly.to_text()
+        for p in res.parts
+        for entry in p.certificate.entries
+        for rc in entry.root_conditions
+    }
+    evaluated, enclosed = [], []
+    real_eval, real_enclose = program_module.eval_numeric, radicals_module.poly_enclosure
+
+    def eval_spy(e, point, *args):
+        evaluated.append((e, tuple(sorted(point.items()))))
+        return real_eval(e, point, *args)
+
+    def enclose_spy(p, point, box):
+        enclosed.append(p.to_text())
+        return real_enclose(p, point, box)
+
+    monkeypatch.setattr(program_module, "eval_numeric", eval_spy)
+    monkeypatch.setattr(radicals_module, "poly_enclosure", enclose_spy)
+    assert len(res.children) == 1
+    report = check_substitution(res, prog, samples=16)
+    assert report.passed and report.checks[0].samples_used == 16
+    assert evaluated and {e for e, _ in evaluated} <= parts
+    assert len(evaluated) == len(set(evaluated))  # once per part and point
+    assert enclosed and set(enclosed) <= root_rows

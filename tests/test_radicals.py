@@ -126,6 +126,27 @@ def test_normalize_idempotent():
         assert structural_key(normalize(e)) == structural_key(e)
 
 
+@pytest.mark.parametrize("name", ["x", "_a", "a1", "x_2", "é", "x²", "²"])
+def test_every_registered_name_parses_back_as_itself(name):
+    reg = VarRegistry([name])
+    poly = MultiPoly.var(reg, 0) ** 2 - MultiPoly.var(reg, 0)
+    assert parse(name) == Var(name)
+    assert polynomial_from_text(poly.to_text(), reg) == poly
+
+
+@pytest.mark.parametrize("name", ["", "a-b", "a b", "1a", "x.y", "a'", "sqrt", "root"])
+def test_a_name_the_parser_cannot_read_back_is_refused(name):
+    with pytest.raises(PolyError, match="invalid variable name"):
+        VarRegistry([name])
+
+
+def test_a_digit_that_is_no_decimal_reads_as_a_name():
+    # "²" is a digit to str.isdigit but no decimal, so int() refuses it
+    assert parse("x + ²") == Add(Var("x"), Var("²"))
+    with pytest.raises(ExprSyntaxError, match="trailing input"):
+        parse("2²")
+
+
 # -- polynomial bridge ------------------------------------------------------------
 
 
