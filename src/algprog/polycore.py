@@ -14,7 +14,8 @@ case, do their ring arithmetic in ints.
 Everything here is exact -- no floats anywhere.  The canonical text form
 sorts terms by graded-lexicographic order (total degree first, ties broken so
 that later-registered variables weigh more), which makes printed polynomials
-stable across runs and platforms.
+stable across runs and platforms.  `MultiPoly.from_text` reads that form
+back term by term, without the expression parser.
 
 Before a gcd runs the subresultant PRS, one image of both operands modulo a
 prime, at a fixed point for the other variables, is tried: when the image gcd
@@ -515,12 +516,70 @@ class MultiPoly:
                 pieces.append(("- " if c < 0 else "+ ") + body)
         return " ".join(pieces)
 
+    @classmethod
+    def from_text(
+        cls, registry: VarRegistry, text: str, max_power: int
+    ) -> MultiPoly | None:
+        """Read text in the form `to_text` prints, or None for any other.
+
+        The form is a list of signed terms, the first unsigned or with a
+        minus; each is a coefficient ``n`` or ``n/d``, a ``*``-product of
+        ``name`` or ``name^k``, or a coefficient times such a product.  None
+        also comes back for a zero denominator, a name not in `registry` or
+        repeated in one product, and an exponent outside 1..`max_power`.
+        The terms are added up in text order: a term that cancels is
+        dropped, and put back last when the same monomial comes again, as
+        adding the terms one at a time would.
+        """
+        ids = registry._ids
+        out: dict[Monomial, Coefficient] = {}
+        signs = ("", "-")  # of the first term; later ones have a sign
+        pos = 0
+        while True:
+            m = _PRINTED_TERM.match(text, pos)
+            if m is None or m[1] not in signs:
+                return None
+            signs, pos = ("+", "-"), m.end()
+            sign, num, den, product = m[1], m[2], m[3], m[4] or m[5]
+            if den is None:
+                c = 1 if num is None else int(num)
+            elif int(den):
+                c = Fraction(int(num), int(den))
+            else:  # the parse path raises EvalDomainError
+                return None
+            powers: dict[VarId, int] = {}
+            for factor in product.split("*") if product else ():
+                name, _, k = factor.partition("^")
+                v, e = ids.get(name.strip()), int(k) if k else 1
+                if v is None or v in powers or not 0 < e <= max_power:
+                    return None
+                powers[v] = e
+            if c:
+                mono = tuple(sorted(powers.items()))
+                total = out.get(mono, 0) + (-c if sign == "-" else c)
+                if total:
+                    out[mono] = total
+                else:
+                    del out[mono]
+            if pos == len(text):
+                return cls(registry, out)
+
     def __repr__(self) -> str:
         return f"MultiPoly({self.to_text()})"
 
 
 def _frac_text(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+#: ``name`` or ``name^k``, a factor of a printed monomial
+_FACTOR = rf"{IDENTIFIER.pattern}(?:\s*\^\s*\d+)?"
+_PRODUCT = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
+#: one printed term: its sign, then ``n``, ``n/d``, either times a product,
+#: or a product alone; whitespace may stand wherever the parser skips it
+_PRINTED_TERM = re.compile(
+    rf"\s*([-+]?)\s*(?:(\d+)(?:\s*/\s*(\d+))?(?:\s*\*\s*({_PRODUCT}))?|({_PRODUCT}))\s*"
+)
 
 
 # ---------------------------------------------------------------------------

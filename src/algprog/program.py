@@ -667,7 +667,10 @@ _SMT_RESERVED = frozenset(
 
 
 def _smt_symbol(name: str) -> str:
-    return f"|{name}|" if name in _SMT_RESERVED else name
+    """`name` as written, or quoted when it is a reserved word or no SMT-LIB
+    simple symbol (``é`` is written ``|é|``).  A variable name is an
+    identifier, so it is a simple symbol exactly when it is ASCII."""
+    return name if name.isascii() and name not in _SMT_RESERVED else f"|{name}|"
 
 
 def _smt_number(c: Fraction) -> str:

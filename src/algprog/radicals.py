@@ -7,7 +7,9 @@ unfold into products, ``g^(r/s)`` becomes ``root(s, g^r)``, and negative
 exponents turn into divisions, so downstream code only ever sees
 ``Const/Var/Add/Sub/Mul/Div/Root``; an exponent above `MAX_POWER` raises
 PowerBudgetError before it unfolds.  Polynomial text is read without
-normalizing: `to_polynomial` raises integer powers itself.
+normalizing: text in the printed form term by term, any other by
+`to_polynomial`, which raises integer powers itself.  Unary minus binds
+looser than ``^``: ``-x^2`` is ``-(x^2)``.
 
 Numeric evaluation is exact: a subtree without roots is a rational, and
 only roots (and the nodes they reach) are intervals with rational endpoints.
@@ -197,7 +199,14 @@ def _parse_term(sc: _Scanner) -> Expr:
 
 
 def _parse_factor(sc: _Scanner) -> Expr:
-    base = _parse_atom(sc)
+    # unary minus negates a whole power, so -x^2 is -(x^2); each minus
+    # counts toward MAX_NESTING, as a parenthesis does
+    if sc.take("-"):
+        inner = _nested(sc, _parse_factor)
+        if isinstance(inner, Const):
+            return Const(-inner.value)
+        return Sub(Const(Fraction(0)), inner)
+    base = _nested(sc, _parse_primary)
     if sc.take("^"):
         exponent = _parse_exponent(sc)
         return Pow(base, exponent)
@@ -216,23 +225,17 @@ def _parse_exponent(sc: _Scanner) -> Fraction:
     return Fraction(sc.integer())
 
 
-def _parse_atom(sc: _Scanner) -> Expr:
+def _nested(sc: _Scanner, parse_one) -> Expr:
     if sc.depth > MAX_NESTING:
         raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", sc.pos)
     sc.depth += 1
-    e = _parse_primary(sc)
+    e = parse_one(sc)
     sc.depth -= 1
     return e
 
 
 def _parse_primary(sc: _Scanner) -> Expr:
     ch = sc.peek()
-    if ch == "-":
-        sc.take("-")
-        inner = _parse_atom(sc)
-        if isinstance(inner, Const):
-            return Const(-inner.value)
-        return Sub(Const(Fraction(0)), inner)
     if ch == "(":
         sc.take("(")
         e = _parse_sum(sc)
@@ -509,11 +512,16 @@ def is_polynomial(e: Expr) -> bool:
 
 
 def polynomial_from_text(text: str, registry: VarRegistry) -> MultiPoly:
-    """Read polynomial text (canonical or not) into a MultiPoly, straight
-    from its parse tree: powers are raised by repeated squaring, with no
-    normalizing, and products and powers are held under `MAX_POWER` and
-    `MAX_TERMS`."""
-    return to_polynomial(parse(text), registry, capped=True)
+    """Read polynomial text (canonical or not) into a MultiPoly.  Text in
+    the printed form of `MultiPoly.to_text` is read term by term
+    (`MultiPoly.from_text`); any other is read straight from its parse tree:
+    powers are raised by repeated squaring, with no normalizing, and
+    products and powers are held under `MAX_POWER` and `MAX_TERMS`.  Both
+    give the same polynomial, term order included."""
+    poly = MultiPoly.from_text(registry, text, MAX_POWER)
+    if poly is None:
+        poly = to_polynomial(parse(text), registry, capped=True)
+    return poly
 
 
 def variables_of(e: Expr) -> set[str]:

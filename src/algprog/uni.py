@@ -12,10 +12,10 @@ homogeneous integer Horner.  Real roots are isolated with Sturm chains
 the Cauchy bound, beyond every root, are read from the chain's leading
 coefficients and degrees, not evaluated.  A `Bracket` holds one
 isolating interval as integers over a doubling denominator and halves it in
-place; `refine_root` and `sign_at_root` both bisect through it, and a caller
-that passes one bracket to several `sign_at_root` calls refines the root
-once, each call going on from where the last one stopped.  The sign of q at
-the root of p in a bracket is decided in this order: integer interval Horner
+place; `sign_at_root` bisects through it, and a caller that passes one
+bracket to several `sign_at_root` calls refines the root once, each call
+going on from where the last one stopped.  The sign of q at the root of p
+in a bracket is decided in this order: integer interval Horner
 on the bracket, then a few halvings with the same test, and only if q's
 sign is still undecided gcd(p, q) with a Sturm count, which settles zero
 exactly; halving then continues until the interval test certifies the sign,
@@ -348,19 +348,6 @@ class Bracket:
 
     def interval(self) -> tuple[Fraction, Fraction]:
         return Fraction(self.a, self.d), Fraction(self.b, self.d)
-
-
-def refine_root(
-    c: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval of a simple root below `width` by bisection.
-
-    A rational root discovered at a midpoint collapses the interval to a point.
-    """
-    br = Bracket(c, lo, hi)
-    while (br.b - br.a) * width.denominator > width.numerator * br.d:
-        br.halve()
-    return br.interval()
 
 
 #: bisection steps sign_at_root tries, per call, before it pays for gcd(p, q)

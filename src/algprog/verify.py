@@ -298,12 +298,6 @@ def relation_possible(iv: Interval, rel: str) -> bool:
     return any(test(s) for s in range(_sign(iv.lo), _sign(iv.hi) + 1))
 
 
-def relation_certain(iv: Interval, rel: str) -> bool:
-    """Whether `rel 0` holds for every value in the interval."""
-    test = RELATIONS[rel].test
-    return all(test(s) for s in range(_sign(iv.lo), _sign(iv.hi) + 1))
-
-
 @dataclass(frozen=True)
 class RootSelection:
     """Roots of the defining polynomial at one sample, tagged by condition:

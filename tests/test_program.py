@@ -308,6 +308,15 @@ def test_emit_json_round_trip_is_byte_identical():
     assert emit(again, format="json") == blob
 
 
+def test_a_child_objective_led_by_minus_a_power_reads_back():
+    res = reformulate(mini("-x^2 + sqrt(x)", [("4 - x", ">=")], variables=("x",)))
+    assert [child.objective[1].to_text() for child in res.children] == ["-x^2 + z"]
+    blob = emit(res, format="json")
+    again = result_from_json(blob.decode())
+    assert again.children[0].objective[1].to_text() == "-x^2 + z"
+    assert emit(again, format="json") == blob
+
+
 def test_emit_json_schema():
     obj = json.loads(emit(result_fixture(), format="json"))
     assert sorted(obj) == [
@@ -378,6 +387,19 @@ def test_emit_smtlib_quotes_reserved_names():
         symbols = {s for line in code for s in re.findall(r"[^\s()]+", line)}
         assert {"let", "and"}.isdisjoint(symbols)
         assert {"|let|", "|and|", "x"} <= symbols
+
+
+def test_emit_smtlib_quotes_names_outside_the_simple_symbols():
+    # SMT-LIB 2.6 simple symbols are ASCII; a parser reads "é" only quoted
+    prog = mini(
+        "é^2 + x", [("é - 1", ">="), ("sqrt(é) - x", "<=")], variables=("é", "x")
+    )
+    for obj in (reformulate(prog), baseline_reformulate(prog)):
+        text = emit(obj, format="smtlib").decode()
+        assert "(declare-const |é| Real)\n(declare-const x Real)\n" in text
+        assert "(assert (>= (- |é| 1) 0))" in text
+        code = "\n".join(l for l in text.splitlines() if not l.startswith(";"))
+        assert "é" in code and code.replace("|é|", "").isascii()
 
 
 def test_emit_unknown_format_rejected():

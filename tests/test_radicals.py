@@ -2,6 +2,7 @@
 expressions."""
 
 import itertools
+import re
 import time
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from algprog import radicals
+from algprog.defpoly import defining_polynomial
 from algprog.polycore import MultiPoly, PolyError, VarRegistry
 from algprog.radicals import (
     NOT_REAL,
@@ -24,6 +26,7 @@ from algprog.radicals import (
     MAX_POWER,
     Mul,
     NotPolynomial,
+    Pow,
     PowerBudgetError,
     Root,
     Sub,
@@ -42,7 +45,7 @@ from algprog.radicals import (
     to_text,
     variables_of,
 )
-from conftest import RefInterval
+from conftest import RefInterval, is_canonical
 
 
 # -- parser ---------------------------------------------------------------------
@@ -88,6 +91,19 @@ def test_negative_exponent_rejected():
 def test_syntax_errors(bad):
     with pytest.raises(ExprSyntaxError):
         parse(bad)
+
+
+def test_unary_minus_binds_looser_than_a_power():
+    assert parse("-x^2") == Sub(Const(Fraction(0)), Pow(Var("x"), Fraction(2)))
+    assert eval_numeric(normalize(parse("-2^2")), {}).lo == -4
+    assert parse("2*-x^2") == Mul(Const(Fraction(2)), parse("-x^2"))
+    for text in ("-x^2^2", "x^2^2"):
+        with pytest.raises(ExprSyntaxError, match="trailing input"):
+            parse(text)
+    # -x^2 + sqrt(x) read as (-x)^2 + sqrt(x) had x^2's defining polynomial
+    got = defining_polynomial("-x^2 + sqrt(x)").poly.to_text()
+    assert got == defining_polynomial("0 - x^2 + sqrt(x)").poly.to_text()
+    assert got == "x^4 + 2*x^2*z + z^2 - x"
 
 
 def test_nesting_limit():
@@ -309,6 +325,120 @@ def test_products_and_powers_up_to_the_caps_read():
     assert polynomial_from_text("(x + y - y)^1000", reg).term_count() == 1
     with pytest.raises(PowerBudgetError):
         polynomial_from_text("(x - x)^1001", reg)
+
+
+# -- the printed form, read without the parser ------------------------------------
+
+
+@st.composite
+def printed_polys(draw):
+    """Polynomials in 1-3 variables with unit, integer and rational
+    coefficients, so that `to_text` leads with a -1 times a power often."""
+    reg = VarRegistry(["x", "y", "z"][: draw(st.integers(1, 3))])
+    monomials = st.lists(st.integers(0, 4), min_size=len(reg), max_size=len(reg)).map(
+        lambda es: tuple((v, e) for v, e in enumerate(es) if e)
+    )
+    coefficients = st.one_of(
+        st.sampled_from([-1, 1]),
+        st.integers(-9, 9),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    )
+    return MultiPoly(reg, draw(st.dictionaries(monomials, coefficients, max_size=6)))
+
+
+@given(printed_polys())
+@example(MultiPoly(VarRegistry(["x"]), {((0, 2),): -1, (): 1}))  # -x^2 + 1
+@example(MultiPoly(VarRegistry(["x", "y"]), {((0, 1), (1, 3)): Fraction(-3, 4)}))
+def test_printed_text_reads_back(p):
+    text = p.to_text()
+    got = polynomial_from_text(text, p.registry)
+    assert got == p and all(is_canonical(c) for c in got.terms.values())
+    assert MultiPoly.from_text(p.registry, text, MAX_POWER) is not None
+
+
+#: printed terms, and a few pieces outside the printed form, which the
+#: parse path reads (or refuses)
+printed_coefficients = st.sampled_from(["", "", "1", "2", "3/4", "6/4", "2/2", "0"])
+printed_products = st.sampled_from(
+    ["x", "y", "x^2", "x*y", "y*x", "x^3*y^2", f"y^{MAX_POWER}", ""]
+)
+off_form_pieces = st.sampled_from(
+    [f"x^{MAX_POWER + 1}", "w", "x*x", "x^0", "3/0*x", "sqrt(x)", "(x + y)^2", "x/2", "-", "2*3"]
+)
+
+
+@st.composite
+def perturbed_printed_texts(draw):
+    """A printed-form text with repeated and cancelling monomials, perhaps
+    with ` + 1` appended (certify's tampered defining polynomial) or one
+    piece from outside the printed form, in one of several spacings;
+    returns the text and whether it stays in the printed form."""
+    terms = st.tuples(printed_coefficients, printed_products)
+    bodies = [
+        c + "*" + m if c and m else c or m or "0"
+        for c, m in draw(st.lists(terms, min_size=1, max_size=6))
+    ]
+    bodies += draw(st.lists(st.sampled_from(bodies), max_size=3))  # repeats
+    bodies = draw(st.permutations(bodies))
+    text = draw(st.sampled_from(["", "-"])) + bodies[0]
+    for body in bodies[1:]:
+        text += draw(st.sampled_from([" + ", " - "])) + body
+    if draw(st.booleans()):
+        text += " + 1"
+    in_form = draw(st.integers(0, 3)) > 0
+    if not in_form:
+        text += " + " + draw(off_form_pieces)
+    gap = draw(st.sampled_from(["", " ", "  ", "\t"]))
+    around = draw(st.sampled_from(["", " ", "\n"]))
+    text = re.sub(r"([*^/])", rf"{around}\1{around}", text.replace(" ", gap))
+    return text, in_form
+
+
+def reading(read):
+    """A reading's terms in order with their types, or its error's type."""
+    try:
+        p = read()
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+    return [(m, c, type(c)) for m, c in p.terms.items()]
+
+
+@given(perturbed_printed_texts())
+@example(("x - x + y + x", True))  # x cancels, then comes back after y
+@example(("0", True))
+@example(("-x^2*y + 3/4*x", True))
+def test_printed_form_reads_as_its_parse_tree_does(case):
+    text, in_form = case
+    reg = VarRegistry(["x", "y"])
+    direct = MultiPoly.from_text(reg, text, MAX_POWER)
+    assert (direct is not None) == in_form
+    want = reading(lambda: to_polynomial(parse(text), reg, capped=True))
+    assert reading(lambda: polynomial_from_text(text, reg)) == want
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (f"x^{MAX_POWER + 1}", PowerBudgetError),
+        (f"z^{MAX_POWER} - x^{MAX_POWER + 1}", PowerBudgetError),
+        ("w", PolyError),
+        ("2*x*w^2", PolyError),
+        ("3/0*x", EvalDomainError),
+        ("sqrt(x)", NotPolynomial),
+        ("x - sqrt", ExprSyntaxError),
+        ("x +", ExprSyntaxError),
+        ("", ExprSyntaxError),
+    ],
+)
+def test_text_outside_the_printed_form_fails_as_its_parse_tree_does(text, error):
+    reg = VarRegistry(["x", "z"])
+    assert MultiPoly.from_text(reg, text, MAX_POWER) is None
+    with pytest.raises(error) as direct:
+        polynomial_from_text(text, reg)
+    with pytest.raises(error) as parsed:
+        to_polynomial(parse(text), reg, capped=True)
+    assert type(direct.value) is type(parsed.value) is error
+    assert str(direct.value) == str(parsed.value)
 
 
 def test_reader_caps_do_not_reach_other_conversions():
