@@ -337,24 +337,8 @@ def _density_note(prog: AlgebraicProgram, strategy: str) -> str:
 
 
 def _rebind_condition(cond: SignCondition, registry: VarRegistry) -> SignCondition:
-    """The same condition over `registry`, matching variables by name."""
-    names = cond.poly.registry.names()
-    terms = {
-        tuple(sorted((registry.id_of(names[v]), e) for v, e in m)): c
-        for m, c in cond.poly.terms.items()
-    }
-    return SignCondition(MultiPoly(registry, terms), cond.rel)
-
-
-def _rebind_domain(domain: DomainSpec, registry: VarRegistry) -> DomainSpec:
-    # The domain is stated over the original problem variables, which keep
-    # their ids in the working registry (same names, same order).
-    return DomainSpec(
-        conditions=tuple(
-            _rebind_condition(c, registry) for c in domain.conditions
-        ),
-        interior_point=dict(domain.interior_point),
-    )
+    """The same condition over `registry`, whose ids it already uses."""
+    return SignCondition(MultiPoly(registry, cond.poly.terms), cond.rel)
 
 
 def reformulate(
@@ -398,15 +382,15 @@ def reformulate(
 
     objective, original_conds = _replaced_program(prog, substitution, registry)
 
-    # Pipeline per part, on a scratch registry (defining_polynomial interns
-    # elimination variables there; the children's registry stays clean).
-    work = VarRegistry(prog.variables.names())
-    wdomain = _rebind_domain(domain, work) if domain is not None else None
+    # Each part runs on a scratch registry, the children's variables before
+    # its z plus its elimination variables after z: certificate polynomials
+    # use the children's ids, and a child takes their conditions by a re-tag.
     parts: list[PartReformulation] = []
     for expr, occ in found:
         z_name = substitution[expr].name
+        work = VarRegistry(registry.names()[: registry.id_of(z_name)])
         dp = defining_polynomial(expr, work, z_name=z_name, seed=cfg.isolate.seed)
-        cert = isolate(expr, dp, strategy=strategy, cfg=cfg.isolate, domain=wdomain)
+        cert = isolate(expr, dp, strategy=strategy, cfg=cfg.isolate, domain=domain)
         if cfg.merge:
             cert = merge_components(cert, cfg.isolate)
         warnings.extend(f"{z_name} = {to_text(expr)}: {w}" for w in cert.warnings)
@@ -872,8 +856,11 @@ def check_substitution(
     certificate samples), the exact test of the chosen components'
     conditions decides whether a point counts; there each auxiliary z is set
     to an enclosure of its part, and every root row (the defining polynomial
-    and the isolating conditions, taken from the certificates) must hold
-    somewhere on the enclosures.  `tally_points` checks each distinct drawn
+    and the isolating conditions) must hold somewhere on the enclosures.
+    The rows are the certificates' own: these use the children's ids
+    (program variables, then one z per part in part order; each part's
+    scratch registry is that prefix plus its elimination variables), and
+    only the identities re-tag them.  `tally_points` checks each distinct drawn
     point of a child once; a repeat counts, or is skipped, as the first was.
     Every child is walked and reported, also after one fails or when its
     identity fails, so the draws do not depend on the verdicts.  A child
@@ -892,7 +879,6 @@ def check_substitution(
         return report
 
     sense, objective_expr = prog.objective
-    registry = result.parts[0].certificate.defining.registry
     substitution = {p.expr: Var(p.z_name) for p in result.parts}
     expected: dict = {}  # registry -> the replaced program, or why none
     # Program variables that occur outside every algebraic part are in no
@@ -900,7 +886,7 @@ def check_substitution(
     occurring = variables_of(objective_expr).union(
         *(variables_of(e) for e, _ in prog.constraints)
     )
-    program_ids = [registry.id_of(n) for n in prog.variables.names() if n in occurring]
+    program_ids = [v for v, n in enumerate(prog.variables.names()) if n in occurring]
     rng = random.Random(seed)
     for ci, child in enumerate(result.children):
         child_vars = child.variables
@@ -914,15 +900,10 @@ def check_substitution(
             for p, idx in zip(result.parts, child.entry_choice)
         ]
         comps = [entry.component for entry in entries]
-        root_rows = dict.fromkeys(
-            _rebind_condition(rc, child_vars)
-            for entry in entries
-            for rc in entry.root_conditions
-        )
-        certificate_rows = root_rows | dict.fromkeys(
-            _rebind_condition(cc, child_vars)
-            for comp in comps
-            for cc in comp.conditions
+        root_rows = dict.fromkeys(rc for e in entries for rc in e.root_conditions)
+        certificate_rows = dict.fromkeys(
+            _rebind_condition(cond, child_vars)
+            for cond in [*root_rows, *(c for comp in comps for c in comp.conditions)]
         )
         mismatch = _identity_mismatch(child, sense, expected[child_vars], certificate_rows)
         # Sample inside the first part's component, around its sample with
@@ -936,15 +917,9 @@ def check_substitution(
         for v in program_ids:
             anchor.setdefault(v, Fraction(0))
         region = dataclasses.replace(comps[0], sample=anchor)
-        zids = [child_vars.id_of(p.z_name) for p in result.parts]
-        child_ids = {
-            n: child_vars.id_of(n)
-            for n in map(registry.name_of, anchor)
-            if n in child_vars
-        }
 
         def check(i, point):
-            named = {registry.name_of(v): val for v, val in point.items()}
+            named = {child_vars.name_of(v): val for v, val in point.items()}
             if not all(
                 _verify.condition_holds(cond, point)
                 for comp in comps
@@ -953,39 +928,37 @@ def check_substitution(
                 return False, None
 
             box: dict[VarId, Interval] = {}
-            for p, zid in zip(result.parts, zids):
+            for p in result.parts:
                 try:
                     enclosure = eval_numeric(p.expr, named)
                 except EvalDomainError:
                     break
                 if enclosure is NOT_REAL:
                     break
-                box[zid] = enclosure
+                box[p.certificate.z] = enclosure
             if len(box) < len(result.parts):
                 if i == 0:
-                    return False, f"a part is not real at the anchor {named}"
+                    where = _verify._point_text(named)
+                    return False, f"a part is not real at the anchor {where}"
                 return False, None
 
-            exact = {child_ids[n]: val for n, val in named.items() if n in child_ids}
             for cond in root_rows:
-                enclosure = radicals.poly_enclosure(cond.poly, exact, box)
+                enclosure = radicals.poly_enclosure(cond.poly, point, box)
                 if not _verify.relation_possible(enclosure, cond.rel):
-                    return True, (
-                        f"child {ci + 1}: constraint {cond.text()} fails near {named}"
-                    )
+                    where = _verify._point_text(named)
+                    return True, f"constraint {cond.text()} fails near {where}"
             return True, None
 
         points = _verify.component_points(region, rng, 4 * samples)
         used, failure = _verify.tally_points(points, check, samples)
-        if not failure and mismatch:
-            failure = f"child {ci + 1}: {mismatch}"
-        elif not used and not failure:
-            failure = f"child {ci + 1}: no drawn point satisfies its conditions"
+        failure = failure or mismatch or (
+            None if used else "no drawn point satisfies its conditions"
+        )
         report.add(
             _verify.CheckLine(
                 check=f"substitution soundness on child {ci + 1}",
                 status="fail" if failure else "pass",
-                witness=failure,
+                witness=failure and f"child {ci + 1}: {failure}",
                 samples_used=used,
             )
         )

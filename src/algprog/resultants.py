@@ -197,11 +197,3 @@ def resultant_with_constant(p: MultiPoly, q: MultiPoly, v: VarId) -> MultiPoly:
         return p ** dq
     return resultant(p, q, v)
 
-
-def resultant_degree_bound(p: MultiPoly, q: MultiPoly, v: VarId, w: VarId) -> int:
-    """Degree bound in `w` for res_v(p, q):  d_p,w * d_q,v + d_p,v * d_q,w."""
-    if p.is_zero() or q.is_zero():
-        raise PolyError("degree bound of a zero polynomial")
-    return max(p.degree_in(w), 0) * max(q.degree_in(v), 0) + max(
-        p.degree_in(v), 0
-    ) * max(q.degree_in(w), 0)

@@ -15,7 +15,7 @@ from math import lcm
 
 from hypothesis import settings
 
-from algprog.polycore import MultiPoly
+from algprog.polycore import MultiPoly, PolyError, VarId
 from algprog.radicals import Interval, SamplingError
 from algprog.uni import trim
 from algprog.verify import condition_holds
@@ -59,6 +59,16 @@ def strip_factor(p: MultiPoly, d: MultiPoly) -> MultiPoly:
         if q is None:
             return p
         p = q
+
+
+def resultant_degree_bound(p: MultiPoly, q: MultiPoly, v: VarId, w: VarId) -> int:
+    """Degree bound in `w` for res_v(p, q):  d_p,w * d_q,v + d_p,v * d_q,w;
+    the reference bound that resultants are checked against."""
+    if p.is_zero() or q.is_zero():
+        raise PolyError("degree bound of a zero polynomial")
+    return max(p.degree_in(w), 0) * max(q.degree_in(v), 0) + max(
+        p.degree_in(v), 0
+    ) * max(q.degree_in(w), 0)
 
 
 def frac(a, b=1) -> Fraction:

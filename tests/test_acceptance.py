@@ -42,7 +42,7 @@ from algprog.radicals import (
     normalize,
     polynomial_from_text,
 )
-from algprog.resultants import resultant, resultant_degree_bound
+from algprog.resultants import resultant
 from algprog.uni import Bracket, sign_at_root
 from algprog.verify import (
     audit_degrees,
@@ -53,7 +53,13 @@ from algprog.verify import (
     verify_certificate,
     verify_defining,
 )
-from conftest import integral, proportional, strip_factor, uni_eval
+from conftest import (
+    integral,
+    proportional,
+    resultant_degree_bound,
+    strip_factor,
+    uni_eval,
+)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 

@@ -6,7 +6,10 @@ commands wrote with a frozen transcript in tests/golden/, the directory
 masked as `<tmp>`.  A change to any output byte fails here.  After an
 intended output change, regenerate the transcripts with
 
-    PYTHONPATH=src python3 tests/test_golden_cli.py
+    PYTHONPATH=src python3 tests/test_golden_cli.py [NAME ...]
+
+which rewrites the named cases only (say `names-human`), or every case when
+no name is given.
 """
 
 import contextlib
@@ -26,6 +29,10 @@ POLYNOMIAL = GOLDEN / "polynomial.json"  # radical-free, one constraint twice
 # a part in the objective and a constraint, a radical inside another part,
 # a constraint repeated up to scale
 REPEATS = GOLDEN / "repeats.json"
+# goldstein_price without its group: two parts, z and z2
+UNGROUPED = GOLDEN / "ungrouped.json"
+# program variables named z and t: the parts become z2, z3 and z4
+NAMES = GOLDEN / "names.json"
 
 _EXTENSIONS = {"json": "json", "smtlib": "smt2", "human": "txt"}
 
@@ -48,6 +55,16 @@ def _reformulate_cases():
     for fmt in ("human", "json"):
         yield f"repeats-{fmt}", [[
             "reformulate", str(REPEATS), "--verify", "--baseline",
+            "--format", fmt, "--out", f"<tmp>/out.{_EXTENSIONS[fmt]}",
+        ]]
+        yield f"ungrouped-{fmt}", [[
+            "reformulate", str(UNGROUPED), "--strategy", "domain",
+            "--domain-file", str(PROBLEMS / "goldstein_price.domain.json"),
+            "--merge", "--allow-boundary", "--verify", "--baseline",
+            "--format", fmt, "--out", f"<tmp>/out.{_EXTENSIONS[fmt]}",
+        ]]
+        yield f"names-{fmt}", [[
+            "reformulate", str(NAMES), "--verify", "--baseline",
             "--format", fmt, "--out", f"<tmp>/out.{_EXTENSIONS[fmt]}",
         ]]
     yield "rosenbrock-grid", [[
@@ -121,6 +138,9 @@ def test_cli_output_is_golden(name):
 
 
 if __name__ == "__main__":
-    for name, steps in sorted(CASES.items()):
-        (GOLDEN / f"{name}.txt").write_text(transcript(steps))
+    unknown = set(sys.argv[1:]) - set(CASES)
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(sorted(unknown))}")
+    for name in sys.argv[1:] or sorted(CASES):
+        (GOLDEN / f"{name}.txt").write_text(transcript(CASES[name]))
         print(f"wrote {GOLDEN / f'{name}.txt'}", file=sys.stderr)

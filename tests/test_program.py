@@ -517,6 +517,28 @@ def test_check_substitution_report_matches_the_walk_without_memo(monkeypatch):
     assert ['"passed": true' in r for r in memo] == [False, True, True, True]
 
 
+def test_certificates_use_the_children_variable_ids():
+    # program variables named z and t: the parts become z2, z3 and z4, and
+    # each part's elimination variables come after its z
+    golden = Path(__file__).resolve().parent / "golden"
+    prog = load_program((golden / "names.json").read_text())
+    res = reformulate(prog)
+    child_vars = res.children[0].variables
+    assert [p.z_name for p in res.parts] == ["z2", "z3", "z4"]
+    for part in res.parts:
+        cert = part.certificate
+        assert cert.z == child_vars.id_of(part.z_name)
+        polys = [cert.defining] + [
+            cond.poly
+            for entry in cert.entries
+            for cond in entry.root_conditions + entry.component.conditions
+        ]
+        for poly in polys:
+            for v in poly.vars_present():
+                assert poly.registry.name_of(v) == child_vars.name_of(v)
+    assert check_substitution(res, prog, samples=8).passed
+
+
 def test_check_substitution_flags_a_part_not_real_at_the_anchor():
     import dataclasses
 
@@ -537,7 +559,7 @@ def test_check_substitution_flags_a_part_not_real_at_the_anchor():
     report = check_substitution(bad, prog, samples=8)
     assert not report.passed
     assert report.checks[0].witness == (
-        "a part is not real at the anchor {'x': Fraction(-1, 1)}"
+        "child 1: a part is not real at the anchor (x=-1)"
     )
     assert report.checks[0].samples_used == 0
 
@@ -660,7 +682,7 @@ def test_check_substitution_samples_the_root_rows_of_the_certificates():
     )
     (child,) = res.children
     rows = tuple(
-        (p, "<" if (p, rel) == (positive.poly, ">") else rel)
+        (p, "<" if (p.terms, rel) == (positive.poly.terms, ">") else rel)
         for p, rel in child.constraints
     )
     bad = dataclasses.replace(
@@ -671,7 +693,7 @@ def test_check_substitution_samples_the_root_rows_of_the_certificates():
     report = check_substitution(bad, prog, samples=8)
     assert not report.passed
     assert report.checks[0].witness == (
-        "child 1: constraint z < 0 fails near {'x': Fraction(2, 1)}"
+        "child 1: constraint z < 0 fails near (x=2)"
     )
 
 

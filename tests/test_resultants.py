@@ -11,11 +11,10 @@ from algprog.polycore import MultiPoly, PolyError, VarRegistry, poly_gcd
 from algprog.resultants import (
     det_bareiss,
     resultant,
-    resultant_degree_bound,
     resultant_with_constant,
     sylvester_matrix,
 )
-from conftest import is_canonical, proportional
+from conftest import is_canonical, proportional, resultant_degree_bound
 
 REG = VarRegistry(["x", "y", "z"])
 X, Y, Z = (MultiPoly.var(REG, REG.id_of(n)) for n in ("x", "y", "z"))
