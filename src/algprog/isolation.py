@@ -267,22 +267,8 @@ class DomainSpec:
 
 
 # ---------------------------------------------------------------------------
-# Derivatives and critical resultants.
+# Critical resultants.
 # ---------------------------------------------------------------------------
-
-
-def derivative_tower(p: MultiPoly, z: VarId) -> list[MultiPoly]:
-    """[p⁽¹⁾, …, p⁽ᵈ⁾] where d is the degree of p in z (the last one is
-    constant in z)."""
-    d = p.degree_in(z)
-    if d < 1:
-        raise PolyError("derivative tower needs positive degree in z")
-    tower = []
-    q = p
-    for _ in range(d):
-        q = q.derivative(z)
-        tower.append(q)
-    return tower
 
 
 def critical_resultants(p: MultiPoly, z: VarId) -> list[MultiPoly]:
@@ -293,7 +279,7 @@ def critical_resultants(p: MultiPoly, z: VarId) -> list[MultiPoly]:
     kept in the list so callers can report them.
     """
     out = []
-    for q in derivative_tower(p, z):
+    for q in p.derivatives(z):
         if q.degree_in(z) >= 1:
             out.append(resultant(p, q, z))
         else:
@@ -319,7 +305,7 @@ def components(
 
     Strategies: `univariate` (exact intervals between real roots), `domain`
     (a single user-asserted region), `grid` (sign vectors at cell centers,
-    face-adjacent cells unioned).  Diagnostics that do not invalidate the
+    face-adjacent cells flood-filled).  Diagnostics that do not invalidate the
     decomposition are appended to `warnings`.
     """
     for r in resultants:
@@ -470,36 +456,32 @@ def _grid_components(
             continue
         cells[idx] = signs
 
-    parent: dict[tuple[int, ...], tuple[int, ...]] = {c: c for c in cells}
+    # flood fill in product order: a group's first cell is its least, and
+    # its anchor
+    anchors: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for anchor, signs in cells.items():
+        if anchor in seen:
+            continue
+        anchors.append(anchor)
+        seen.add(anchor)
+        stack = [anchor]
+        while stack:
+            idx = stack.pop()
+            for axis, shift in itertools.product(range(n), (-1, 1)):
+                nb = idx[:axis] + (idx[axis] + shift,) + idx[axis + 1:]
+                if nb not in seen and cells.get(nb) == signs:
+                    seen.add(nb)
+                    stack.append(nb)
 
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for idx, signs in cells.items():
-        for axis in range(n):
-            nb = tuple(
-                e + (1 if a == axis else 0) for a, e in enumerate(idx)
-            )
-            if nb in cells and cells[nb] == signs:
-                parent[find(idx)] = find(nb)
-
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for idx in cells:
-        groups.setdefault(find(idx), []).append(idx)
-
-    comps = []
-    for k, members in enumerate(sorted(groups.values(), key=min)):
-        anchor = min(members)
-        comps.append(
-            ComponentDescription(
-                _strict(nonconstant, cells[anchor]),
-                cell_point(anchor),
-                f"grid group {k + 1} of {len(groups)}",
-            )
+    comps = [
+        ComponentDescription(
+            _strict(nonconstant, cells[anchor]),
+            cell_point(anchor),
+            f"grid group {k + 1} of {len(anchors)}",
         )
+        for k, anchor in enumerate(anchors)
+    ]
     if boundary_cells:
         warnings.append(
             f"{boundary_cells} grid cell(s) had a resultant zero at the "
@@ -545,7 +527,7 @@ def isolate(
     z = dp.z
     registry = p.registry
     xvars = sorted(registry.id_of(n) for n in radicals.variables_of(dp.source))
-    tower = derivative_tower(p, z)
+    tower = p.derivatives(z)
     resultants_ = critical_resultants(p, z)
     warnings: list[str] = []
     comps = components(resultants_, strategy, xvars, registry, cfg, domain, warnings)
@@ -589,29 +571,22 @@ def _certified_tower_signs(
     """Sign of every p⁽ⁱ⁾ at (f(a), a), certified by interval refinement;
     `value` is f's enclosure at `radicals.PRECISION`, the first tried.
 
-    On a valid component no sign is zero, so refinement terminates; running
-    out of budget means the sample sits on (or too close to) a resultant zero
-    and is reported as such.
+    On a valid component no sign is zero, so refinement terminates; an exact
+    zero or running out of budget means the sample sits on (or too close to)
+    a resultant zero and is reported as such.
     """
-    # f's enclosure at each precision reached, shared by the tower
-    values = {radicals.PRECISION: value}
-
-    def sign(q: MultiPoly) -> int:
-        for bits in radicals.precisions(radicals.PRECISION):
-            value = values.get(bits)
-            if value is None:
-                value = values[bits] = eval_numeric(f, named, bits)
-            enclosure = poly_enclosure(q, comp.sample, {z: value})
-            if not enclosure.contains_zero():
-                return 1 if enclosure.lo > 0 else -1
-            if enclosure.lo == enclosure.hi:  # exact zero: theory violation
-                break
-        raise PrecisionError(
-            f"could not certify a derivative sign on {comp.label!r}: the "
-            "sample appears to lie on a resultant zero set"
-        )
-
-    return [sign(q) for q in tower]
+    for bits in radicals.precisions(radicals.PRECISION):
+        if bits != radicals.PRECISION:
+            value = eval_numeric(f, named, bits)
+        enclosures = [poly_enclosure(q, comp.sample, {z: value}) for q in tower]
+        if not any(e.contains_zero() for e in enclosures):
+            return [1 if e.lo > 0 else -1 for e in enclosures]
+        if any(e.lo == e.hi == 0 for e in enclosures):  # no precision helps
+            break
+    raise PrecisionError(
+        f"could not certify a derivative sign on {comp.label!r}: the "
+        "sample appears to lie on a resultant zero set"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,14 @@ class MultiPoly:
             out[mm] = out.get(mm, 0) + c * e
         return MultiPoly(self.registry, out)
 
+    def derivatives(self, v: VarId) -> list[MultiPoly]:
+        """The derivatives in `v` of order 1 up to deg_v, the last one free
+        of `v`: the tower whose signs at a root tell it from the others."""
+        out: list[MultiPoly] = []
+        for _ in range(self.degree_in(v)):
+            out.append((out[-1] if out else self).derivative(v))
+        return out
+
     def eval(self, point: Mapping[VarId, Fraction]) -> Fraction:
         """Evaluate at a full rational point (every present var must be given).
 

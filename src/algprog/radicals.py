@@ -603,10 +603,6 @@ class Interval:
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
-    @classmethod
-    def point(cls, c: Fraction) -> Interval:
-        return cls(c, c)
-
 
 def _interval(x: tuple[int, ...]) -> Interval:
     """The `Interval` of a kernel pair or triple."""
@@ -748,13 +744,6 @@ def _rat_root(num: int, den: int, r: int, bits: int) -> tuple[int, int, int]:
     lo = _iroot((num * scale) // den, r)
     hi = _iroot(-(-(num * scale) // den), r) + 1
     return lo, hi, 1 << bits
-
-
-def rat_root_enclosure(a: Fraction, r: int, bits: int) -> Interval:
-    """Enclose a^(1/r) for a >= 0 within 2^-bits; exact for perfect powers."""
-    if a < 0:
-        raise ExprError("rat_root_enclosure needs a non-negative radicand")
-    return _interval(_rat_root(a.numerator, a.denominator, r, bits))
 
 
 def _root_value(x: tuple[int, ...], r: int, bits: int):

@@ -95,6 +95,10 @@ class RefInterval(Interval):
     """`Interval` with Fraction arithmetic: the oracle that the integer
     kernel of `algprog.radicals` must reproduce endpoint for endpoint."""
 
+    @classmethod
+    def point(cls, c: Fraction) -> RefInterval:
+        return cls(c, c)
+
     def __add__(self, other: Interval) -> RefInterval:
         return RefInterval(self.lo + other.lo, self.hi + other.hi)
 

@@ -91,6 +91,17 @@ def test_isolate_verify_round_trip(capsys, tmp_path):
     assert code == 0
 
 
+def test_isolate_without_critical_zeros_covers_all_of_space(capsys, tmp_path):
+    # every critical resultant of z^2 - 2*x*z + x^2 - 2 is constant
+    out_file = tmp_path / "cert.json"
+    code, _, err = run(
+        capsys, "isolate", "x + sqrt(2)", "--verify", "--out", str(out_file)
+    )
+    assert code == 0, err
+    entries = json.loads(out_file.read_text())["entries"]
+    assert [e["label"] for e in entries] == ["all of space"]
+
+
 def test_isolate_merge_verify_with_powers(capsys, tmp_path):
     # the expression is evaluated in normal form; the certificate keeps "^"
     out_file = tmp_path / "cert.json"

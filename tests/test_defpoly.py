@@ -271,7 +271,7 @@ def test_certified_zero_is_reconfirmed_at_two_more_doublings(monkeypatch):
 def test_certified_zero_refuted_during_reconfirmation(monkeypatch):
     tiny = Interval(Fraction(-1, 2**10), Fraction(1, 2**10))
     got, calls = _zero_at(
-        monkeypatch, lambda n: tiny if n == 1 else Interval.point(Fraction(1))
+        monkeypatch, lambda n: tiny if n == 1 else Interval(Fraction(1), Fraction(1))
     )
     assert not got and calls == [8, 16]
 

@@ -33,6 +33,9 @@ REPEATS = GOLDEN / "repeats.json"
 UNGROUPED = GOLDEN / "ungrouped.json"
 # program variables named z and t: the parts become z2, z3 and z4
 NAMES = GOLDEN / "names.json"
+# quotients: a grouped part over a denominator, a negative constant
+# denominator and a row that cancels to 0 >= 0
+QUOTIENTS = GOLDEN / "quotients.json"
 
 _EXTENSIONS = {"json": "json", "smtlib": "smt2", "human": "txt"}
 
@@ -67,6 +70,11 @@ def _reformulate_cases():
             "reformulate", str(NAMES), "--verify", "--baseline",
             "--format", fmt, "--out", f"<tmp>/out.{_EXTENSIONS[fmt]}",
         ]]
+    for fmt in ("human", "smtlib"):
+        yield f"quotients-{fmt}", [[
+            "reformulate", str(QUOTIENTS), "--verify", "--baseline",
+            "--format", fmt, "--out", f"<tmp>/out.{_EXTENSIONS[fmt]}",
+        ]]
     yield "rosenbrock-grid", [[
         "reformulate", str(PROBLEMS / "rosenbrock.json"), "--strategy", "grid",
         "--grid-res", "4", "--verify", "--format", "human",
@@ -92,6 +100,14 @@ def _isolate_cases():
             ],
             ["verify", "<tmp>/cert.json", "--samples", "8"],
         ]
+    # two grid groups, unmerged: y > x^2, and the U-shaped y < x^2 below it
+    yield "isolate-parabola", [
+        [
+            "isolate", "root(3, x^2 - y)", "--strategy", "grid", "--grid-res", "8",
+            "--verify", "--samples", "8", "--out", "<tmp>/cert.json",
+        ],
+        ["verify", "<tmp>/cert.json", "--samples", "8"],
+    ]
 
 
 CASES = dict(

@@ -28,7 +28,6 @@ from algprog.isolation import (
     _simplify_relaxed,
     certificate_from_json,
     critical_resultants,
-    derivative_tower,
     isolate,
     merge_components,
 )
@@ -96,7 +95,7 @@ def test_critical_resultants_sum_of_roots():
 
 def test_derivative_tower_shape():
     dp = defining_polynomial("sqrt(x) + sqrt(y)")
-    tower = derivative_tower(dp.poly, dp.z)
+    tower = dp.poly.derivatives(dp.z)
     assert len(tower) == 4
     assert tower[0] == dp.poly.derivative(dp.z)
     assert tower[-1].degree_in(dp.z) == 0
@@ -239,6 +238,40 @@ def test_tower_signs_refuse_once_the_budget_runs_out(monkeypatch):
     monkeypatch.setattr("algprog.radicals.MAX_PRECISION_DOUBLINGS", 4)
     with pytest.raises(PrecisionError, match="resultant zero set"):
         _tower_signs(["z^2 - 2"], Fraction(2))
+
+
+LADDER_CASES = [
+    # (expression, refining eval_numeric calls at PRECISION 2)
+    ("x^(1/2) - x^(1/3)", 13),
+    ("root(3, x)/(3 - 1) - root(3, 4)*x", 44),
+    ("sqrt(x) + root(3, x + 1)", None),
+    ("1/(sqrt(x^2) - x)", None),
+]
+
+
+@pytest.mark.parametrize("text, refinements", LADDER_CASES)
+def test_tower_signs_climb_the_ladder_to_the_same_certificate(
+    text, refinements, monkeypatch
+):
+    # a working precision of 2 or 1 bits leaves most tower enclosures
+    # straddling 0 at the first step; the certified signs, and so the
+    # certificate, are the ones the default precision gives at once
+    dp = defining_polynomial(text)
+    expected = isolate(text, dp).to_json()
+    calls = []
+
+    def counted(e, point, precision=None):
+        if precision is not None:
+            calls.append(precision)
+        return eval_numeric(e, point, precision)
+
+    monkeypatch.setattr("algprog.isolation.eval_numeric", counted)
+    for bits in (2, 1):
+        monkeypatch.setattr("algprog.radicals.PRECISION", bits)
+        calls.clear()
+        assert isolate(text, dp).to_json() == expected
+        if bits == 2 and refinements is not None:
+            assert len(calls) == refinements
 
 
 # -- domain strategy ---------------------------------------------------------------

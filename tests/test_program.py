@@ -14,6 +14,7 @@ import pytest
 
 from algprog.isolation import DomainSpec, IsolateConfig, SignCondition
 from algprog.program import (
+    PolynomialProgram,
     ReformulateConfig,
     ResourceError,
     StructuralError,
@@ -26,6 +27,7 @@ from algprog.program import (
     reformulate,
     result_from_json,
 )
+from algprog.polycore import MultiPoly, VarRegistry
 from algprog.radicals import polynomial_from_text, structural_key, to_text
 from conftest import use_walk_without_memo
 
@@ -351,6 +353,14 @@ def test_emit_smtlib_shape():
     assert "(assert (>= (- (* z z) (* x x)) 0))" in text
     assert "(check-sat)" in text
     assert "; objective" in text
+
+
+def test_emit_smtlib_writes_rational_coefficients_as_quotients():
+    reg = VarRegistry(["x"])
+    row = polynomial_from_text("x/2 - 1/3", reg)
+    prog = PolynomialProgram(reg, ("min", MultiPoly.var(reg, 0)), ((row, ">="),), {})
+    text = emit(prog, format="smtlib").decode()
+    assert "(assert (>= (- (* (/ 1 2) x) (/ 1 3)) 0))" in text
 
 
 def test_emit_smtlib_splits_children():

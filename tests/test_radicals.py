@@ -38,7 +38,6 @@ from algprog.radicals import (
     parse,
     poly_enclosure,
     polynomial_from_text,
-    rat_root_enclosure,
     structural_key,
     substitute_expr,
     to_polynomial,
@@ -134,6 +133,20 @@ def test_to_text_parse_round_trip(text):
     e = normalize(parse(text))
     again = normalize(parse(to_text(e)))
     assert structural_key(again) == structural_key(e)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("x^0", "1"),
+    ("x^-2", "1/(x*x)"),
+    ("(x + 1)^(-1/2)", "1/sqrt(1 + x)"),
+])
+def test_normalize_zero_and_negative_exponents(text, want):
+    assert to_text(normalize(parse(text))) == want
+
+
+def test_normalize_refuses_zero_to_the_zero():
+    with pytest.raises(ExprError, match="0\\^0"):
+        normalize(parse("0^0"))
 
 
 def test_normalize_idempotent():
@@ -525,6 +538,14 @@ def test_eval_numeric_missing_variable():
         eval_numeric(normalize(parse("x + y")), {"x": Fraction(1)})
 
 
+def rat_root_enclosure(a: Fraction, r: int, bits: int) -> Interval:
+    """The kernel's enclosure of a^(1/r) for a >= 0, within 2^-bits and
+    exact for perfect powers: the reference evaluation's root of a point."""
+    assert a >= 0
+    lo, hi, den = radicals._rat_root(a.numerator, a.denominator, r, bits)
+    return Interval(Fraction(lo, den), Fraction(hi, den))
+
+
 @given(
     st.fractions(min_value=0, max_value=50, max_denominator=8),
     st.integers(2, 5),
@@ -658,7 +679,7 @@ def test_plans_do_not_go_stale(p, draws):
 
 point_intervals = st.one_of(
     st.sampled_from([Fraction(0), Fraction(-2), Fraction(1, 3)]), small_fractions
-).map(Interval.point)
+).map(lambda c: Interval(c, c))
 
 
 @given(point_intervals, st.one_of(intervals(), point_intervals))

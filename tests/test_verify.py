@@ -802,7 +802,7 @@ def test_selection_matches_f():
     f = normalize(parse("sqrt(x)"))
     value = eval_numeric(f, {"x": Fraction(9, 4)}, 64)
     assert selection_matches_f(value, sel)
-    assert not selection_matches_f(Interval.point(Fraction(-3, 2)), sel)
+    assert not selection_matches_f(Interval(Fraction(-3, 2), Fraction(-3, 2)), sel)
 
 
 def test_selection_matches_f_is_exact():
@@ -1217,7 +1217,7 @@ def test_forced_sign_covers_the_relaxed_goldstein_price_child():
         SignCondition(polynomial_from_text("z", reg), ">="),
     ]
     p = polynomial_from_text("(z^2 - s)^2 - 4*s", reg)
-    d1, d2, d3 = verify_module.derivatives_in(p, z)
+    d1, d2, d3 = p.derivatives(z)[:-1]
     assert d1 == polynomial_from_text("4*z*(z^2 - s)", reg)  # rule (2)
     assert d2 == polynomial_from_text("4*(z^2 - s) + 8*z^2", reg)  # rule (1)
     assert d3 == polynomial_from_text("24*z", reg)  # rule (1), no gap
