@@ -17,9 +17,11 @@ that later-registered variables weigh more), which makes printed polynomials
 stable across runs and platforms.  `MultiPoly.from_text` reads that form
 back term by term, without the expression parser.
 
-Before a gcd runs the subresultant PRS, one image of both operands modulo a
-prime, at a fixed point for the other variables, is tried: when the image gcd
-has degree 0 the true gcd is 1 (Brown's degree bound), and the PRS is skipped.
+A gcd first tries one image of both operands modulo a prime, at a fixed
+point for the other variables: when the image gcd has degree 0 the true gcd
+is 1 (Brown's degree bound).  Otherwise the heuristic GCDHEU, checked by exact
+trial division, gives the gcd, and only when it gives up does the
+subresultant PRS run.
 """
 
 from __future__ import annotations
@@ -810,22 +812,144 @@ def _coprime_by_image(p: MultiPoly, q: MultiPoly, v: VarId) -> bool:
     return gcd_degree_mod(*images) == 0
 
 
+def _has_constant_coeff(p: MultiPoly, v: VarId) -> bool:
+    # The coefficient of v^e is a nonzero constant iff a term is v^e alone
+    # and no term with v-exponent e holds another variable.
+    alone, mixed = set(), set()
+    for m in p.terms:
+        if not m or len(m) == 1 and m[0][0] == v:
+            alone.add(m[0][1] if m else 0)
+        else:
+            mixed.add(next((e for w, e in m if w == v), 0))
+    return not alone <= mixed
+
+
+def _heuristic_gcd(a: IntTerms, b: IntTerms) -> IntTerms | None:
+    """Gcd of two nonzero integer polynomials by GCDHEU (Char, Geddes &
+    Gonnet 1989, J. Symbolic Comput. 7), or None when it gives up.
+
+    The integer contents are divided out and their gcd c multiplied back
+    in.  The first variable x goes to an integer ξ ≥ 2·min(‖a‖∞, ‖b‖∞) + 2,
+    the gcd γ of the two images comes from the same heuristic on one
+    variable fewer, and G is read off γ's symmetric ξ-adic digits, so that
+    G(ξ) = γ.  Its primitive part P = G / k is accepted only if it divides
+    both primitive operands exactly, which makes it a common divisor.
+
+    It is then the greatest (the GCDHEU theorem).  Write gcd(a, b) = P·h.
+    Since γ is the gcd of the images (by induction on the variables),
+    P(ξ)·h(ξ) divides γ = k·P(ξ), so h(ξ) is an integer dividing k, and
+    |k| ≤ ξ/2 as k divides a digit.  Take the operand of smaller norm, say
+    a.  A nonzero polynomial in Z[x] of norm ≤ ‖a‖∞ has its roots α below
+    1 + ‖a‖∞ ≤ ξ/2 in absolute value (Cauchy), so |ξ − α| > ξ/2.  Hence ξ
+    is no root of the coefficient of a's leading monomial in the other
+    variables, nor of h's, which divides it; with h(ξ) constant, h is free
+    of the other variables.  Then h divides a coefficient of a, so
+    |h(ξ)| > (ξ/2)^deg h, and h(ξ) | k leaves deg h = 0.  A rejected P
+    makes ξ ← ξ·73794 // 27011; after six tries, or when the level below
+    gives up, the heuristic gives up.
+    """
+    ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
+    c = math.gcd(ca, cb)
+    if _ONE in a and len(a) == 1 or _ONE in b and len(b) == 1:
+        return {_ONE: c}
+    a = {m: k // ca for m, k in a.items()}
+    b = {m: k // cb for m, k in b.items()}
+    x = min(m[0][0] for f in (a, b) for m in f if m)
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
+    for _ in range(6):
+        images = [_image_at(f, x, xi) for f in (a, b)]
+        if all(images):
+            gamma = _heuristic_gcd(*images)
+            if gamma is None:
+                return None
+            g = _from_digits(gamma, x, xi)
+            cg = math.gcd(*g.values())
+            g = {m: k // cg for m, k in g.items()}
+            try:
+                int_divexact(a, g)
+                int_divexact(b, g)
+            except InexactDivision:
+                pass
+            else:
+                return {m: k * c for m, k in g.items()}
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _image_at(f: IntTerms, x: VarId, xi: int) -> IntTerms:
+    # f with x set to xi; x is the least variable of f, so it leads each
+    # monomial it occurs in.
+    out: IntTerms = {}
+    for m, k in f.items():
+        if m and m[0][0] == x:
+            k *= xi ** m[0][1]
+            m = m[1:]
+        out[m] = out.get(m, 0) + k
+    return {m: k for m, k in out.items() if k}
+
+
+def _from_digits(gamma: IntTerms, x: VarId, xi: int) -> IntTerms:
+    # The polynomial in x whose coefficient of x^e holds the e-th symmetric
+    # xi-adic digit of each of gamma's coefficients; every variable of gamma
+    # comes after x, so prefixing (x, e) keeps a monomial sorted.
+    out: IntTerms = {}
+    half = xi // 2
+    e = 0
+    while gamma:
+        rest: IntTerms = {}
+        for m, k in gamma.items():
+            d = k % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[((x, e),) + m if e else m] = d
+            if k != d:
+                rest[m] = (k - d) // xi
+        gamma = rest
+        e += 1
+    return out
+
+
+def _heuristic_poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
+    """`poly_gcd(p, q)` of two nonzero polynomials, normalized alike, by
+    `_heuristic_gcd`; None when the heuristic gives up."""
+    g = _heuristic_gcd(
+        *(int_terms(f, math.lcm(*(c.denominator for c in f.terms.values()))) for f in (p, q))
+    )
+    if g is None:
+        return None
+    # in the text order, in which the PRS path's exact divisions mostly leave
+    # a gcd: a factor that the reduction keeps then keeps its term order
+    ordered = sorted(g.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+    return integer_normalize(MultiPoly(p.registry, dict(ordered)))
+
+
 def content_in(p: MultiPoly, v: VarId) -> MultiPoly:
     """Gcd of the coefficients of `p` viewed as a polynomial in `v`.
 
-    The gcds are taken smallest coefficient first, so a constant one, which
-    settles the content at 1, ends the loop before any gcd runs.
+    Content 1 is proved without a gcd when a coefficient is a nonzero
+    constant, or when the two smallest coefficients have coprime images in
+    every variable of the first (`_coprime_by_image`): a nonconstant gcd
+    would have positive degree in one of them.  Otherwise the gcds are
+    taken smallest coefficient first, each by the heuristic, with
+    `poly_gcd` as its fallback.
     """
+    if _has_constant_coeff(p, v):
+        return MultiPoly.const(p.registry, 1)
     coeffs = sorted(
         p.coeffs_in(v).values(), key=lambda c: (c.term_count(), c.total_degree())
     )
     if not coeffs:
         return MultiPoly.zero(p.registry)
     g = coeffs[0]
+    if len(coeffs) > 1 and all(
+        _coprime_by_image(g, coeffs[1], w) for w in g.vars_present()
+    ):
+        return MultiPoly.const(p.registry, 1)
     for c in coeffs[1:]:
         if g.is_constant():
             break
-        g = poly_gcd(g, c)
+        g = _heuristic_poly_gcd(g, c) or poly_gcd(g, c)
     return integer_normalize(g)
 
 
@@ -872,6 +996,11 @@ def gcd_in_main_var(p: MultiPoly, q: MultiPoly, v: VarId) -> MultiPoly:
         return MultiPoly.const(p.registry, 1)
     if _coprime_by_image(p, q, v):
         return MultiPoly.const(p.registry, 1)
+    g = _heuristic_poly_gcd(p, q)
+    if g is not None:
+        # the gcd over the other variables' fraction field is the full gcd's
+        # primitive part in v, which is 1 when v does not occur in it
+        return primitive_part_in(g, v)
     seq = subresultant_prs(p, q, v)
     last = seq[-1]
     if last.degree_in(v) == 0:

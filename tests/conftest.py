@@ -21,6 +21,8 @@ from algprog.uni import trim
 from algprog.verify import condition_holds
 
 settings.register_profile("suite", deadline=None, max_examples=60)
+# a deeper property run, chosen with --hypothesis-profile=deep
+settings.register_profile("deep", deadline=None, max_examples=500)
 settings.load_profile("suite")
 
 

@@ -1,5 +1,6 @@
 """Ring laws, canonical text, and exact division for sparse polynomials."""
 
+import contextlib
 from fractions import Fraction
 from unittest import mock
 
@@ -418,9 +419,16 @@ def test_primitive_part_in_main_var():
 # -- the coprimality pre-test against the PRS ---------------------------------
 
 
+@contextlib.contextmanager
 def prs_only():
-    """Every gcd on the subresultant PRS: the pre-test never proves anything."""
-    return mock.patch.object(polycore, "_coprime_by_image", lambda p, q, v: False)
+    """Every gcd on the subresultant PRS: neither the pre-test, nor the
+    proofs of content 1, nor the heuristic gcd decides anything."""
+    with (
+        mock.patch.object(polycore, "_coprime_by_image", lambda p, q, v: False),
+        mock.patch.object(polycore, "_has_constant_coeff", lambda p, v: False),
+        mock.patch.object(polycore, "_heuristic_gcd", lambda a, b: None),
+    ):
+        yield
 
 
 def prs_gcd_in_main_var(p, q, v):
@@ -436,10 +444,16 @@ def prs_poly_gcd(p, q):
         return poly_gcd(p, q)
 
 
+def prs_content_in(p, v):
+    with prs_only():
+        return content_in(p, v)
+
+
 @st.composite
-def gcd_problems(draw):
+def gcd_problems(draw, contents=False):
     """Bivariate or trivariate operands, some with a planted common factor;
-    coefficients have denominators up to 4."""
+    coefficients have denominators up to 4.  With `contents`, each operand
+    is also multiplied by a monomial (x^3*... and the like) and an integer."""
     nvars = draw(st.sampled_from([2, 3]))
     small = (
         polys(max_terms=3, max_exp=2)
@@ -454,6 +468,12 @@ def gcd_problems(draw):
     if draw(st.booleans()):
         common = draw(small)
         p, q = p * common, q * common
+    if contents:
+        monomials = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars).map(
+            lambda es: MultiPoly(REG, {tuple((v, e) for v, e in enumerate(es) if e): 1})
+        )
+        p = p * draw(monomials) * draw(st.integers(1, 12))
+        q = q * draw(monomials) * draw(st.integers(1, 12))
     return p, q, draw(st.integers(0, nvars - 1))
 
 
@@ -498,6 +518,77 @@ def test_pretest_falls_back_on_unlucky_image():
 def test_pretest_falls_back_on_nontrivial_gcd():
     p, q = (X - Y) * (X + 1), (X - Y) * (X - Z)
     check_pretest(p, q, REG.id_of("x"), False, integer_normalize(X - Y))
+
+
+# -- the heuristic gcd and the proofs of content 1 against the PRS ------------
+
+
+def no_prs():
+    """The PRS, and so `poly_gcd`'s own path, raise when reached."""
+    return mock.patch.object(
+        polycore, "subresultant_prs", side_effect=AssertionError("PRS reached")
+    )
+
+
+@given(gcd_problems(contents=True))
+def test_heuristic_gcd_matches_prs_oracle(problem):
+    p, q, v = problem
+    want = prs_poly_gcd(p, q)
+    assert polycore._heuristic_poly_gcd(p, q) == want
+    with mock.patch.object(polycore, "_coprime_by_image", lambda p, q, v: False):
+        assert gcd_in_main_var(p, q, v) == prs_gcd_in_main_var(p, q, v)
+    assert content_in(p, v) == prs_content_in(p, v)
+
+
+def test_heuristic_carries_the_content_through_every_level():
+    # x^3 is y's integer content once x is evaluated: it must come back
+    with no_prs():
+        assert polycore._heuristic_poly_gcd(X**3 * Y, X**3 * Y**2) == X**3 * Y
+        assert poly_gcd(X**3 * Y, X**3 * Y**2) == X**3 * Y
+        assert poly_gcd(6 * X**3 * Y, 4 * X**3 * Y**2 * Z) == X**3 * Y
+
+
+def test_prs_answers_when_the_heuristic_gives_up():
+    p, q, v = (X - Y) * (X + 1), (X - Y) * (X - Z), REG.id_of("x")
+    prs = mock.Mock(wraps=subresultant_prs)
+    with (
+        mock.patch.object(polycore, "_heuristic_gcd", lambda a, b: None),
+        mock.patch.object(polycore, "subresultant_prs", prs),
+    ):
+        assert gcd_in_main_var(p, q, v) == integer_normalize(X - Y)
+    assert prs.called
+
+
+def test_content_one_by_a_constant_coefficient():
+    p, v = X**2 * (Y + Z) + X * Y * Z + 5, REG.id_of("x")
+    assert polycore._has_constant_coeff(p, v)
+    assert not polycore._has_constant_coeff(p + Y, v)  # x^0's coefficient is 5 + y
+    with (
+        mock.patch.object(MultiPoly, "coeffs_in", side_effect=AssertionError),
+        mock.patch.object(polycore, "_heuristic_gcd", side_effect=AssertionError),
+    ):
+        assert content_in(p, v) == MultiPoly.const(REG, 1)
+
+
+def test_content_one_by_images():
+    # no coefficient is constant; the two smallest, y + z and y^2 + 1, have
+    # coprime images in y and in z
+    p, v = X**2 * (Y**2 + 1) + X * (Y + Z) + X**3 * (Y * Z + Y + 2), REG.id_of("x")
+    assert not polycore._has_constant_coeff(p, v)
+    with mock.patch.object(polycore, "_heuristic_gcd", side_effect=AssertionError):
+        assert content_in(p, v) == MultiPoly.const(REG, 1)
+    assert prs_content_in(p, v) == MultiPoly.const(REG, 1)
+
+
+def test_square_free_part_with_the_content_inside_needs_no_prs():
+    # p defines x^(1/2) + x^(1/3); the PRS with (y + 1)*6 inside took seconds
+    p = MultiPoly.from_text(
+        REG, "z^6 - 3*x*z^4 - 2*x*z^3 + 3*x^2*z^2 - 6*x^2*z - x^3 + x^2", 6
+    )
+    z, line = REG.id_of("z"), Z - X - 7
+    with no_prs():
+        got = square_free_part((Y + 1) * 6 * p * line**2, z)
+    assert got == primitive_part_in(p * line, z)
 
 
 # -- homogenization in the quotient variable ----------------------------------
