@@ -73,10 +73,21 @@ def positive_int(text: str) -> int:
     return value
 
 
+def _read_rational(text: str) -> Fraction:
+    """`text` as a rational such as `-4`, `1/3` or `0.25`; ValueError for
+    exponent notation, which `Fraction` would spend seconds expanding
+    (`1e9999999`), and for a value with more digits than `str` prints."""
+    if "e" in text.lower():
+        raise ValueError(f"exponent notation in {text!r}")
+    value = Fraction(text)
+    str(value)  # ValueError past the interpreter's int-to-text limit
+    return value
+
+
 def rational(text: str) -> Fraction:
     """argparse type of the grid bounds: a rational such as `-4` or `1/3`."""
     try:
-        return Fraction(text)
+        return _read_rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational") from None
 
@@ -256,7 +267,7 @@ def _load_domain(
         if set(values) != set(names):
             raise ValueError(f"interior_point must assign exactly {sorted(names)}")
         point = {
-            registry.id_of(name): Fraction(str(value))
+            registry.id_of(name): _read_rational(str(value))
             for name, value in values.items()
         }
     except (

@@ -32,7 +32,7 @@ from .polycore import (
     try_divexact,
 )
 from .radicals import NOT_REAL, EvalDomainError, Expr, Interval, eval_numeric, poly_enclosure
-from .resultants import resultant, resultant_with_constant
+from .resultants import resultant_with_constant
 from . import verify as _verify
 
 
@@ -274,17 +274,11 @@ class DomainSpec:
 def critical_resultants(p: MultiPoly, z: VarId) -> list[MultiPoly]:
     """res_z(p, p⁽ⁱ⁾) for i = 1..d; together they cut out the complement of A.
 
-    The last derivative is constant in z, so its resultant degenerates to the
-    leading-coefficient power convention.  Identically-zero resultants are
-    kept in the list so callers can report them.
+    The last derivative is constant in z, so `resultant_with_constant` takes
+    it by the leading-coefficient power convention.  Identically-zero
+    resultants are kept in the list so callers can report them.
     """
-    out = []
-    for q in p.derivatives(z):
-        if q.degree_in(z) >= 1:
-            out.append(resultant(p, q, z))
-        else:
-            out.append(resultant_with_constant(p, q, z))
-    return out
+    return [resultant_with_constant(p, q, z) for q in p.derivatives(z)]
 
 
 # ---------------------------------------------------------------------------

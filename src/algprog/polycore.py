@@ -17,11 +17,13 @@ that later-registered variables weigh more), which makes printed polynomials
 stable across runs and platforms.  `MultiPoly.from_text` reads that form
 back term by term, without the expression parser.
 
-A gcd first tries one image of both operands modulo a prime, at a fixed
-point for the other variables: when the image gcd has degree 0 the true gcd
-is 1 (Brown's degree bound).  Otherwise the heuristic GCDHEU, checked by exact
-trial division, gives the gcd, and only when it gives up does the
-subresultant PRS run.
+`poly_gcd` is the one full gcd: the heuristic GCDHEU, checked by exact
+trial division, and only when it gives up the subresultant PRS.  The gcd in
+one variable over the others' fraction field (`gcd_in_main_var`) and a
+content (`content_in`) are read off it, after a cheaper proof that the
+answer is 1: a nonzero constant coefficient, or one image of both operands
+modulo a prime, at a fixed point for the other variables, whose gcd has
+degree 0 (Brown's degree bound).
 """
 
 from __future__ import annotations
@@ -801,7 +803,7 @@ def _coprime_by_image(p: MultiPoly, q: MultiPoly, v: VarId) -> bool:
     fraction field, primitive with integer coefficients, so it divides both in
     the polynomial ring.  φ(lc G) divides φ(lc p) ≠ 0, so deg φ(G) = deg G;
     and φ(G) divides both images, hence their gcd.  An image gcd of degree 0
-    therefore gives deg G = 0.  False means nothing: the caller runs the PRS.
+    therefore gives deg G = 0.  False means nothing: the caller takes the gcd.
     """
     images = []
     for f in (p, q):
@@ -910,29 +912,14 @@ def _from_digits(gamma: IntTerms, x: VarId, xi: int) -> IntTerms:
     return out
 
 
-def _heuristic_poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
-    """`poly_gcd(p, q)` of two nonzero polynomials, normalized alike, by
-    `_heuristic_gcd`; None when the heuristic gives up."""
-    g = _heuristic_gcd(
-        *(int_terms(f, math.lcm(*(c.denominator for c in f.terms.values()))) for f in (p, q))
-    )
-    if g is None:
-        return None
-    # in the text order, in which the PRS path's exact divisions mostly leave
-    # a gcd: a factor that the reduction keeps then keeps its term order
-    ordered = sorted(g.items(), key=lambda t: grlex_key(t[0]), reverse=True)
-    return integer_normalize(MultiPoly(p.registry, dict(ordered)))
-
-
 def content_in(p: MultiPoly, v: VarId) -> MultiPoly:
     """Gcd of the coefficients of `p` viewed as a polynomial in `v`.
 
     Content 1 is proved without a gcd when a coefficient is a nonzero
     constant, or when the two smallest coefficients have coprime images in
     every variable of the first (`_coprime_by_image`): a nonconstant gcd
-    would have positive degree in one of them.  Otherwise the gcds are
-    taken smallest coefficient first, each by the heuristic, with
-    `poly_gcd` as its fallback.
+    would have positive degree in one of them.  Otherwise `poly_gcd` chains
+    the coefficients, smallest first.
     """
     if _has_constant_coeff(p, v):
         return MultiPoly.const(p.registry, 1)
@@ -949,7 +936,7 @@ def content_in(p: MultiPoly, v: VarId) -> MultiPoly:
     for c in coeffs[1:]:
         if g.is_constant():
             break
-        g = _heuristic_poly_gcd(g, c) or poly_gcd(g, c)
+        g = poly_gcd(g, c)
     return integer_normalize(g)
 
 
@@ -960,9 +947,12 @@ def primitive_part_in(p: MultiPoly, v: VarId) -> MultiPoly:
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Full multivariate gcd, normalized to primitive integer coefficients.
+    """Full multivariate gcd, normalized to primitive integer coefficients;
+    its term order is unspecified.
 
-    Rational constants count as units, so gcd(6, 4) is 1.
+    Rational constants count as units, so gcd(6, 4) is 1.  GCDHEU gives the
+    gcd; only when it gives up does the subresultant PRS run on the
+    primitive parts in the least variable, times the gcd of the contents.
     """
     p._check(q)
     if p.is_zero():
@@ -971,17 +961,21 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return integer_normalize(p)
     if p.is_constant() or q.is_constant():
         return MultiPoly.const(p.registry, 1)
-    shared = p.vars_present() | q.vars_present()
-    v = min(shared)
+    g = _heuristic_gcd(
+        *(int_terms(f, math.lcm(*(c.denominator for c in f.terms.values()))) for f in (p, q))
+    )
+    if g is not None:
+        return integer_normalize(MultiPoly(p.registry, g))
+    v = min(p.vars_present() | q.vars_present())
     cp, cq = content_in(p, v), content_in(q, v)
-    c = poly_gcd(cp, cq)
-    pp, qq = divexact(p, cp), divexact(q, cq)
-    return integer_normalize(c * gcd_in_main_var(pp, qq, v))
+    last = subresultant_prs(divexact(p, cp), divexact(q, cq), v)[-1]
+    return integer_normalize(poly_gcd(cp, cq) * primitive_part_in(last, v))
 
 
 def gcd_in_main_var(p: MultiPoly, q: MultiPoly, v: VarId) -> MultiPoly:
     """Gcd of p and q as univariate polynomials in `v` over the remaining
-    variables' fraction field, returned primitive with integer coefficients.
+    variables' fraction field, returned primitive with integer coefficients:
+    the primitive part in v of `poly_gcd(p, q)`.
 
     Degree-0 results collapse to the constant 1 (units don't matter here).
     """
@@ -996,16 +990,7 @@ def gcd_in_main_var(p: MultiPoly, q: MultiPoly, v: VarId) -> MultiPoly:
         return MultiPoly.const(p.registry, 1)
     if _coprime_by_image(p, q, v):
         return MultiPoly.const(p.registry, 1)
-    g = _heuristic_poly_gcd(p, q)
-    if g is not None:
-        # the gcd over the other variables' fraction field is the full gcd's
-        # primitive part in v, which is 1 when v does not occur in it
-        return primitive_part_in(g, v)
-    seq = subresultant_prs(p, q, v)
-    last = seq[-1]
-    if last.degree_in(v) == 0:
-        return MultiPoly.const(p.registry, 1)
-    return primitive_part_in(last, v)
+    return primitive_part_in(poly_gcd(p, q), v)
 
 
 def square_free_part(p: MultiPoly, v: VarId) -> MultiPoly:

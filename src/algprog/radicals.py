@@ -154,7 +154,10 @@ class _Scanner:
             self.pos += 1
         if self.pos == digits:
             raise ExprSyntaxError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than the interpreter's int-to-text limit
+            raise ExprSyntaxError("integer with too many digits", start) from None
 
     def ident(self) -> str:
         """The name at the cursor (`polycore.IDENTIFIER`), or "" if none."""
@@ -924,12 +927,13 @@ def degree_bounds(f: Expr | str) -> DegreeBounds:
 
 
 def _bounds(e: Expr) -> DegreeBounds:
-    if is_polynomial(e):
-        probe = VarRegistry(sorted(variables_of(e)))
+    probe = VarRegistry(sorted(variables_of(e)))
+    try:
         p = to_polynomial(e, probe)
-        degs = {
-            probe.name_of(v): p.degree_in(v) for v in sorted(p.vars_present())
-        }
+    except NotPolynomial:
+        pass
+    else:
+        degs = {probe.name_of(v): p.degree_in(v) for v in sorted(p.vars_present())}
         return DegreeBounds(z_degree=1, var_degrees=degs)
     if isinstance(e, (Add, Sub, Mul, Div)):
         lb, rb = _bounds(e.left), _bounds(e.right)

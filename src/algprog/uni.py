@@ -19,17 +19,18 @@ in a bracket is decided in this order: integer interval Horner
 on the bracket, then a few halvings with the same test, and only if q's
 sign is still undecided gcd(p, q) with a Sturm count, which settles zero
 exactly; halving then continues until the interval test certifies the sign,
-which terminates because the root is simple.  A degree-0 gcd of c and c' modulo
-`IMAGE_PRIME` usually proves c square-free; otherwise a primitive remainder
-sequence gives the gcd, by which c is divided exactly (Basu, Pollack & Roy,
-*Algorithms in Real Algebraic Geometry*, ch. 2 and 10).
+which terminates because the root is simple.  `strip_common(c, b)`, which
+`square_free` calls with c', divides c by gcd(c, b): a degree-0 gcd modulo
+`IMAGE_PRIME` usually proves them coprime; otherwise a primitive remainder
+sequence gives the gcd (Basu, Pollack & Roy, *Algorithms in Real Algebraic
+Geometry*, ch. 2 and 10).
 
 `isolate_product_roots` cuts the line at the roots of several factors over
 their square-free basis, not over their product: each factor is made
-square-free and coprime to the earlier ones (the same image proof first,
-then an exact gcd), isolated with its own Sturm chain, and the product's
-bisection is replayed with counts read from those roots, so its square-free
-part and intervals are the ones `isolate_roots` gives for the product.
+square-free and coprime to the earlier ones (`strip_common`), isolated
+with its own Sturm chain, and the product's bisection is replayed with
+counts read from those roots, so its square-free part and intervals are the
+ones `isolate_roots` gives for the product.
 """
 
 from __future__ import annotations
@@ -132,20 +133,23 @@ def exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return quo
 
 
+def strip_common(c: Sequence[int], b: Sequence[int]) -> Sequence[int]:
+    """c divided by gcd(c, b), with the sign of c's leading coefficient."""
+    # When lc(c) survives mod the prime, so does the leading coefficient of
+    # any integer divisor of c, and a degree-0 image gcd of c and b proves
+    # them coprime without a gcd over the integers.
+    if c and c[-1] % IMAGE_PRIME and gcd_degree_mod(c, b) == 0:
+        return c
+    # The gcd can be b itself, which need not be primitive; lc(g) > 0 keeps
+    # the sign of c's leading coefficient.
+    g = primitive(gcd(c, b))
+    return exact_quotient(c, g if g[-1] > 0 else [-n for n in g]) if len(g) > 1 else c
+
+
 def square_free(c: list[int]) -> list[int]:
     """The square-free part of `c`, primitive, with the sign of its leading
     coefficient."""
-    dc = derivative(c)
-    # When lc(c) survives mod the prime, so does the leading coefficient of
-    # any integer divisor of c, and a degree-0 image gcd of c and c' proves
-    # c square-free without a gcd over the integers.
-    if not (c and c[-1] % IMAGE_PRIME and gcd_degree_mod(c, dc) == 0):
-        # The gcd can be c' itself, which need not be primitive.
-        g = primitive(gcd(c, dc))
-        if len(g) > 1:
-            # lc(g) > 0 keeps the sign of c's leading coefficient
-            c = exact_quotient(c, g if g[-1] > 0 else [-n for n in g])
-    return primitive(c)
+    return primitive(strip_common(c, derivative(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +268,7 @@ def isolate_product_roots(
     for c in factors:
         c = square_free(c)
         for b in basis:
-            # A degree-0 image gcd proves coprimality, as in `square_free`.
-            if len(c) > 1 and not (c[-1] % IMAGE_PRIME and gcd_degree_mod(c, b) == 0):
-                g = primitive(gcd(c, b))
-                if len(g) > 1:
-                    c = exact_quotient(c, g if g[-1] > 0 else [-n for n in g])
+            c = strip_common(c, b)
         if len(c) > 1:
             basis.append(c if c[-1] > 0 else [-n for n in c])
     if len(basis) <= 1:

@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import settings
 
 from algprog.polycore import MultiPoly, PolyError, VarId
@@ -24,6 +25,21 @@ settings.register_profile("suite", deadline=None, max_examples=60)
 # a deeper property run, chosen with --hypothesis-profile=deep
 settings.register_profile("deep", deadline=None, max_examples=500)
 settings.load_profile("suite")
+
+# Hypothesis prints a falsifying example through `libcst` where that is
+# installed, and `libcst` imports `typing_inspect`, which warns on import
+# that `mypy_extensions.TypedDict` is deprecated.  Under `-W error` that one
+# warning turns a failing property into an INTERNALERROR without its
+# example.  A mark on each test outranks `-W`, an ini `filterwarnings` entry
+# does not; every other warning still errors.
+_TYPED_DICT_WARNING = pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+)
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        item.add_marker(_TYPED_DICT_WARNING)
 
 
 def proportional(p: MultiPoly, q: MultiPoly) -> bool:

@@ -5,6 +5,7 @@ surface as SystemExit(2), all other failures as documented return codes.
 """
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -703,6 +704,52 @@ def test_verify_bounds_an_endpoint_too_long_to_print(capsys, tmp_path):
     assert code == 4
     witness = json.loads(out)["checks"][0]["witness"]
     assert witness.startswith("sample 0: (x=4/7) -> [-") and "*2^-65, -" in witness
+
+
+# -- numbers too long to print ----------------------------------------------------
+
+#: the interpreter's int-to-text limit in digits; 0 where there is none
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_limit = pytest.mark.skipif(not INT_DIGITS, reason="no int-to-text limit")
+
+#: rationals the reader refuses: exponent notation, however short its value,
+#: and a decimal whose numerator has more digits than `str` prints
+HUGE_RATIONALS = {
+    "exponent": "1e5000",
+    "exponent-stall": "1e9999999",  # Fraction alone spends seconds on it
+    "decimal": "1" * (INT_DIGITS // 2 + 1) + "." + "1" * (INT_DIGITS // 2 + 1),
+}
+
+
+@needs_int_limit
+def test_integer_literal_too_long_to_read_is_exit_3(capsys):
+    code, _, err = run(capsys, "defpoly", "x + 1" + "0" * INT_DIGITS)
+    assert code == 3
+    assert "integer with too many digits (at position 4)" in err
+
+
+@needs_int_limit
+@pytest.mark.parametrize("value", HUGE_RATIONALS.values(), ids=HUGE_RATIONALS.keys())
+def test_grid_bound_too_long_to_print_is_usage_error(capsys, value):
+    t0 = time.monotonic()
+    code = run_usage_error("isolate", "sqrt(x)", "--strategy", "grid", "--grid-min", value)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert "is not a rational" in capsys.readouterr().err
+
+
+@needs_int_limit
+@pytest.mark.parametrize("value", HUGE_RATIONALS.values(), ids=HUGE_RATIONALS.keys())
+def test_domain_point_too_long_to_print_is_exit_3(capsys, tmp_path, value):
+    domain = tmp_path / "domain.json"
+    domain.write_text(json.dumps({"conditions": [], "interior_point": {"x": value}}))
+    t0 = time.monotonic()
+    code, _, err = run(
+        capsys, "isolate", "sqrt(x)", "--strategy", "domain", "--domain-file", str(domain)
+    )
+    assert time.monotonic() - t0 < 1.0
+    assert code == 3
+    assert "bad domain file" in err
 
 
 def test_python_dash_m_runs_the_cli(capsys, monkeypatch):

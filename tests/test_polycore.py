@@ -534,7 +534,8 @@ def no_prs():
 def test_heuristic_gcd_matches_prs_oracle(problem):
     p, q, v = problem
     want = prs_poly_gcd(p, q)
-    assert polycore._heuristic_poly_gcd(p, q) == want
+    with no_prs():
+        assert poly_gcd(p, q) == want
     with mock.patch.object(polycore, "_coprime_by_image", lambda p, q, v: False):
         assert gcd_in_main_var(p, q, v) == prs_gcd_in_main_var(p, q, v)
     assert content_in(p, v) == prs_content_in(p, v)
@@ -543,7 +544,6 @@ def test_heuristic_gcd_matches_prs_oracle(problem):
 def test_heuristic_carries_the_content_through_every_level():
     # x^3 is y's integer content once x is evaluated: it must come back
     with no_prs():
-        assert polycore._heuristic_poly_gcd(X**3 * Y, X**3 * Y**2) == X**3 * Y
         assert poly_gcd(X**3 * Y, X**3 * Y**2) == X**3 * Y
         assert poly_gcd(6 * X**3 * Y, 4 * X**3 * Y**2 * Z) == X**3 * Y
 
@@ -557,6 +557,27 @@ def test_prs_answers_when_the_heuristic_gives_up():
     ):
         assert gcd_in_main_var(p, q, v) == integer_normalize(X - Y)
     assert prs.called
+
+
+@given(gcd_problems())
+def test_gcd_in_main_var_is_the_primitive_part_of_poly_gcd(problem):
+    # the one identity that lets `gcd_in_main_var` read its answer off
+    # `poly_gcd`, on the heuristic's path and on the PRS's
+    p, q, v = problem
+    assert gcd_in_main_var(p, q, v) == primitive_part_in(poly_gcd(p, q), v)
+    with mock.patch.object(polycore, "_heuristic_gcd", lambda a, b: None):
+        assert gcd_in_main_var(p, q, v) == primitive_part_in(poly_gcd(p, q), v)
+
+
+def test_gcd_in_main_var_with_a_zero_operand():
+    # no image to test coprimality on: the other operand's primitive part
+    v, zero = REG.id_of("x"), MultiPoly.zero(REG)
+    p = Fraction(3, 2) * (Y + 1) * (X**2 - Y)
+    for a, b in ((p, zero), (zero, p)):
+        assert gcd_in_main_var(a, b, v) == integer_normalize(X**2 - Y)
+    assert gcd_in_main_var(zero, 6 * Y, v) == MultiPoly.const(REG, 1)
+    with pytest.raises(PolyError):
+        gcd_in_main_var(zero, zero, v)
 
 
 def test_content_one_by_a_constant_coefficient():
